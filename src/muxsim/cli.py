@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,12 +19,13 @@ import numpy as np
 from . import defaults
 from .eventsim import PulseTrainConfig, run_pulse_train
 from .fitting import load_observations_csv, fit_all, write_fit_table_csv
-from .hsps import SourceParams, calibrate_coupling, squeezing_from_power
+from .hsps import SourceParams
 from .hsps import pass2_coincidence_prob, pass2_trigger_split, p_trig_signal
 from .mux import (
     MuxBin,
     MuxProbabilities,
     MuxTopology,
+    bin_squeezing,
     evaluate_mux,
     saturated_report,
 )
@@ -69,9 +70,34 @@ class Scenario:
 
 
 def _reject_unknown(obj: dict, allowed: Sequence[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must be an object, got {obj!r}")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ScenarioError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _finite(value, where: str) -> float:
+    """A finite JSON number; booleans are not numbers."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ScenarioError(f"{where} must be a finite number, got {value!r}")
+    return value
+
+
+def _integer(value, where: str) -> int:
+    """A JSON integer; booleans and numbers written as floats are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _reject_constant(name: str):
+    """json.load hook for the NaN, Infinity and -Infinity literals."""
+    raise ScenarioError(f"non-finite number {name} in scenario")
 
 
 def _parse_bin(obj: dict, index: int) -> MuxBin:
@@ -89,17 +115,20 @@ def _parse_bin(obj: dict, index: int) -> MuxBin:
     _reject_unknown(obj, allowed, where)
     try:
         source = SourceParams(
-            eta_i=obj["eta_i"],
-            eta_s=obj["eta_s"],
-            p_seed_mw=obj["p_seed_mw"],
-            back_reflection_fraction=obj.get("back_reflection_fraction", 0.0),
+            eta_i=_finite(obj["eta_i"], f"{where}.eta_i"),
+            eta_s=_finite(obj["eta_s"], f"{where}.eta_s"),
+            p_seed_mw=_finite(obj["p_seed_mw"], f"{where}.p_seed_mw"),
+            back_reflection_fraction=_finite(
+                obj.get("back_reflection_fraction", 0.0),
+                f"{where}.back_reflection_fraction",
+            ),
         )
         return MuxBin(
-            pass_id=obj["pass"],
-            delay_id=obj["delay"],
+            pass_id=_integer(obj["pass"], f"{where}.pass"),
+            delay_id=_integer(obj["delay"], f"{where}.delay"),
             source=source,
-            pump_fraction=obj["pump_fraction"],
-            eta_sw=obj["eta_sw"],
+            pump_fraction=_finite(obj["pump_fraction"], f"{where}.pump_fraction"),
+            eta_sw=_finite(obj["eta_sw"], f"{where}.eta_sw"),
         )
     except KeyError as exc:
         raise ScenarioError(f"{where}: missing key {exc}") from exc
@@ -113,8 +142,13 @@ def _parse_topology(obj: dict) -> MuxTopology:
         bins = tuple(_parse_bin(b, i) for i, b in enumerate(obj["bins"]))
         return MuxTopology(
             bins,
-            rep_rate_hz=obj.get("rep_rate_hz", defaults.REP_RATE_HZ),
-            bin_spacing_s=obj.get("bin_spacing_ns", 3.0) * 1e-9,
+            rep_rate_hz=_finite(
+                obj.get("rep_rate_hz", defaults.REP_RATE_HZ), "topology.rep_rate_hz"
+            ),
+            bin_spacing_s=_finite(
+                obj.get("bin_spacing_ns", 3.0), "topology.bin_spacing_ns"
+            )
+            * 1e-9,
         )
     return defaults.default_topology(obj.get("eta_sw_mode", "composed"))
 
@@ -134,20 +168,27 @@ def parse_scenario(doc: dict) -> Scenario:
     _reject_unknown(
         sim_obj, ("cycles", "seed", "reference_power_mw"), "simulation"
     )
+    chain = doc.get("deadtime_chain_s", defaults.AMPLIFIER_CHAIN.stages)
+    if not isinstance(chain, (list, tuple)):
+        raise ScenarioError(f"deadtime_chain_s must be a list, got {chain!r}")
     return Scenario(
         topology=_parse_topology(doc.get("topology", {})),
         sweep=PowerSweep(
-            start_mw=sweep_obj.get("start", 0.0),
-            stop_mw=sweep_obj.get("stop", 25.0),
-            steps=sweep_obj.get("steps", 26),
+            start_mw=_finite(sweep_obj.get("start", 0.0), "power_sweep_mw.start"),
+            stop_mw=_finite(sweep_obj.get("stop", 25.0), "power_sweep_mw.stop"),
+            steps=_integer(sweep_obj.get("steps", 26), "power_sweep_mw.steps"),
         ),
         amplifier_chain=DeadtimeChain(
-            tuple(doc.get("deadtime_chain_s", defaults.AMPLIFIER_CHAIN.stages))
+            tuple(_finite(d, "deadtime_chain_s") for d in chain)
         ),
-        idle_time_s=doc.get("idle_time_s", defaults.IDLE_TIME_S),
-        cycles=sim_obj.get("cycles", 1_000_000),
-        seed=sim_obj.get("seed", 12345),
-        reference_power_mw=sim_obj.get("reference_power_mw", 5.0),
+        idle_time_s=_finite(
+            doc.get("idle_time_s", defaults.IDLE_TIME_S), "idle_time_s"
+        ),
+        cycles=_integer(sim_obj.get("cycles", 1_000_000), "simulation.cycles"),
+        seed=_integer(sim_obj.get("seed", 12345), "simulation.seed"),
+        reference_power_mw=_finite(
+            sim_obj.get("reference_power_mw", 5.0), "simulation.reference_power_mw"
+        ),
     )
 
 
@@ -155,7 +196,7 @@ def load_scenario(path: Optional[str]) -> Scenario:
     if path is None:
         return parse_scenario({})
     with open(path) as fh:
-        return parse_scenario(json.load(fh))
+        return parse_scenario(json.load(fh, parse_constant=_reject_constant))
 
 
 # --- native SVG line charts -------------------------------------------------
@@ -232,11 +273,7 @@ def svg_line_chart(
 
 def _single_source_probs(bin_: MuxBin, reference_power_mw: float) -> MuxProbabilities:
     """Per-cycle probabilities of one bin measured without the switch network."""
-    power = reference_power_mw * bin_.pump_fraction
-    if bin_.pass_id == 2:
-        power *= 0.5
-    c = calibrate_coupling(bin_.source.p_seed_mw)
-    xi = squeezing_from_power(c, power).xi
+    xi = bin_squeezing(bin_, reference_power_mw)
     _, _, p_total = pass2_trigger_split(
         xi, bin_.source.eta_i, bin_.source.back_reflection_fraction
     )
@@ -490,16 +527,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         scenario = load_scenario(args.scenario)
-        if args.seed is not None or args.cycles is not None:
-            scenario = Scenario(
-                topology=scenario.topology,
-                sweep=scenario.sweep,
-                amplifier_chain=scenario.amplifier_chain,
-                idle_time_s=scenario.idle_time_s,
-                cycles=args.cycles if args.cycles is not None else scenario.cycles,
-                seed=args.seed if args.seed is not None else scenario.seed,
-                reference_power_mw=scenario.reference_power_mw,
-            )
+        if args.seed is not None:
+            scenario = replace(scenario, seed=args.seed)
+        if args.cycles is not None:
+            scenario = replace(scenario, cycles=args.cycles)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "model":

@@ -1,17 +1,46 @@
 """Pulse-level Monte Carlo simulation of the multiplexed source.
 
-Every clock cycle pumps each configured time bin, samples a photon-pair
-number per bin, thins both arms through their losses, applies the
-amplifier deadtimes and the global feed-forward idle window to the herald
-stream, and routes the first heralded bin's signal photons through the
-switch network.  This is the independent oracle for the closed forms in
-:mod:`muxsim.hsps`, :mod:`muxsim.saturation` and :mod:`muxsim.mux`.
+Every clock cycle pumps each configured time bin.  A bin heralds when its
+idler arm clicks or, on the second pass, when a back-reflected photon
+clicks the herald detector; the first bin to herald in a cycle is the
+cycle's candidate.  The amplifier deadtimes and the global feed-forward
+idle window decide which candidates are accepted, and the accepted bin's
+signal photons are routed through the switch network to the output slot.
+This is the independent oracle for the closed forms in :mod:`muxsim.hsps`,
+:mod:`muxsim.saturation` and :mod:`muxsim.mux`.
+
+The sampler is herald-sparse: it draws only the cycles where a herald can
+fire, with the same joint law for every per-cycle output as drawing every
+cycle x bin.  For bin k let s = xi_k^2 and eta = eta_i.  The pair number
+is geometric, P(n) = (1 - s) s^n, so the idler clicks with probability
+p_k = s eta / (1 - s (1 - eta)), and a back-reflection clicks
+independently with f_k p_k.  Hence:
+
+* The candidate cycles of bin k form a Bernoulli(q_k) process,
+  q_k = 1 - (1 - p_k)(1 - f_k p_k), drawn as cumulative sums of geometric
+  gaps (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. X).
+* Each candidate is an idler click only, an idler click and a
+  back-reflection, or a back-reflection only, with probabilities
+  proportional to p (1 - f p), p f p and (1 - p) f p.  The first two
+  differ in no output, so a candidate is an idler click with probability
+  p / q and a back-reflection only otherwise.
+* The pair number splits into m detected and l lost idler photons: given
+  an idler click m ~ Geom(1 - p_k) >= 1, otherwise m = 0, and
+  l | m ~ NegBin(m + 1, 1 - s (1 - eta)).  n = m + l is drawn only where it
+  is used: for accepted heralds, and for the same bin one cycle later
+  (conditioned on whether that bin's idler clicked there) for the
+  accidental gate.  The signal photons are n thinned by eta_s eta_sw.
+
+The bins are merged in priority order, and the deadtime rule runs on the
+merged candidates.  The trace keeps only these sparse records and builds
+per-cycle arrays on demand.  Since p_k comes from hsps.p_trig_idler, this
+sampler does not check that closed form; the dense sampler kept with the
+tests and the source oracle of acceptance criterion 1 do.
 
 The generator is counter-based (Philox), so a fixed seed gives a
 bit-identical trace.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -67,49 +96,114 @@ class PulseTrainConfig:
             route_bin(bin_.delay_id, slots)  # raises RoutingError if unroutable
 
 
-@dataclass
+# Most geometric gaps drawn per block when skipping ahead to candidate cycles.
+_GAP_BLOCK = 1 << 16
+# Quiet cycles formatted per write when exporting a trace.
+_CSV_BLOCK = 1 << 16
+_CSV_HEADER = (
+    "cycle,herald_bin,accepted,back_reflection,loop_mask,"
+    "photons_out,signal_click,accidental_click\n"
+)
+_QUIET_TAIL = ",-1,0,0,-1,0,0,0\n"  # every column after the cycle number
+_CANDIDATE_ROW = "{},{},{},{},{},{},{},{}\n".format
+
+
+@dataclass(frozen=True)
 class EventTrace:
-    """Per-cycle records of one simulated pulse train."""
+    """Sparse records of one simulated pulse train.
+
+    Only the cycles holding a herald candidate are stored, plus the outcome
+    of each accepted herald.  The per-cycle arrays (``herald_bin``,
+    ``accepted``, ...) are read-only properties built on demand.
+    """
 
     rep_rate_hz: float
     n_cycles: int
-    herald_bin: np.ndarray  # candidate bin index per cycle, -1 if none
-    accepted: np.ndarray  # herald survived deadtimes and idle window
-    back_reflection: np.ndarray  # selected herald was a back-reflection only
-    loop_mask: np.ndarray  # bit mask of loops used, -1 when not accepted
-    photons_out: np.ndarray  # signal photons surviving to the output slot
-    signal_click: np.ndarray  # coincidence click in the gated output slot
-    accidental_click: np.ndarray  # click against the herald shifted one cycle
+    candidate_cycles: np.ndarray  # cycles holding a herald candidate, ascending
+    candidate_bin: np.ndarray  # first bin to herald in each of those cycles
+    accepted_index: np.ndarray  # candidates that survived deadtimes and idle window
+    accepted_loop_mask: np.ndarray  # per accepted herald: bit mask of loops used
+    accepted_photons: np.ndarray  # signal photons surviving to the output slot
+    accepted_accidental: np.ndarray  # click against the herald shifted one cycle
+    accepted_back: np.ndarray  # the herald was a back-reflection only
+
+    @property
+    def accepted_cycles(self) -> np.ndarray:
+        return self.candidate_cycles[self.accepted_index]
+
+    def _per_cycle(self, values, fill, dtype) -> np.ndarray:
+        out = np.full(self.n_cycles, fill, dtype=dtype)
+        out[self.accepted_cycles] = values
+        return out
+
+    @property
+    def herald_bin(self) -> np.ndarray:
+        """Candidate bin index per cycle, -1 if none."""
+        out = np.full(self.n_cycles, -1, dtype=np.int16)
+        out[self.candidate_cycles] = self.candidate_bin
+        return out
+
+    @property
+    def accepted(self) -> np.ndarray:
+        """Herald survived deadtimes and idle window."""
+        return self._per_cycle(True, False, bool)
+
+    @property
+    def back_reflection(self) -> np.ndarray:
+        """Selected herald was a back-reflection only."""
+        return self._per_cycle(self.accepted_back, False, bool)
+
+    @property
+    def loop_mask(self) -> np.ndarray:
+        """Bit mask of loops used, -1 when not accepted."""
+        return self._per_cycle(self.accepted_loop_mask, -1, np.int8)
+
+    @property
+    def photons_out(self) -> np.ndarray:
+        """Signal photons surviving to the output slot."""
+        return self._per_cycle(self.accepted_photons, 0, np.int32)
+
+    @property
+    def signal_click(self) -> np.ndarray:
+        """Coincidence click in the gated output slot."""
+        return self._per_cycle(self.accepted_photons >= 1, False, bool)
+
+    @property
+    def accidental_click(self) -> np.ndarray:
+        """Click against the herald shifted one cycle."""
+        return self._per_cycle(self.accepted_accidental, False, bool)
 
     def to_csv(self, path) -> None:
-        """One row per clock cycle."""
+        """One row per clock cycle; quiet cycles are written in bulk."""
+        # Columns after herald_bin, one entry per candidate cycle.
+        cols = np.zeros((6, self.candidate_cycles.size), dtype=np.int64)
+        cols[2] = -1
+        acc = self.accepted_index
+        cols[0, acc] = 1
+        cols[1, acc] = self.accepted_back
+        cols[2, acc] = self.accepted_loop_mask
+        cols[3, acc] = self.accepted_photons
+        cols[4, acc] = self.accepted_photons >= 1
+        cols[5, acc] = self.accepted_accidental
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                [
-                    "cycle",
-                    "herald_bin",
-                    "accepted",
-                    "back_reflection",
-                    "loop_mask",
-                    "photons_out",
-                    "signal_click",
-                    "accidental_click",
-                ]
-            )
-            for i in range(self.n_cycles):
-                writer.writerow(
-                    [
-                        i,
-                        int(self.herald_bin[i]),
-                        int(self.accepted[i]),
-                        int(self.back_reflection[i]),
-                        int(self.loop_mask[i]),
-                        int(self.photons_out[i]),
-                        int(self.signal_click[i]),
-                        int(self.accidental_click[i]),
-                    ]
-                )
+            fh.write(_CSV_HEADER)
+            start = 0
+            for row in zip(
+                self.candidate_cycles.tolist(),
+                self.candidate_bin.tolist(),
+                *cols.tolist(),
+            ):
+                _write_quiet_rows(fh, start, row[0])
+                fh.write(_CANDIDATE_ROW(*row))
+                start = row[0] + 1
+            _write_quiet_rows(fh, start, self.n_cycles)
+
+
+def _write_quiet_rows(fh, start: int, stop: int) -> None:
+    """Rows of the cycles in [start, stop), none of which holds a candidate."""
+    for first in range(start, stop, _CSV_BLOCK):
+        last = min(first + _CSV_BLOCK, stop)
+        fh.write(_QUIET_TAIL.join(map(str, range(first, last))) + _QUIET_TAIL)
 
 
 def sample_pair_count(xi: float, rng: np.random.Generator) -> int:
@@ -169,20 +263,94 @@ def _accept_heralds(
     chain: DeadtimeChain,
     idle_time_s: float,
 ) -> np.ndarray:
-    """Boolean acceptance per candidate after sequential refractory stages."""
+    """Boolean acceptance per candidate after sequential refractory stages.
+
+    A candidate blocked at one stage never reaches the later ones and does
+    not re-arm the stage that blocked it, so the chain is a cascade of
+    non-paralyzable filters, each applied to the survivors of the one before.
+    """
     blocks = [_deadtime_cycles(d, rep_rate_hz) for d in chain.stages]
     blocks.append(_deadtime_cycles(idle_time_s, rep_rate_hz))
-    next_free = [0] * len(blocks)
-    accepted = np.zeros(candidate_cycles.shape[0], dtype=bool)
-    for i, t in enumerate(candidate_cycles):
-        passed = True
-        for j, k in enumerate(blocks):
-            if t < next_free[j]:
-                passed = False
-                break
-            next_free[j] = t + k + 1
-        accepted[i] = passed
+    accepted = np.ones(candidate_cycles.size, dtype=bool)
+    for block in blocks:
+        accepted[accepted] = _non_paralyzable(candidate_cycles[accepted], block)
     return accepted
+
+
+def _non_paralyzable(cycles: np.ndarray, block: int) -> np.ndarray:
+    """Which ascending event cycles pass a stage that, after each event it
+    passes, blocks the next `block` cycles.
+
+    An event more than `block` cycles after its predecessor always passes,
+    and after a passed event the next to pass is the first one at least
+    block + 1 cycles later.  So the passed events are found by following
+    those jumps, for all clusters at once, from each sure pass that the
+    next event follows within `block` cycles, until the chain reaches the
+    next sure pass.
+    """
+    passed = np.ones(cycles.size, dtype=bool)
+    passed[1:] = np.diff(cycles) > block
+    front = np.flatnonzero(passed[:-1] & ~passed[1:])
+    while front.size:
+        front = np.searchsorted(cycles, cycles[front] + (block + 1))
+        front = front[front < cycles.size]
+        front = front[~passed[front]]
+        passed[front] = True
+    return passed
+
+
+def _bernoulli_cycles(q: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Ascending cycles in [0, n) of a Bernoulli(q) process, as cumulative
+    sums of geometric gaps.  Each block draws a few standard deviations more
+    gaps than the rest of the run is expected to need, up to _GAP_BLOCK."""
+    blocks, last = [], -1
+    while last < n - 1:
+        expected = (n - 1 - last) * q
+        size = min(_GAP_BLOCK, int(expected + 4.0 * math.sqrt(expected)) + 16)
+        gaps = rng.geometric(q, size)
+        np.minimum(gaps, n + 1, out=gaps)  # a gap past the end ends the run
+        blocks.append(last + np.cumsum(gaps))
+        last = int(blocks[-1][-1])
+    cycles = np.concatenate(blocks)
+    return cycles[: np.searchsorted(cycles, n)]
+
+
+def _bin_candidates(
+    p: float, f: float, n: int, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(cycles, idler clicked) of one bin's herald candidates, where the idler
+    clicks with probability p and a back-reflection with f p.
+
+    A candidate without an idler click is a back-reflection only.  Whether an
+    idler click came with a back-reflection changes no output, so those two
+    cases are drawn as one, with probability p / q.
+    """
+    q = p + f * p * (1.0 - p)
+    if q == 0.0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+    cycles = _bernoulli_cycles(q, n, rng)
+    return cycles, rng.random(cycles.size) < p / q
+
+
+def _merge_bins(per_bin):
+    """(cycle, bin, idler clicked) of every bin's candidates, sorted by cycle
+    and then bin, so that the first record of a cycle is the bin that
+    heralds it."""
+    cyc, idl = (np.concatenate(x) for x in zip(*per_bin))
+    own = np.repeat(
+        np.arange(len(per_bin), dtype=np.int16), [c.size for c, _ in per_bin]
+    )
+    order = np.lexsort((own, cyc))
+    return cyc[order], own[order], idl[order]
+
+
+def _idler_clicked(
+    keys: np.ndarray, idler: np.ndarray, wanted: np.ndarray
+) -> np.ndarray:
+    """Whether the idler clicked at each wanted key, given the ascending keys
+    of all candidate records and their idler flags."""
+    pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    return (keys[pos] == wanted) & idler[pos]
 
 
 def run_pulse_train(config: PulseTrainConfig) -> Tuple[EventTrace, RateReport]:
@@ -194,86 +362,74 @@ def run_pulse_train(config: PulseTrainConfig) -> Tuple[EventTrace, RateReport]:
     slots = max(b.delay_id for b in bins) + 1
     rng = np.random.Generator(np.random.Philox(config.rng_seed))
 
-    xis = np.array(
-        [bin_squeezing(b, config.reference_power_mw) for b in bins]
-    )
+    xis = [bin_squeezing(b, config.reference_power_mw) for b in bins]
+    eta_i = [b.source.eta_i for b in bins]
+    p_idler = np.array([p_trig_idler(xi, eta) for xi, eta in zip(xis, eta_i)])
+    # Success probability of the geometric law of idler photons lost.
+    keep = np.array([1.0 - xi * xi * (1.0 - eta) for xi, eta in zip(xis, eta_i)])
     eta_path = np.array([b.source.eta_s * b.eta_sw for b in bins])
-
-    # Pair numbers per cycle and bin; signal photon number equals idler
-    # photon number before loss (perfect pair correlation).
-    n_pairs = np.zeros((n, n_bins), dtype=np.int32)
-    idler_click = np.zeros((n, n_bins), dtype=bool)
-    back_click = np.zeros((n, n_bins), dtype=bool)
-    for k, bin_ in enumerate(bins):
-        s = xis[k] * xis[k]
-        if s > 0.0:
-            n_pairs[:, k] = rng.geometric(1.0 - s, size=n).astype(np.int32) - 1
-        surv = rng.binomial(n_pairs[:, k], bin_.source.eta_i)
-        idler_click[:, k] = surv >= 1
-        f = bin_.source.back_reflection_fraction
-        if f > 0.0 and s > 0.0:
-            p_back = f * p_trig_idler(xis[k], bin_.source.eta_i)
-            back_click[:, k] = rng.random(n) < p_back
-
-    any_idler = idler_click | back_click
-    has_candidate = any_idler.any(axis=1)
-    first_bin = np.where(has_candidate, np.argmax(any_idler, axis=1), -1)
-
-    candidates = np.flatnonzero(has_candidate)
-    accepted_mask = _accept_heralds(
-        candidates, topo.rep_rate_hz, config.deadtime_chain, config.idle_time_s
+    loop_masks = np.array(
+        [
+            sum(bit << j for j, bit in enumerate(route_bin(b.delay_id, slots)[0]))
+            for b in bins
+        ],
+        dtype=np.int8,
     )
-    accepted_cycles = candidates[accepted_mask]
-    sel_bins = first_bin[accepted_cycles]
 
-    # Route the selected bin's signal photons; at most one output slot per
-    # cycle by construction.
-    loop_bits = np.full(n, -1, dtype=np.int8)
-    photons_out = np.zeros(n, dtype=np.int32)
-    signal_click = np.zeros(n, dtype=bool)
-    accidental_click = np.zeros(n, dtype=bool)
-    back_flag = np.zeros(n, dtype=bool)
-
-    if accepted_cycles.size:
-        delays = np.array([bins[k].delay_id for k in sel_bins])
-        masks = np.array(
-            [
-                sum(bit << j for j, bit in enumerate(route_bin(d, slots)[0]))
-                for d in delays
-            ],
-            dtype=np.int8,
+    cyc, own, idl = _merge_bins(
+        [
+            _bin_candidates(p_idler[k], b.source.back_reflection_fraction, n, rng)
+            for k, b in enumerate(bins)
+        ]
+    )
+    heads = np.flatnonzero(np.diff(cyc, prepend=-1))
+    candidate_cycles, candidate_bin = cyc[heads], own[heads]
+    accepted = np.flatnonzero(
+        _accept_heralds(
+            candidate_cycles,
+            topo.rep_rate_hz,
+            config.deadtime_chain,
+            config.idle_time_s,
         )
-        loop_bits[accepted_cycles] = masks
-        out = rng.binomial(
-            n_pairs[accepted_cycles, sel_bins], eta_path[sel_bins]
-        )
-        photons_out[accepted_cycles] = out
-        signal_click[accepted_cycles] = out >= 1
-        back_flag[accepted_cycles] = back_click[
-            accepted_cycles, sel_bins
-        ] & ~idler_click[accepted_cycles, sel_bins]
+    )
+    sel = heads[accepted]
+    t_acc, k_acc, back_only = cyc[sel], own[sel], ~idl[sel]
 
-        # Accidental estimate: gate from the herald shifted by one clock
-        # cycle; the switch configuration persists through the idle window,
-        # so the next cycle's photons from the same bin reach the output.
-        in_range = accepted_cycles + 1 < n
-        t_next = accepted_cycles[in_range] + 1
-        k_next = sel_bins[in_range]
-        acc_out = rng.binomial(n_pairs[t_next, k_next], eta_path[k_next])
-        accidental_click[accepted_cycles[in_range]] = acc_out >= 1
+    # Pair numbers of the selected bin, in the herald's cycle and, for the
+    # accidental gate, in the next one: the switch configuration persists
+    # through the idle window, so the next cycle's photons from the same bin
+    # reach the output.  A (cycle, bin) needed twice gets one draw.
+    in_range = t_acc + 1 < n
+    wanted, inverse = np.unique(
+        np.concatenate(
+            [t_acc * n_bins + k_acc, (t_acc[in_range] + 1) * n_bins + k_acc[in_range]]
+        ),
+        return_inverse=True,
+    )
+    clicked = _idler_clicked(cyc * n_bins + own, idl, wanted)
+    del cyc, own, idl, heads  # the candidate records are no longer needed
+    k_want = wanted % n_bins
+    # Detected idler photons: >= 1, geometric with ratio p, given a click and
+    # none without one; lost ones given m detected: NegBin(m + 1, keep).
+    detected = np.zeros(wanted.size, dtype=np.int64)
+    detected[clicked] = rng.geometric(1.0 - p_idler[k_want[clicked]])
+    pairs = detected + rng.negative_binomial(detected + 1, keep[k_want])
+    photons = rng.binomial(pairs[inverse[: t_acc.size]], eta_path[k_acc])
+    accidental = np.zeros(t_acc.size, dtype=bool)
+    accidental[in_range] = (
+        rng.binomial(pairs[inverse[t_acc.size :]], eta_path[k_acc[in_range]]) >= 1
+    )
 
-    accepted = np.zeros(n, dtype=bool)
-    accepted[accepted_cycles] = True
     trace = EventTrace(
         rep_rate_hz=topo.rep_rate_hz,
         n_cycles=n,
-        herald_bin=first_bin.astype(np.int16),
-        accepted=accepted,
-        back_reflection=back_flag,
-        loop_mask=loop_bits,
-        photons_out=photons_out,
-        signal_click=signal_click,
-        accidental_click=accidental_click,
+        candidate_cycles=candidate_cycles,
+        candidate_bin=candidate_bin,
+        accepted_index=accepted,
+        accepted_loop_mask=loop_masks[k_acc],
+        accepted_photons=photons.astype(np.int32),
+        accepted_accidental=accidental,
+        accepted_back=back_only,
     )
     return trace, _rates_from_trace(trace)
 
@@ -287,9 +443,9 @@ def _binomial_rate(count: int, n: int, rep_rate_hz: float) -> Tuple[float, float
 
 def _rates_from_trace(trace: EventTrace) -> RateReport:
     n = trace.n_cycles
-    n_trig = int(trace.accepted.sum())
-    n_c = int(trace.signal_click.sum())
-    n_a = int(trace.accidental_click.sum())
+    n_trig = int(trace.accepted_index.size)
+    n_c = int(np.count_nonzero(trace.accepted_photons))
+    n_a = int(np.count_nonzero(trace.accepted_accidental))
     r_trig, e_trig = _binomial_rate(n_trig, n, trace.rep_rate_hz)
     r_c, e_c = _binomial_rate(n_c, n, trace.rep_rate_hz)
     r_a, e_a = _binomial_rate(n_a, n, trace.rep_rate_hz)
@@ -315,5 +471,7 @@ def accidental_estimator(trace: EventTrace) -> float:
     if trace.n_cycles < 2:
         raise ValueError("need at least two cycles to estimate accidentals")
     return float(
-        trace.accidental_click.sum() * trace.rep_rate_hz / trace.n_cycles
+        np.count_nonzero(trace.accepted_accidental)
+        * trace.rep_rate_hz
+        / trace.n_cycles
     )

@@ -249,6 +249,29 @@ def test_unknown_scenario_key_rejected(tmp_path, capsys):
     assert "unknown keys" in json.loads(capsys.readouterr().err)["detail"]
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("model", '{"deadtime_chain_s": [NaN]}'),
+        ("model", '{"idle_time_s": Infinity}'),
+        ("model", '{"power_sweep_mw": {"start": 0, "stop": 1e999, "steps": 3}}'),
+        ("simulate", '{"simulation": {"cycles": 1e5}}'),
+        ("simulate", '{"simulation": {"cycles": true}}'),
+        ("model", '{"power_sweep_mw": {"steps": "5"}}'),
+        ("model", '{"deadtime_chain_s": 1e-7}'),
+        ("simulate", '{"simulation": 5}'),
+    ],
+)
+def test_non_finite_or_mistyped_scenario_values_rejected(
+    tmp_path, capsys, command, text
+):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ScenarioError"
+    assert not (tmp_path / "o").exists()
+
+
 def test_decreasing_sweep_rejected(tmp_path, capsys):
     scenario = _scenario(
         tmp_path, power_sweep_mw={"start": 10.0, "stop": 5.0, "steps": 4}

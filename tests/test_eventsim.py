@@ -2,6 +2,7 @@
 agreement with the analytic models."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,9 @@ from muxsim import (
     thin,
 )
 from muxsim.defaults import AMPLIFIER_CHAIN, IDLE_TIME_S, default_topology
-from muxsim.eventsim import ConfigurationError, RoutingError
+from muxsim.eventsim import ConfigurationError, RoutingError, _accept_heralds
+
+import dense_eventsim
 
 NO_DEADTIME = DeadtimeChain(())
 
@@ -292,6 +295,72 @@ def test_accidental_estimator_zero_signal_transmission():
     assert accidental_estimator(trace) == 0.0
 
 
+# --- agreement with the dense oracle -----------------------------------------------
+
+def _pass2_bin_config(n, **settings):
+    topo = _single_bin_topology(0.6, 0.5, 5.0, eta_sw=0.9, f=0.5)
+    return PulseTrainConfig(topo, 20.0, n, **settings)
+
+
+@pytest.mark.parametrize(
+    "make_config",
+    [
+        lambda n: PulseTrainConfig(default_topology(), 5.0, n),
+        lambda n: PulseTrainConfig(default_topology(), 40.0, n),
+        lambda n: _pass2_bin_config(n, deadtime_chain=NO_DEADTIME, idle_time_s=0.0),
+        # The cycle after an accepted herald often holds a blocked idler
+        # click, which raises that cycle's pair number for the accidental gate.
+        _pass2_bin_config,
+    ],
+    ids=["default-5mW", "default-40mW", "pass2-bin-no-deadtime", "pass2-bin"],
+)
+def test_sparse_sampler_matches_dense_oracle(make_config):
+    n = 2_000_000
+    config = make_config(n)
+    sparse, _ = run_pulse_train(dataclasses.replace(config, rng_seed=31))
+    dense = dense_eventsim.run_dense_pulse_train(
+        dataclasses.replace(config, rng_seed=32)
+    )
+
+    def counts(trace):
+        out = {
+            f"herald_bin={k}": int((trace.herald_bin == k).sum())
+            for k in range(len(config.topology.bins))
+        }
+        for field in (
+            "accepted", "signal_click", "accidental_click", "back_reflection"
+        ):
+            out[field] = int(getattr(trace, field).sum())
+        for k in range(1, 4):
+            out[f"photons_out={k}"] = int((trace.photons_out == k).sum())
+        # Without deadtimes the next cycle can herald in the same bin: its
+        # signal photons then also feed this cycle's accidental gate.
+        out["accidental,next signal"] = int(
+            (trace.accidental_click[:-1] & trace.signal_click[1:]).sum()
+        )
+        return out
+
+    got, want = counts(sparse), counts(dense)
+    for name in want:
+        a, b = got[name], want[name]
+        z = (a - b) / math.sqrt(a + b) if a + b else 0.0
+        assert abs(z) < 4.0, f"{name}: sparse {a}, dense {b}"
+
+
+def test_acceptance_equals_sequential_rule():
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        size = int(rng.integers(0, 300))
+        cycles = np.sort(rng.integers(0, int(rng.integers(1, 5000)), size))
+        stages = rng.integers(0, 20, rng.integers(0, 4))
+        chain = DeadtimeChain(tuple(float(d) for d in stages))
+        idle = float(rng.integers(0, 200))
+        assert np.array_equal(
+            _accept_heralds(cycles, 1.0, chain, idle),
+            dense_eventsim._accept_heralds(cycles, 1.0, chain, idle),
+        )
+
+
 # --- trace export -------------------------------------------------------------------
 
 def test_trace_csv_round_trip(tmp_path):
@@ -305,3 +374,32 @@ def test_trace_csv_round_trip(tmp_path):
     idx = 999
     assert int(rows[idx]["herald_bin"]) == int(trace.herald_bin[idx])
     assert int(rows[idx]["signal_click"]) == int(trace.signal_click[idx])
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        PulseTrainConfig(default_topology(), 40.0, 20_000, rng_seed=12),
+        _pass2_bin_config(20_000, deadtime_chain=NO_DEADTIME, idle_time_s=0.0),
+    ],
+    ids=["default-40mW", "pass2-bin-no-deadtime"],
+)
+def test_trace_csv_matches_row_by_row_writer(tmp_path, config):
+    trace, _ = run_pulse_train(config)
+    assert trace.accepted.sum() > 10 and trace.back_reflection.any()
+    fields = (
+        "herald_bin",
+        "accepted",
+        "back_reflection",
+        "loop_mask",
+        "photons_out",
+        "signal_click",
+        "accidental_click",
+    )
+    dense = dense_eventsim.DenseTrace(
+        trace.rep_rate_hz, trace.n_cycles, *(getattr(trace, f) for f in fields)
+    )
+    trace.to_csv(tmp_path / "sparse.csv")
+    dense.to_csv(tmp_path / "dense.csv")
+    sparse_bytes = (tmp_path / "sparse.csv").read_bytes()
+    assert sparse_bytes == (tmp_path / "dense.csv").read_bytes()
