@@ -13,7 +13,6 @@ from .hsps import (
     p_single_signal,
     p_trig_idler,
     p_trig_signal,
-    pass2_coincidence_prob,
     pass2_trigger_split,
     rates,
     seed_squeezing,
@@ -26,21 +25,14 @@ from .mux import (
     MuxTopology,
     emission_tradeoff_curve,
     evaluate_mux,
-    hybrid_combine,
-    mux_accidental_prob,
-    mux_coincidence_prob,
-    mux_trigger_prob,
     saturated_report,
     simple_mux_single_prob,
 )
 from .eventsim import (
     EventTrace,
     PulseTrainConfig,
-    accidental_estimator,
     route_bin,
     run_pulse_train,
-    sample_pair_count,
-    thin,
 )
 from .report import RateReport
 from .saturation import (
@@ -72,7 +64,6 @@ __all__ = [
     "SourceParams",
     "SpectrumModel",
     "SqueezingPoint",
-    "accidental_estimator",
     "calibrate_coupling",
     "detected_from_true",
     "effective_eta_i",
@@ -82,28 +73,21 @@ __all__ = [
     "fit_all",
     "fit_gaussian",
     "fit_source",
-    "hybrid_combine",
     "indistinguishability_table",
-    "mux_accidental_prob",
-    "mux_coincidence_prob",
-    "mux_trigger_prob",
     "overlap_gamma",
     "p_multi_signal",
     "p_signal_given_no_pair_trigger",
     "p_single_signal",
     "p_trig_idler",
     "p_trig_signal",
-    "pass2_coincidence_prob",
     "pass2_trigger_split",
     "r_squared",
     "rates",
     "route_bin",
     "run_pulse_train",
-    "sample_pair_count",
     "saturated_report",
     "seed_squeezing",
     "simple_mux_single_prob",
     "squeezing_from_power",
-    "thin",
     "true_from_detected",
 ]

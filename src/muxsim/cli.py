@@ -20,16 +20,16 @@ from . import defaults
 from .eventsim import PulseTrainConfig, run_pulse_train
 from .fitting import load_observations_csv, fit_all, write_fit_table_csv
 from .hsps import SourceParams
-from .hsps import pass2_coincidence_prob, pass2_trigger_split, p_trig_signal
 from .mux import (
     MuxBin,
-    MuxProbabilities,
     MuxTopology,
-    bin_squeezing,
+    bin_table,
+    cycle_probabilities,
     evaluate_mux,
+    priority_nest,
     saturated_report,
+    switchless,
 )
-from .report import RateReport
 from .saturation import DeadtimeChain
 from .spectral import fit_gaussian, indistinguishability_table
 
@@ -271,31 +271,12 @@ def svg_line_chart(
 
 # --- model evaluation helpers ------------------------------------------------
 
-def _single_source_probs(bin_: MuxBin, reference_power_mw: float) -> MuxProbabilities:
-    """Per-cycle probabilities of one bin measured without the switch network."""
-    xi = bin_squeezing(bin_, reference_power_mw)
-    _, _, p_total = pass2_trigger_split(
-        xi, bin_.source.eta_i, bin_.source.back_reflection_fraction
-    )
-    return MuxProbabilities(
-        p_trig=p_total,
-        p_coincidence=pass2_coincidence_prob(bin_.source, xi),
-        p_accidental=p_total * p_trig_signal(xi, bin_.source.eta_s),
-    )
-
-
 def _extrinsic_removed_topology(topology: MuxTopology) -> MuxTopology:
     bins = tuple(
-        MuxBin(
-            b.pass_id,
-            b.delay_id,
-            b.source,
-            b.pump_fraction,
-            min(b.eta_sw / defaults.MEMS_ASYMMETRY, 1.0),
-        )
+        replace(b, eta_sw=min(b.eta_sw / defaults.MEMS_ASYMMETRY, 1.0))
         for b in topology.bins
     )
-    return MuxTopology(bins, topology.rep_rate_hz, topology.bin_spacing_s)
+    return replace(topology, bins=bins)
 
 
 def _model_rows(scenario: Scenario) -> List[dict]:
@@ -304,26 +285,31 @@ def _model_rows(scenario: Scenario) -> List[dict]:
     topo = scenario.topology
     chain = scenario.full_chain
     rep = topo.rep_rate_hz
-    extr_topo = _extrinsic_removed_topology(topo)
-    pass1 = topo.subset(1)
-    labels: List[Tuple[str, object]] = [("MUX8", topo), ("MUX4", pass1)]
-    labels += [
-        (defaults.source_label(b.pass_id, b.delay_id), b) for b in topo.bins
+    powers = scenario.sweep.powers()
+    table = bin_table(topo, powers)
+    extr = bin_table(_extrinsic_removed_topology(topo), powers)
+    pass1 = [k for k, b in enumerate(topo.bins) if b.pass_id == 1]
+    if not pass1:
+        raise ValueError("topology has no pass-1 bins")
+    # (label, probabilities, extrinsic-removed probabilities) per power; a
+    # single source is measured without the switch network, so it has no
+    # extrinsic loss to remove.
+    sources = [
+        ("MUX8", priority_nest(table), priority_nest(extr)),
+        ("MUX4", priority_nest(table.take(pass1)), priority_nest(extr.take(pass1))),
+    ]
+    solo = bin_table(switchless(topo), powers)
+    sources += [
+        (defaults.source_label(b.pass_id, b.delay_id), solo.take(k), solo.take(k))
+        for k, b in enumerate(topo.bins)
     ]
     rows = []
-    for power in scenario.sweep.powers():
-        for label, item in labels:
-            if isinstance(item, MuxTopology):
-                probs = evaluate_mux(item, power)
-                extr = evaluate_mux(
-                    extr_topo if label == "MUX8" else extr_topo.subset(1), power
-                )
-            else:
-                probs = _single_source_probs(item, power)
-                extr = probs
-            sat = saturated_report(probs, rep, chain)
-            unsat = saturated_report(probs, rep)
-            extr_rep = saturated_report(extr, rep)
+    for i, power in enumerate(powers):
+        for label, probs, extr_probs in sources:
+            at_power = cycle_probabilities(probs, i)
+            sat = saturated_report(at_power, rep, chain)
+            unsat = saturated_report(at_power, rep)
+            extr_rep = saturated_report(cycle_probabilities(extr_probs, i), rep)
             rows.append(
                 {
                     "power_mw": power,

@@ -9,6 +9,7 @@ was measured directly.
 
 from typing import Dict
 
+from .eventsim import route_bin
 from .hsps import SourceParams
 from .mux import MuxBin, MuxTopology
 from .saturation import DeadtimeChain
@@ -56,17 +57,12 @@ MEMS_ASYMMETRY = 0.96  # extra measurement loss on the multiplexed channel
 FLAT_PATH_TRANSMISSION = 10.0 ** (-0.4)  # ~4 dB aggregate override
 
 
-def _loops_used(delay_id: int) -> int:
-    remaining = (N_DELAYS - 1) - delay_id
-    return (remaining & 1) + ((remaining >> 1) & 1)
-
-
 def composed_eta_sw(delay_id: int, include_mems: bool = True) -> float:
     """Per-path switch-network transmission assembled from components."""
     eta = (
         BUFFER_TRANSMISSION
         * SWITCH_TRANSMISSION**SWITCHES_PER_PATH
-        * LOOP_TRANSMISSION ** _loops_used(delay_id)
+        * LOOP_TRANSMISSION ** sum(route_bin(delay_id, N_DELAYS)[0])
     )
     return eta * MEMS_ASYMMETRY if include_mems else eta
 

@@ -206,24 +206,6 @@ def _write_quiet_rows(fh, start: int, stop: int) -> None:
         fh.write(_QUIET_TAIL.join(map(str, range(first, last))) + _QUIET_TAIL)
 
 
-def sample_pair_count(xi: float, rng: np.random.Generator) -> int:
-    """Draw a photon-pair number from P(n) = (1 - xi^2) xi^(2n)."""
-    if not 0.0 <= xi < 1.0:
-        raise ValueError(f"xi must be in [0, 1), got {xi}")
-    if xi == 0.0:
-        return 0
-    return int(rng.geometric(1.0 - xi * xi)) - 1
-
-
-def thin(n: int, eta: float, rng: np.random.Generator) -> int:
-    """Binomial loss channel: each of n photons survives with probability eta."""
-    if n < 0:
-        raise ValueError(f"photon number must be >= 0, got {n}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
-    return int(rng.binomial(n, eta))
-
-
 def route_bin(herald_bin: int, n_output_bins: int) -> Tuple[Tuple[int, ...], int]:
     """Loop configuration that offsets a heralded bin into the last bin.
 
@@ -465,13 +447,3 @@ def _rates_from_trace(trace: EventTrace) -> RateReport:
         car_err=car_err,
     )
 
-
-def accidental_estimator(trace: EventTrace) -> float:
-    """Cross-cycle herald x signal click rate in Hz."""
-    if trace.n_cycles < 2:
-        raise ValueError("need at least two cycles to estimate accidentals")
-    return float(
-        np.count_nonzero(trace.accepted_accidental)
-        * trace.rep_rate_hz
-        / trace.n_cycles
-    )

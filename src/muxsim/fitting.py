@@ -18,13 +18,12 @@ from scipy.stats import qmc
 from .hsps import (
     SourceParams,
     calibrate_coupling,
-    p_trig_signal,
-    pass2_coincidence_prob,
-    pass2_trigger_split,
     seed_squeezing,
-    squeezing_from_power,
+    source_probs,
+    xi_from_power,
 )
-from .saturation import DeadtimeChain, SaturationError, detected_from_true, true_from_detected
+from .mux import saturated_rates
+from .saturation import DeadtimeChain, SaturationError, true_from_detected
 
 
 class FitError(RuntimeError):
@@ -90,26 +89,11 @@ def predict_rates(
     rep_rate_hz: float,
     chain: DeadtimeChain,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Model (trigger, coincidence, accidental) rates over a power sweep.
-
-    Saturation thins the accepted-herald stream, so coincidences and
-    accidentals are scaled by the same factor as the trigger rate.
-    """
-    source = SourceParams(eta_i, eta_s, p_seed_mw, f)
-    c = calibrate_coupling(p_seed_mw)
-    trig = np.empty(len(powers_mw))
-    coinc = np.empty(len(powers_mw))
-    acc = np.empty(len(powers_mw))
-    for i, p_mw in enumerate(powers_mw):
-        xi = squeezing_from_power(c, p_mw).xi
-        _, _, p_total = pass2_trigger_split(xi, eta_i, f)
-        r_true = rep_rate_hz * p_total
-        r_det = detected_from_true(r_true, chain)
-        factor = r_det / r_true if r_true > 0.0 else 1.0
-        trig[i] = r_det
-        coinc[i] = rep_rate_hz * pass2_coincidence_prob(source, xi) * factor
-        acc[i] = rep_rate_hz * p_total * p_trig_signal(xi, eta_s) * factor
-    return trig, coinc, acc
+    """Model (trigger, coincidence, accidental) rates over a power sweep,
+    saturated by the deadtime chain."""
+    xi = xi_from_power(calibrate_coupling(p_seed_mw), np.asarray(powers_mw, float))
+    p = source_probs(xi, eta_i, eta_s, f)
+    return saturated_rates(p.p_trig, p.p_c, p.p_a, rep_rate_hz, chain)
 
 
 def _fold(x: float, lo: float, hi: float) -> float:

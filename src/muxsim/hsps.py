@@ -6,12 +6,19 @@ signal arms are independent binomial thinnings with transmissions eta_i and
 eta_s.  The "second pass" variant adds unpaired herald clicks from
 back-reflected photons, parameterized by a fraction f of the true
 triggering probability.
+
+Every closed form broadcasts over numpy arrays of xi, the transmissions and
+f.  ``source_probs`` is the one place that combines the herald split with
+the heralded signal statistics; every rate model reads its five columns.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import cache
+from typing import NamedTuple, Optional, Tuple
 
+import numpy as np
+from numpy.typing import ArrayLike
 from scipy.optimize import brentq
 
 from .report import RateReport
@@ -96,11 +103,13 @@ class EmissionProbs:
             raise ValueError("p_single + p_multi exceeds 1")
 
 
+@cache
 def seed_squeezing() -> float:
     """Squeezing amplitude at which the single-pair probability is 0.1.
 
     Root of (1 - xi^2) * xi^2 = 0.1 on (0, 1/sqrt(2)), found numerically
-    (solver-limited precision rather than a hard-coded constant).
+    (solver-limited precision rather than a hard-coded constant), once per
+    process.
     """
     return brentq(
         lambda x: (1.0 - x * x) * x * x - P_PAIR_REFERENCE,
@@ -122,81 +131,130 @@ def squeezing_from_power(c: float, p_mw: float) -> SqueezingPoint:
     """Squeezing amplitude xi = tanh(c * sqrt(P)) for pump power P in mW."""
     if c <= 0.0:
         raise ValueError(f"coupling constant must be > 0, got {c}")
-    if p_mw < 0.0:
-        raise ValueError(f"power must be >= 0, got {p_mw}")
     return SqueezingPoint(
-        xi=math.tanh(c * math.sqrt(p_mw)), power_mw=p_mw, coupling_c=c
+        xi=float(xi_from_power(c, p_mw)), power_mw=p_mw, coupling_c=c
     )
 
 
-def _check_domain(xi: float, *etas: float) -> None:
-    if not 0.0 <= xi < 1.0:
+def xi_from_power(c: ArrayLike, p_mw: ArrayLike) -> np.ndarray:
+    """Squeezing amplitude xi = tanh(c * sqrt(P)), broadcast over arrays of
+    c and of pump power P in mW."""
+    if np.count_nonzero(p_mw < 0.0):
+        raise ValueError(f"power must be >= 0, got {p_mw}")
+    arg = c * np.sqrt(p_mw)
+    # math.tanh rather than np.tanh, which differs from it in the last bit
+    # for about a third of the arguments: the simulator draws with these xi.
+    return np.array([math.tanh(v) for v in arg.flat]).reshape(arg.shape)
+
+
+def _check_domain(xi: ArrayLike, *etas: ArrayLike) -> None:
+    if np.count_nonzero((0.0 <= xi) & (xi < 1.0)) < np.size(xi):
         raise ValueError(f"xi must be in [0, 1), got {xi}")
     for eta in etas:
-        if not 0.0 <= eta <= 1.0:
+        if np.count_nonzero((0.0 <= eta) & (eta <= 1.0)) < np.size(eta):
             raise ValueError(f"transmission must be in [0, 1], got {eta}")
 
 
-def p_trig_idler(xi: float, eta_i: float) -> float:
+# Each closed form below takes floats or arrays that broadcast together.  The
+# public functions check their domain; _click and _heralded_forms hold the
+# formulas, for callers that have checked already.
+
+def p_trig_idler(xi: ArrayLike, eta_i: ArrayLike) -> ArrayLike:
     """Probability that the idler (herald) arm clicks in one pulse."""
     _check_domain(xi, eta_i)
-    s = xi * xi
-    return s * eta_i / (1.0 - s * (1.0 - eta_i))
+    return _click(xi * xi, eta_i)
 
 
-def p_trig_signal(xi: float, eta_s: float) -> float:
+def _click(s, eta):
+    return s * eta / (1.0 - s * (1.0 - eta))
+
+
+def p_trig_signal(xi: ArrayLike, eta_s: ArrayLike) -> ArrayLike:
     """Unconditional signal-arm click probability (same form as the idler)."""
     return p_trig_idler(xi, eta_s)
 
 
-def p_single_signal(xi: float, eta_i: float, eta_s: float) -> float:
+def p_single_signal(xi: ArrayLike, eta_i: ArrayLike, eta_s: ArrayLike) -> ArrayLike:
     """P(exactly one signal photon is delivered | herald clicked)."""
     _check_domain(xi, eta_i, eta_s)
-    s = xi * xi
-    a = 1.0 - eta_i
-    b = 1.0 - eta_s
-    num = (1.0 - s * s * b * b * a) * (1.0 - s * a)
-    den = (1.0 - s * b) ** 2 * (1.0 - s * a * b) ** 2
-    return (1.0 - s) * eta_s * num / den
+    return _heralded_forms(xi * xi, eta_i, eta_s).p_single
 
 
-def p_both_click(xi: float, eta_i: float, eta_s: float) -> float:
+def p_both_click(xi: ArrayLike, eta_i: ArrayLike, eta_s: ArrayLike) -> ArrayLike:
     """Joint probability that idler and signal arms both click in one pulse."""
     _check_domain(xi, eta_i, eta_s)
-    s = xi * xi
-    a = 1.0 - eta_i
-    b = 1.0 - eta_s
-    return (1.0 - s) * s * (
-        1.0 / (1.0 - s)
-        + a * b / (1.0 - s * a * b)
-        - a / (1.0 - s * a)
-        - b / (1.0 - s * b)
-    )
+    return _heralded_forms(xi * xi, eta_i, eta_s).p_both
 
 
-def _clamp_probability(value: float, what: str) -> float:
-    if value < -NEGATIVE_TOL:
-        raise FormulaError(f"{what} evaluated to {value} < 0")
-    return max(value, 0.0)
-
-
-def p_multi_signal(xi: float, eta_i: float, eta_s: float) -> float:
+def p_multi_signal(xi: ArrayLike, eta_i: ArrayLike, eta_s: ArrayLike) -> ArrayLike:
     """P(two or more signal photons are delivered | herald clicked)."""
     _check_domain(xi, eta_i, eta_s)
-    s = xi * xi
-    if s == 0.0:
-        return 0.0
-    if eta_i == 0.0:
+    return _heralded_forms(xi * xi, eta_i, eta_s).p_multi
+
+
+def p_signal_given_no_pair_trigger(
+    xi: ArrayLike, eta_i: ArrayLike, eta_s: ArrayLike
+) -> Tuple[ArrayLike, ArrayLike]:
+    """(p_single, p_multi) on the signal arm given the herald did NOT click."""
+    _check_domain(xi, eta_i, eta_s)
+    forms = _heralded_forms(xi * xi, eta_i, eta_s)
+    return forms.p_single_nt, forms.p_multi_nt
+
+
+class _HeraldedForms(NamedTuple):
+    p_trig: ArrayLike  # p_trig_idler
+    p_single: ArrayLike
+    p_both: ArrayLike
+    p_multi: ArrayLike
+    p_single_nt: ArrayLike
+    p_multi_nt: ArrayLike
+
+
+def _heralded_forms(s, eta_i, eta_s) -> _HeraldedForms:
+    """The signal-arm closed forms at s = xi^2.
+
+    With a = 1 - eta_i and b = 1 - eta_s they share the factors 1 - s,
+    1 - s a, 1 - s b and 1 - s a b (and their squares, and a b / (1 - s a b)),
+    which are computed once.
+    """
+    a = 1.0 - eta_i
+    b = 1.0 - eta_s
+    sa = s * a
+    one_s = 1.0 - s
+    one_sa = 1.0 - sa
+    one_sb = 1.0 - s * b
+    one_sab = 1.0 - sa * b
+    one_sb_2 = one_sb ** 2
+    one_sab_2 = one_sab ** 2
+    ab_one_sab = a * b / one_sab
+    p_trig = _click(s, eta_i)
+
+    num = (1.0 - s * s * b * b * a) * one_sa
+    den = one_sb_2 * one_sab_2
+    p_single = one_s * eta_s * num / den
+
+    p_both = one_s * s * (1.0 / one_s + ab_one_sab - a / one_sa - b / one_sb)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
         # Limit of the conditional as eta_i -> 0 (herald never clicks).
-        b = 1.0 - eta_s
-        total = 1.0 - b * (1.0 - s) ** 2 / (1.0 - s * b) ** 2
-        return _clamp_probability(
-            total - p_single_signal(xi, eta_i, eta_s), "p_multi_signal"
-        )
-    value = p_both_click(xi, eta_i, eta_s) / p_trig_idler(xi, eta_i)
-    return _clamp_probability(
-        value - p_single_signal(xi, eta_i, eta_s), "p_multi_signal"
+        total_limit = 1.0 - b * one_s ** 2 / one_sb_2
+        total = np.where(eta_i == 0.0, total_limit, np.divide(p_both, p_trig))
+    p_multi = _clamp_probability(
+        np.where(s == 0.0, 0.0, total - p_single), "p_multi_signal"
     )
+
+    p_single_nt = one_sa * eta_s * a * s / one_sab_2
+    total_nt = one_sa * s * (a / one_sa - ab_one_sab)
+    p_multi_nt = _clamp_probability(
+        total_nt - p_single_nt, "p_multi given no trigger"
+    )
+    return _HeraldedForms(p_trig, p_single, p_both, p_multi, p_single_nt, p_multi_nt)
+
+
+def _clamp_probability(value: ArrayLike, what: str) -> ArrayLike:
+    if np.count_nonzero(value < -NEGATIVE_TOL):
+        raise FormulaError(f"{what} evaluated to {value} < 0")
+    return np.maximum(value, 0.0)
 
 
 def emission_probs(xi: float, eta_i: float, eta_s: float) -> EmissionProbs:
@@ -210,8 +268,8 @@ def emission_probs(xi: float, eta_i: float, eta_s: float) -> EmissionProbs:
 
 
 def pass2_trigger_split(
-    xi: float, eta_i: float, f: float
-) -> Tuple[float, float, float]:
+    xi: ArrayLike, eta_i: ArrayLike, f: ArrayLike
+) -> Tuple[ArrayLike, ArrayLike, ArrayLike]:
     """(p_correct, p_incorrect, p_total) herald probabilities with
     back-reflection fraction f.
 
@@ -219,11 +277,14 @@ def pass2_trigger_split(
     probability; the "incorrect" branch is an unpaired back-reflection
     click with no true pair click.
     """
-    if f < 0.0:
+    return _split_trigger(p_trig_idler(xi, eta_i), f)
+
+
+def _split_trigger(p_true, f):
+    if np.count_nonzero(f < 0.0):
         raise ValueError(f"back-reflection fraction must be >= 0, got {f}")
-    p_true = p_trig_idler(xi, eta_i)
     p_back = f * p_true
-    if p_back > 1.0:
+    if np.count_nonzero(p_back > 1.0):
         raise ValueError(
             f"f * p_trig = {p_back} exceeds 1; not a valid probability"
         )
@@ -232,43 +293,47 @@ def pass2_trigger_split(
     return p_correct, p_incorrect, p_correct + p_incorrect
 
 
-def p_signal_given_no_pair_trigger(
-    xi: float, eta_i: float, eta_s: float
-) -> Tuple[float, float]:
-    """(p_single, p_multi) on the signal arm given the herald did NOT click."""
+class SourceProbs(NamedTuple):
+    """Herald, coincidence and accidental probabilities, and the joint
+    probabilities of a herald with one or with several signal photons
+    delivered.  Per pulse for one source, per clock cycle for a MUX; each
+    field is a float or an array, all of one shape."""
+
+    p_trig: ArrayLike
+    p_c: ArrayLike
+    p_a: ArrayLike
+    p_single: ArrayLike
+    p_multi: ArrayLike
+
+    def take(self, index) -> "SourceProbs":
+        """The same probabilities at `index` of the last (bin) axis."""
+        return SourceProbs(*(x[..., index] for x in self))
+
+
+def source_probs(
+    xi: ArrayLike, eta_i: ArrayLike, eta_s: ArrayLike, f: ArrayLike
+) -> SourceProbs:
+    """Per-pulse probabilities of one source with back-reflection fraction f,
+    broadcast over arrays of (xi, eta_i, eta_s, f).
+
+    A herald is either a true idler click, followed by the heralded signal
+    statistics, or an unpaired back-reflection click with no idler click,
+    followed by the signal statistics given no trigger; with f = 0 only the
+    first branch remains.
+    """
     _check_domain(xi, eta_i, eta_s)
     s = xi * xi
-    a = 1.0 - eta_i
-    b = 1.0 - eta_s
-    p_single_nt = (1.0 - s * a) * eta_s * a * s / (1.0 - s * a * b) ** 2
-    total_nt = (1.0 - s * a) * s * (
-        a / (1.0 - s * a) - a * b / (1.0 - s * a * b)
+    forms = _heralded_forms(s, eta_i, eta_s)
+    p_correct, p_incorrect, p_trig = _split_trigger(forms.p_trig, f)
+    single, multi = forms.p_single, forms.p_multi
+    single_nt, multi_nt = forms.p_single_nt, forms.p_multi_nt
+    return SourceProbs(
+        p_trig=p_trig,
+        p_c=p_correct * (single + multi) + p_incorrect * (single_nt + multi_nt),
+        p_a=p_trig * _click(s, eta_s),
+        p_single=p_correct * single + p_incorrect * single_nt,
+        p_multi=p_correct * multi + p_incorrect * multi_nt,
     )
-    p_multi_nt = _clamp_probability(
-        total_nt - p_single_nt, "p_multi given no trigger"
-    )
-    return p_single_nt, p_multi_nt
-
-
-def pass2_coincidence_prob(
-    source: SourceParams, xi: float, eta_s_factor: float = 1.0
-) -> float:
-    """Per-pulse coincidence probability with back-reflected herald clicks.
-
-    ``eta_s_factor`` scales the signal transmission (switch-network path
-    loss); with f = 0 this reduces to the first-pass coincidence form.
-    """
-    eta_s = source.eta_s * eta_s_factor
-    p_correct, p_incorrect, _ = pass2_trigger_split(
-        xi, source.eta_i, source.back_reflection_fraction
-    )
-    heralded = p_single_signal(xi, source.eta_i, eta_s) + p_multi_signal(
-        xi, source.eta_i, eta_s
-    )
-    single_nt, multi_nt = p_signal_given_no_pair_trigger(
-        xi, source.eta_i, eta_s
-    )
-    return p_correct * heralded + p_incorrect * (single_nt + multi_nt)
 
 
 def back_reflection_from_contamination(
@@ -294,15 +359,13 @@ def rates(
         raise ValueError(f"rep_rate_hz must be > 0, got {rep_rate_hz}")
     c = calibrate_coupling(source.p_seed_mw)
     xi = squeezing_from_power(c, p_mw).xi
-    _, _, p_total = pass2_trigger_split(
-        xi, source.eta_i, source.back_reflection_fraction
+    p = source_probs(
+        xi, source.eta_i, source.eta_s, source.back_reflection_fraction
     )
-    p_c = pass2_coincidence_prob(source, xi)
-    p_a = p_total * p_trig_signal(xi, source.eta_s)
-    r_c = rep_rate_hz * p_c
-    r_a = rep_rate_hz * p_a
+    r_c = rep_rate_hz * p.p_c
+    r_a = rep_rate_hz * p.p_a
     return RateReport(
-        r_trig_hz=rep_rate_hz * p_total,
+        r_trig_hz=rep_rate_hz * p.p_trig,
         r_coincidence_hz=r_c,
         r_accidental_hz=r_a,
         car=(r_c / r_a) if r_a > 0.0 else None,

@@ -5,22 +5,27 @@ the clock cycle, and lower-priority bins contribute only weighted by the
 non-trigger probability of everything above them.  Switch-network path
 loss enters as a per-bin factor eta_sw multiplying the signal
 transmission.
+
+One table holds every bin's per-pulse probabilities at every reference
+power (``bin_table``); the nesting is the exclusive cumulative product of
+1 - p_trig along its bin axis (``priority_nest``).  MUX8, MUX4, single
+sources and the emission trade-off are slices or reductions of such tables.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 from .hsps import (
     SourceParams,
+    SourceProbs,
     calibrate_coupling,
-    p_multi_signal,
-    p_signal_given_no_pair_trigger,
-    p_single_signal,
-    p_trig_signal,
-    pass2_coincidence_prob,
-    pass2_trigger_split,
+    source_probs,
     squeezing_from_power,
+    xi_from_power,
 )
 from .report import RateReport
 from .saturation import DeadtimeChain, detected_from_true
@@ -121,74 +126,84 @@ def bin_squeezing(bin_: MuxBin, reference_power_mw: float) -> float:
     return squeezing_from_power(c, bin_pump_power_mw(bin_, reference_power_mw)).xi
 
 
-def _bin_trigger_prob(bin_: MuxBin, xi: float) -> float:
-    _, _, p_total = pass2_trigger_split(
-        xi, bin_.source.eta_i, bin_.source.back_reflection_fraction
+def bin_table(topology: MuxTopology, powers: Sequence[float]) -> SourceProbs:
+    """Per-pulse probabilities of every bin at every reference power, as
+    (n_powers, n_bins) arrays; a bin's signal transmission is eta_s * eta_sw."""
+    bins = topology.bins
+    p_mw = np.asarray(powers, dtype=float)
+    xi = np.stack(
+        [
+            xi_from_power(
+                calibrate_coupling(b.source.p_seed_mw), bin_pump_power_mw(b, p_mw)
+            )
+            for b in bins
+        ],
+        axis=-1,
     )
-    return p_total
+    return source_probs(
+        xi,
+        np.array([b.source.eta_i for b in bins]),
+        np.array([b.source.eta_s * b.eta_sw for b in bins]),
+        np.array([b.source.back_reflection_fraction for b in bins]),
+    )
 
 
-def mux_trigger_prob(topology: MuxTopology, reference_power_mw: float) -> float:
-    """P(at least one bin heralds in a clock cycle)."""
-    miss = 1.0
-    for bin_ in topology.bins:
-        xi = bin_squeezing(bin_, reference_power_mw)
-        miss *= 1.0 - _bin_trigger_prob(bin_, xi)
-    return 1.0 - miss
+def priority_nest(table: SourceProbs) -> SourceProbs:
+    """Per-cycle probabilities of the MUX whose bins are the table's last
+    axis: each bin counts only when every bin above it missed."""
+    miss = np.cumprod(1.0 - table.p_trig, axis=-1)
+    upstream = np.concatenate(
+        [np.ones_like(miss[..., :1]), miss[..., :-1]], axis=-1
+    )
+    return SourceProbs(
+        1.0 - miss[..., -1], *((upstream * x).sum(axis=-1) for x in table[1:])
+    )
 
 
-def mux_coincidence_prob(
-    topology: MuxTopology, reference_power_mw: float
-) -> float:
-    """Priority-nested per-cycle coincidence probability of the MUX output."""
-    total = 0.0
-    upstream_miss = 1.0
-    for bin_ in topology.bins:
-        xi = bin_squeezing(bin_, reference_power_mw)
-        p_c = pass2_coincidence_prob(bin_.source, xi, eta_s_factor=bin_.eta_sw)
-        total += upstream_miss * p_c
-        upstream_miss *= 1.0 - _bin_trigger_prob(bin_, xi)
-    return total
-
-
-def mux_accidental_prob(
-    topology: MuxTopology, reference_power_mw: float
-) -> float:
-    """Priority-nested per-cycle accidental probability of the MUX output."""
-    total = 0.0
-    upstream_miss = 1.0
-    for bin_ in topology.bins:
-        xi = bin_squeezing(bin_, reference_power_mw)
-        p_trig = _bin_trigger_prob(bin_, xi)
-        p_s = p_trig_signal(xi, bin_.source.eta_s * bin_.eta_sw)
-        total += upstream_miss * p_trig * p_s
-        upstream_miss *= 1.0 - p_trig
-    return total
+def switchless(topology: MuxTopology) -> MuxTopology:
+    """The same bins measured without the switch network (eta_sw = 1)."""
+    return replace(
+        topology, bins=tuple(replace(b, eta_sw=1.0) for b in topology.bins)
+    )
 
 
 def evaluate_mux(
     topology: MuxTopology, reference_power_mw: float
 ) -> MuxProbabilities:
     """All three per-cycle probabilities of one multiplexed source."""
+    mux = priority_nest(bin_table(topology, [reference_power_mw]))
+    return cycle_probabilities(mux, 0)
+
+
+def cycle_probabilities(probs: SourceProbs, index: int) -> MuxProbabilities:
+    """The per-cycle probabilities at one index of arrays of them."""
     return MuxProbabilities(
-        p_trig=mux_trigger_prob(topology, reference_power_mw),
-        p_coincidence=mux_coincidence_prob(topology, reference_power_mw),
-        p_accidental=mux_accidental_prob(topology, reference_power_mw),
+        p_trig=float(probs.p_trig[index]),
+        p_coincidence=float(probs.p_c[index]),
+        p_accidental=float(probs.p_a[index]),
     )
 
 
-def hybrid_combine(
-    pass1: MuxProbabilities,
-    pass2: MuxProbabilities,
-    p_trig_mux1: Optional[float] = None,
-) -> MuxProbabilities:
-    """Combine the two per-pass MUX evaluations; pass 1 has priority."""
-    p1 = pass1.p_trig if p_trig_mux1 is None else p_trig_mux1
-    return MuxProbabilities(
-        p_trig=1.0 - (1.0 - p1) * (1.0 - pass2.p_trig),
-        p_coincidence=pass1.p_coincidence + (1.0 - p1) * pass2.p_coincidence,
-        p_accidental=pass1.p_accidental + (1.0 - p1) * pass2.p_accidental,
+def saturated_rates(
+    p_trig: ArrayLike,
+    p_c: ArrayLike,
+    p_a: ArrayLike,
+    rep_rate_hz: float,
+    chain: DeadtimeChain,
+) -> Tuple[ArrayLike, ArrayLike, ArrayLike]:
+    """(trigger, coincidence, accidental) rates in Hz, broadcast over arrays
+    of per-cycle probabilities, with the deadtime chain thinning the
+    accepted-herald stream.
+
+    Coincidences and accidentals only occur on accepted heralds, so they
+    are scaled by the same saturation factor as the trigger rate.
+    """
+    r_trig_true = rep_rate_hz * p_trig
+    r_trig = detected_from_true(r_trig_true, chain)
+    factor = np.divide(
+        r_trig, r_trig_true, out=np.ones_like(r_trig_true), where=r_trig_true > 0.0
     )
+    return r_trig, rep_rate_hz * p_c * factor, rep_rate_hz * p_a * factor
 
 
 def saturated_report(
@@ -196,17 +211,11 @@ def saturated_report(
     rep_rate_hz: float,
     chain: DeadtimeChain = DeadtimeChain(),
 ) -> RateReport:
-    """Rates with the deadtime chain thinning the accepted-herald stream.
-
-    Coincidences and accidentals only occur on accepted heralds, so they
-    are scaled by the same saturation factor as the trigger rate; CAR is
-    unchanged.
-    """
-    r_trig_true = rep_rate_hz * probs.p_trig
-    r_trig = detected_from_true(r_trig_true, chain)
-    factor = r_trig / r_trig_true if r_trig_true > 0.0 else 1.0
-    r_c = rep_rate_hz * probs.p_coincidence * factor
-    r_a = rep_rate_hz * probs.p_accidental * factor
+    """Rates with the deadtime chain thinning the accepted-herald stream;
+    CAR is unchanged."""
+    r_trig, r_c, r_a = saturated_rates(
+        probs.p_trig, probs.p_coincidence, probs.p_accidental, rep_rate_hz, chain
+    )
     return RateReport(
         r_trig_hz=r_trig,
         r_coincidence_hz=r_c,
@@ -226,39 +235,6 @@ def simple_mux_single_prob(
     return (1.0 - (1.0 - p_trig) ** n_bins) * p_single
 
 
-def _masked_bin(bin_: MuxBin, loss_mask: LossMask) -> MuxBin:
-    if loss_mask is LossMask.ALL_EXCEPT_SWITCH:
-        source = SourceParams(
-            eta_i=1.0,
-            eta_s=1.0,
-            p_seed_mw=bin_.source.p_seed_mw,
-            back_reflection_fraction=bin_.source.back_reflection_fraction,
-        )
-        return MuxBin(
-            bin_.pass_id, bin_.delay_id, source, bin_.pump_fraction, bin_.eta_sw
-        )
-    return bin_
-
-
-def _bin_emission(
-    bin_: MuxBin, xi: float, with_switch: bool
-) -> Tuple[float, float, float]:
-    """(p_trig_total, per-cycle single, per-cycle multi) for one bin."""
-    eta_s = bin_.source.eta_s * (bin_.eta_sw if with_switch else 1.0)
-    p_correct, p_incorrect, p_total = pass2_trigger_split(
-        xi, bin_.source.eta_i, bin_.source.back_reflection_fraction
-    )
-    single = p_correct * p_single_signal(xi, bin_.source.eta_i, eta_s)
-    multi = p_correct * p_multi_signal(xi, bin_.source.eta_i, eta_s)
-    if p_incorrect > 0.0:
-        single_nt, multi_nt = p_signal_given_no_pair_trigger(
-            xi, bin_.source.eta_i, eta_s
-        )
-        single += p_incorrect * single_nt
-        multi += p_incorrect * multi_nt
-    return p_total, single, multi
-
-
 def emission_tradeoff_curve(
     topology: MuxTopology,
     loss_mask: LossMask,
@@ -270,23 +246,24 @@ def emission_tradeoff_curve(
     constituent bin with the highest single-photon emission at each power,
     evaluated without the switching network.
     """
-    bins = [_masked_bin(b, loss_mask) for b in topology.bins]
-    mux_curve: List[Tuple[float, float]] = []
-    single_curve: List[Tuple[float, float]] = []
-    for power in power_grid:
-        mux_single = 0.0
-        mux_multi = 0.0
-        upstream_miss = 1.0
-        best = (0.0, 0.0)
-        for bin_ in bins:
-            xi = bin_squeezing(bin_, power)
-            p_total, single, multi = _bin_emission(bin_, xi, with_switch=True)
-            mux_single += upstream_miss * single
-            mux_multi += upstream_miss * multi
-            upstream_miss *= 1.0 - p_total
-            _, s_solo, m_solo = _bin_emission(bin_, xi, with_switch=False)
-            if s_solo > best[0]:
-                best = (s_solo, m_solo)
-        mux_curve.append((mux_single, mux_multi))
-        single_curve.append(best)
-    return mux_curve, single_curve
+    if loss_mask is LossMask.ALL_EXCEPT_SWITCH:
+        topology = replace(
+            topology,
+            bins=tuple(
+                replace(b, source=replace(b.source, eta_i=1.0, eta_s=1.0))
+                for b in topology.bins
+            ),
+        )
+    mux = priority_nest(bin_table(topology, power_grid))
+    solo = bin_table(switchless(topology), power_grid)
+    rows = np.arange(solo.p_single.shape[0])
+    best = np.argmax(solo.p_single, axis=-1)
+    return (
+        list(zip(mux.p_single.tolist(), mux.p_multi.tolist())),
+        list(
+            zip(
+                solo.p_single[rows, best].tolist(),
+                solo.p_multi[rows, best].tolist(),
+            )
+        ),
+    )

@@ -9,6 +9,9 @@ forward, and inverted in reverse.
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 from .hsps import SourceParams, p_trig_idler
 
 
@@ -35,9 +38,10 @@ class DeadtimeChain:
         return DeadtimeChain(self.stages + (extra_stage_s,))
 
 
-def detected_from_true(true_rate_hz: float, chain: DeadtimeChain) -> float:
-    """Detected rate after each deadtime stage absorbs a share of events."""
-    if true_rate_hz < 0.0:
+def detected_from_true(true_rate_hz: ArrayLike, chain: DeadtimeChain) -> ArrayLike:
+    """Detected rate after each deadtime stage absorbs a share of events;
+    broadcasts over an array of true rates."""
+    if np.count_nonzero(true_rate_hz < 0.0):
         raise ValueError(f"true rate must be >= 0, got {true_rate_hz}")
     rate = true_rate_hz
     for d in chain.stages:

@@ -1,0 +1,43 @@
+"""The benchmark under bench/ reaches into the package by name; these checks
+fail when a rename or deletion would break it."""
+
+import importlib
+import importlib.util
+import math
+from pathlib import Path
+
+import numpy as np
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_resolve():
+    tracing = _load_bench_module("tracing")
+    for label, (module_name, attr) in tracing.TRACED.items():
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"{label}: {module_name}.{attr}"
+            owner = getattr(owner, part)
+        assert callable(owner), label
+
+
+def test_observation_writer_calls_predict_rates(tmp_path, monkeypatch):
+    # The benchmark writes its fit inputs with a positional predict_rates call.
+    monkeypatch.syspath_prepend(str(BENCH))
+    inputs = _load_bench_module("inputs")
+    powers = np.linspace(2.0, 25.0, 4)
+    truth = inputs._observations(
+        tmp_path / "obs.csv", {"P2D0": inputs.PASS2_SOURCES[0]}, "pass2", powers, None
+    )
+    clean = truth["P2D0"]["clean"]
+    assert [len(rates) for rates in clean] == [powers.size] * 3
+    assert all(math.isfinite(r) and r > 0.0 for rates in clean for r in rates)
+    lines = (tmp_path / "obs.csv").read_text().splitlines()
+    assert len(lines) == 1 + powers.size

@@ -2,11 +2,15 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from muxsim.cli import main
+from muxsim import evaluate_mux, rates
+from muxsim.cli import _model_rows, main, parse_scenario
+from muxsim.defaults import MEMS_ASYMMETRY, source_label
+from muxsim.mux import bin_pump_power_mw
 from muxsim.spectral import SpectrumModel
 
 
@@ -37,6 +41,41 @@ def test_model_outputs_and_zero_power_row(tmp_path):
     zero_rows = [r for r in rows if float(r["power_mw"]) == 0.0]
     assert zero_rows and all(float(r["r_trig_hz"]) == 0.0 for r in zero_rows)
     assert zero_rows[0]["car"] == ""
+
+
+def test_model_rows_match_per_power_evaluations():
+    # Every row of the sweep equals the model evaluated at that one power.
+    scenario = parse_scenario({"power_sweep_mw": {"start": 0.0, "stop": 30.0, "steps": 4}})
+    topo = scenario.topology
+    rep = topo.rep_rate_hz
+    extr = replace(
+        topo,
+        bins=tuple(
+            replace(b, eta_sw=min(b.eta_sw / MEMS_ASYMMETRY, 1.0)) for b in topo.bins
+        ),
+    )
+    expected = {}
+    for power in scenario.sweep.powers():
+        for label, plain, removed in (
+            ("MUX8", topo, extr),
+            ("MUX4", topo.subset(1), extr.subset(1)),
+        ):
+            probs, probs_extr = evaluate_mux(plain, power), evaluate_mux(removed, power)
+            expected[label, power] = (
+                rep * probs.p_trig, rep * probs.p_coincidence, rep * probs_extr.p_accidental
+            )
+        for b in topo.bins:
+            single = rates(b.source, bin_pump_power_mw(b, power), rep)
+            expected[source_label(b.pass_id, b.delay_id), power] = (
+                single.r_trig_hz, single.r_coincidence_hz, single.r_accidental_hz
+            )
+    rows = _model_rows(scenario)
+    assert len(rows) == len(expected)
+    for row in rows:
+        r_trig, r_c, r_a_extr = expected[row["source"], row["power_mw"]]
+        assert row["r_trig_nosat_hz"] == pytest.approx(r_trig, rel=1e-12, abs=0.0)
+        assert row["r_c_nosat_hz"] == pytest.approx(r_c, rel=1e-12, abs=0.0)
+        assert row["r_a_extr_hz"] == pytest.approx(r_a_extr, rel=1e-12, abs=0.0)
 
 
 def test_model_single_step_sweep(tmp_path):

@@ -14,14 +14,10 @@ from muxsim import (
     MuxTopology,
     PulseTrainConfig,
     SourceParams,
-    accidental_estimator,
     evaluate_mux,
     rates,
     route_bin,
     run_pulse_train,
-    sample_pair_count,
-    seed_squeezing,
-    thin,
 )
 from muxsim.defaults import AMPLIFIER_CHAIN, IDLE_TIME_S, default_topology
 from muxsim.eventsim import ConfigurationError, RoutingError, _accept_heralds
@@ -43,39 +39,7 @@ def _z(count, expected):
     return (count - expected) / math.sqrt(expected)
 
 
-# --- sampling primitives --------------------------------------------------------
-
-def test_sample_pair_count_zero_squeezing():
-    rng = np.random.default_rng(0)
-    assert all(sample_pair_count(0.0, rng) == 0 for _ in range(20))
-
-
-def test_sample_pair_count_geometric_mean():
-    rng = np.random.default_rng(1)
-    xi = 0.5
-    draws = np.array([sample_pair_count(xi, rng) for _ in range(100_000)])
-    s = xi * xi
-    mean, var = s / (1.0 - s), s / (1.0 - s) ** 2
-    assert abs(draws.mean() - mean) < 3.0 * math.sqrt(var / draws.size)
-
-
-def test_sample_pair_count_reference_single_pair_probability():
-    rng = np.random.default_rng(2)
-    xi = seed_squeezing()
-    draws = np.array([sample_pair_count(xi, rng) for _ in range(200_000)])
-    p1 = float((draws == 1).mean())
-    assert abs(p1 - 0.1) < 3.0 * math.sqrt(0.1 * 0.9 / draws.size)
-
-
-def test_thin_edge_cases_and_mean():
-    rng = np.random.default_rng(3)
-    assert thin(7, 1.0, rng) == 7
-    assert thin(7, 0.0, rng) == 0
-    draws = np.array([thin(10, 0.3, rng) for _ in range(50_000)])
-    assert abs(draws.mean() - 3.0) < 3.0 * math.sqrt(10 * 0.3 * 0.7 / draws.size)
-    with pytest.raises(ValueError):
-        thin(-1, 0.5, rng)
-
+# --- routing ------------------------------------------------------------------------
 
 def test_route_bin_examples():
     assert route_bin(3, 4) == ((0, 0), 3)
@@ -281,9 +245,10 @@ def test_accidental_estimator_product_rule():
     trace, report = run_pulse_train(config)
     probs = evaluate_mux(topo, 8.0)
     expected = probs.p_trig * (probs.p_accidental / probs.p_trig)  # product form
-    estimate = accidental_estimator(trace)
-    assert estimate == pytest.approx(report.r_accidental_hz, rel=1e-12)
-    assert abs(_z(trace.accidental_click.sum(), expected * n)) < 3.0
+    assert report.r_accidental_hz * n / 80e6 == pytest.approx(
+        trace.accidental_click.sum(), rel=1e-12
+    )
+    assert abs(_z(report.r_accidental_hz * n / 80e6, expected * n)) < 3.0
 
 
 def test_accidental_estimator_zero_signal_transmission():
@@ -291,8 +256,8 @@ def test_accidental_estimator_zero_signal_transmission():
     config = PulseTrainConfig(
         topo, 8.0, 50_000, deadtime_chain=NO_DEADTIME, idle_time_s=0.0, rng_seed=18
     )
-    trace, _ = run_pulse_train(config)
-    assert accidental_estimator(trace) == 0.0
+    _, report = run_pulse_train(config)
+    assert report.r_accidental_hz == 0.0
 
 
 # --- agreement with the dense oracle -----------------------------------------------

@@ -16,13 +16,12 @@ from muxsim import (
     p_single_signal,
     p_trig_idler,
     p_trig_signal,
-    pass2_coincidence_prob,
     pass2_trigger_split,
     rates,
     seed_squeezing,
     squeezing_from_power,
 )
-from muxsim.hsps import back_reflection_from_contamination, p_both_click
+from muxsim.hsps import back_reflection_from_contamination, p_both_click, source_probs
 
 from conftest import mc_no_trigger_probs, mc_source_probs
 
@@ -246,15 +245,15 @@ def test_pass2_coincidence_reduces_without_reflection():
         + p_multi_signal(xi, clean.eta_i, clean.eta_s)
     ) / p_trig_idler(xi, clean.eta_i)
     # with f = 0 the coincidence is p_correct * (heralded click probability)
-    assert pass2_coincidence_prob(clean, xi) == pytest.approx(
+    p_c = source_probs(xi, clean.eta_i, clean.eta_s, 0.0).p_c
+    assert p_c == pytest.approx(
         p_trig_idler(xi, clean.eta_i) * expected, rel=1e-12
     )
 
 
 def test_pass2_coincidence_against_mc_oracle():
     xi, eta_i, eta_s, f = 0.38, 0.3, 0.2, 0.4
-    source = SourceParams(eta_i, eta_s, 5.0, f)
-    exact = pass2_coincidence_prob(source, xi)
+    exact = source_probs(xi, eta_i, eta_s, f).p_c
 
     rng = np.random.default_rng(55)
     n = 2_000_000
@@ -275,6 +274,40 @@ def test_degrading_reflection_hurts_car():
     rep_lo = rates(lo, 5.2, 80e6)
     rep_hi = rates(hi, 5.2, 80e6)
     assert rep_hi.car < rep_lo.car
+
+
+def test_closed_forms_broadcast_elementwise():
+    # Array arguments give the scalar value at every element, including the
+    # xi = 0 and eta_i = 0 branches of p_multi_signal.
+    rng = np.random.default_rng(19)
+    xi = np.concatenate([[0.0, 0.0, 0.3], rng.uniform(0.0, 0.95, 40)])
+    eta_i = np.concatenate([[0.0, 0.4, 0.0], rng.uniform(0.0, 1.0, 40)])
+    eta_s = np.concatenate([[0.5, 0.5, 0.5], rng.uniform(0.0, 1.0, 40)])
+    f = np.concatenate([[0.0, 0.3, 0.3], rng.uniform(0.0, 1.0, 40)])
+    forms = (
+        lambda x, i, s, _: p_trig_idler(x, i),
+        lambda x, i, s, _: p_single_signal(x, i, s),
+        lambda x, i, s, _: p_multi_signal(x, i, s),
+        lambda x, i, s, _: p_both_click(x, i, s),
+        lambda x, i, s, _: p_signal_given_no_pair_trigger(x, i, s),
+        lambda x, i, s, g: pass2_trigger_split(x, i, g),
+        source_probs,
+    )
+    for form in forms:
+        array = np.array(form(xi, eta_i, eta_s, f), dtype=float)
+        scalar = np.array(
+            [form(*point) for point in zip(xi, eta_i, eta_s, f)], dtype=float
+        )
+        np.testing.assert_array_equal(array, scalar.T)
+
+
+def test_closed_forms_reject_any_bad_element():
+    with pytest.raises(ValueError):
+        p_trig_idler(np.array([0.2, 1.0]), 0.5)
+    with pytest.raises(ValueError):
+        p_single_signal(0.2, np.array([0.5, np.nan]), 0.5)
+    with pytest.raises(ValueError):
+        source_probs(np.array([0.2, 0.3]), 0.5, 0.5, np.array([0.1, -0.1]))
 
 
 # --- rate reports ---------------------------------------------------------------

@@ -10,19 +10,21 @@ from muxsim import (
     SourceParams,
     emission_tradeoff_curve,
     evaluate_mux,
-    hybrid_combine,
-    mux_accidental_prob,
-    mux_coincidence_prob,
-    mux_trigger_prob,
     p_trig_idler,
     p_trig_signal,
-    pass2_coincidence_prob,
     pass2_trigger_split,
     saturated_report,
     simple_mux_single_prob,
 )
 from muxsim.defaults import default_topology
-from muxsim.mux import PASS2_POWER_FACTOR, MuxProbabilities, bin_pump_power_mw, bin_squeezing
+from muxsim.hsps import source_probs
+from muxsim.mux import (
+    PASS2_POWER_FACTOR,
+    bin_pump_power_mw,
+    bin_squeezing,
+    bin_table,
+    priority_nest,
+)
 from muxsim.saturation import DeadtimeChain
 
 
@@ -39,11 +41,12 @@ def _make_bin(eta_i, eta_s, p_seed, fraction, eta_sw, pass_id=1, delay_id=0, f=0
 def _bin_probs(bin_, reference_power_mw):
     """(p_trig_total, p_coincidence, p_signal_click) for one bin."""
     xi = bin_squeezing(bin_, reference_power_mw)
-    _, _, p_total = pass2_trigger_split(
-        xi, bin_.source.eta_i, bin_.source.back_reflection_fraction
-    )
-    p_c = pass2_coincidence_prob(bin_.source, xi, eta_s_factor=bin_.eta_sw)
-    p_s = p_trig_signal(xi, bin_.source.eta_s * bin_.eta_sw)
+    source = bin_.source
+    eta_s = source.eta_s * bin_.eta_sw
+    f = source.back_reflection_fraction
+    _, _, p_total = pass2_trigger_split(xi, source.eta_i, f)
+    p_c = source_probs(xi, source.eta_i, eta_s, f).p_c
+    p_s = p_trig_signal(xi, eta_s)
     return p_total, p_c, p_s
 
 
@@ -74,9 +77,10 @@ def test_single_bin_identities():
     topo = MuxTopology((bin_,))
     power = 6.0
     p_trig, p_c, p_s = _bin_probs(bin_, power)
-    assert mux_trigger_prob(topo, power) == pytest.approx(p_trig, rel=1e-12)
-    assert mux_coincidence_prob(topo, power) == pytest.approx(p_c, rel=1e-12)
-    assert mux_accidental_prob(topo, power) == pytest.approx(p_trig * p_s, rel=1e-12)
+    probs = evaluate_mux(topo, power)
+    assert probs.p_trig == pytest.approx(p_trig, rel=1e-12)
+    assert probs.p_coincidence == pytest.approx(p_c, rel=1e-12)
+    assert probs.p_accidental == pytest.approx(p_trig * p_s, rel=1e-12)
 
 
 def test_zero_power_gives_zero():
@@ -96,10 +100,9 @@ def test_four_equal_bins_trigger_expansion():
     power = 4.0 * 5.2  # each bin then runs at its seed power
     p = p_trig_idler(bin_squeezing(bins[0], power), 0.015)
     assert p == pytest.approx(1.902e-3, rel=1e-3)
-    assert mux_trigger_prob(topo, power) == pytest.approx(
-        1.0 - (1.0 - p) ** 4, rel=1e-12
-    )
-    assert mux_trigger_prob(topo, power) == pytest.approx(7.585e-3, rel=1e-3)
+    p_mux = evaluate_mux(topo, power).p_trig
+    assert p_mux == pytest.approx(1.0 - (1.0 - p) ** 4, rel=1e-12)
+    assert p_mux == pytest.approx(7.585e-3, rel=1e-3)
 
 
 def test_nesting_matches_enumeration_oracle():
@@ -121,17 +124,21 @@ def test_nesting_matches_enumeration_oracle():
         topo = MuxTopology(bins)
         power = 12.0
         p_trig, p_c, p_a = _enumerate_mux(bins, power)
-        assert mux_trigger_prob(topo, power) == pytest.approx(p_trig, rel=1e-12)
-        assert mux_coincidence_prob(topo, power) == pytest.approx(p_c, rel=1e-12)
-        assert mux_accidental_prob(topo, power) == pytest.approx(p_a, rel=1e-12)
+        probs = evaluate_mux(topo, power)
+        assert probs.p_trig == pytest.approx(p_trig, rel=1e-12)
+        assert probs.p_coincidence == pytest.approx(p_c, rel=1e-12)
+        assert probs.p_accidental == pytest.approx(p_a, rel=1e-12)
 
 
 def test_identical_bins_are_permutation_invariant():
     bins = tuple(_make_bin(0.1, 0.02, 5.0, 0.2, 0.8, delay_id=d) for d in range(4))
     topo = MuxTopology(bins)
     shuffled = MuxTopology(bins[::-1])
-    for fn in (mux_trigger_prob, mux_coincidence_prob, mux_accidental_prob):
-        assert fn(topo, 9.0) == pytest.approx(fn(shuffled, 9.0), rel=1e-12)
+    probs, shuffled_probs = evaluate_mux(topo, 9.0), evaluate_mux(shuffled, 9.0)
+    for field in ("p_trig", "p_coincidence", "p_accidental"):
+        assert getattr(probs, field) == pytest.approx(
+            getattr(shuffled_probs, field), rel=1e-12
+        )
 
 
 def test_priority_order_matters_for_distinct_bins():
@@ -139,11 +146,11 @@ def test_priority_order_matters_for_distinct_bins():
     weak = _make_bin(0.05, 0.01, 5.0, 0.4, 1.0, delay_id=1)
     ab = MuxTopology((strong, weak))
     ba = MuxTopology((weak, strong))
-    assert mux_trigger_prob(ab, 8.0) == pytest.approx(
-        mux_trigger_prob(ba, 8.0), rel=1e-12
+    assert evaluate_mux(ab, 8.0).p_trig == pytest.approx(
+        evaluate_mux(ba, 8.0).p_trig, rel=1e-12
     )
-    assert mux_coincidence_prob(ab, 8.0) != pytest.approx(
-        mux_coincidence_prob(ba, 8.0), rel=1e-9
+    assert evaluate_mux(ab, 8.0).p_coincidence != pytest.approx(
+        evaluate_mux(ba, 8.0).p_coincidence, rel=1e-9
     )
 
 
@@ -163,7 +170,9 @@ def test_duplicated_low_priority_term_is_a_different_quantity():
 
     correct = nested(per_bin)
     slipped = nested(per_bin[:6] + [per_bin[5], per_bin[5]])
-    assert mux_coincidence_prob(topo, power) == pytest.approx(correct, rel=1e-12)
+    assert evaluate_mux(topo, power).p_coincidence == pytest.approx(
+        correct, rel=1e-12
+    )
     assert abs(slipped - correct) > 1e-12 * correct
 
 
@@ -184,7 +193,7 @@ def test_trigger_probability_bounds():
         topo = MuxTopology(bins)
         power = rng.uniform(1.0, 30.0)
         ps = [_bin_probs(b, power)[0] for b in bins]
-        mux = mux_trigger_prob(topo, power)
+        mux = evaluate_mux(topo, power).p_trig
         assert max(ps) <= mux + 1e-15
         assert mux <= min(sum(ps), 1.0) + 1e-15
 
@@ -196,39 +205,115 @@ def test_coincidence_monotone_in_switch_transmission():
         bins = tuple(
             _make_bin(0.1, 0.02, 5.0, 0.2, eta_sw, delay_id=d) for d in range(4)
         )
-        values.append(mux_coincidence_prob(MuxTopology(bins), power))
+        values.append(evaluate_mux(MuxTopology(bins), power).p_coincidence)
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-# --- hybrid combination -----------------------------------------------------------
+# --- priority nesting of the two passes -------------------------------------------
+
+def _random_topology(rng, n_per_pass):
+    """Pass-1 bins then pass-2 bins, each pass's pump fractions summing to <= 1."""
+    return MuxTopology(
+        tuple(
+            _make_bin(
+                rng.uniform(0.01, 0.9),
+                rng.uniform(0.001, 0.5),
+                rng.uniform(1.0, 10.0),
+                rng.uniform(0.05, 1.0 / n_per_pass),
+                rng.uniform(0.1, 1.0),
+                pass_id=pass_id,
+                delay_id=d,
+                f=0.0 if pass_id == 1 else rng.uniform(0.0, 0.5),
+            )
+            for pass_id in (1, 2)
+            for d in range(n_per_pass)
+        )
+    )
+
 
 def test_hybrid_with_dead_second_pass_is_first_pass():
-    p1 = MuxProbabilities(0.01, 1e-5, 1e-7)
-    p2 = MuxProbabilities(0.0, 0.0, 0.0)
-    combined = hybrid_combine(p1, p2)
-    assert combined.p_trig == pytest.approx(p1.p_trig)
-    assert combined.p_coincidence == pytest.approx(p1.p_coincidence)
-    assert combined.p_accidental == pytest.approx(p1.p_accidental)
+    # Pass-2 bins without pump never herald, so the MUX is its pass-1 part.
+    topo = MuxTopology(
+        tuple(
+            _make_bin(0.1, 0.02, 5.0, 0.25 if pass_id == 1 else 0.0, 0.8,
+                      pass_id=pass_id, delay_id=d, f=0.25)
+            for pass_id in (1, 2)
+            for d in range(4)
+        )
+    )
+    combined = evaluate_mux(topo, 10.0)
+    first = evaluate_mux(topo.subset(1), 10.0)
+    assert combined.p_trig == pytest.approx(first.p_trig)
+    assert combined.p_coincidence == pytest.approx(first.p_coincidence)
+    assert combined.p_accidental == pytest.approx(first.p_accidental)
 
 
 def test_hybrid_symmetric_low_probability_expansion():
-    p = 1e-4
-    probs = MuxProbabilities(p, p * 1e-2, p * 1e-4)
-    combined = hybrid_combine(probs, probs)
-    assert combined.p_trig == pytest.approx(1.0 - (1.0 - p) ** 2, rel=1e-12)
-    assert combined.p_trig == pytest.approx(2.0 * p, rel=2.0 * p)
+    bins = tuple(_make_bin(0.1, 0.02, 5.0, 0.01, 1.0, delay_id=d) for d in range(2))
+    power = 0.2
+    p = evaluate_mux(MuxTopology(bins[:1]), power).p_trig
+    combined = evaluate_mux(MuxTopology(bins), power).p_trig
+    assert p < 1e-4
+    assert combined == pytest.approx(1.0 - (1.0 - p) ** 2, rel=1e-12)
+    assert combined == pytest.approx(2.0 * p, rel=2.0 * p)
 
 
 def test_hybrid_matches_flat_eight_bin_nesting():
-    topo = default_topology()
-    power = 10.0
-    flat = evaluate_mux(topo, power)
-    combined = hybrid_combine(
-        evaluate_mux(topo.subset(1), power), evaluate_mux(topo.subset(2), power)
-    )
-    assert combined.p_trig == pytest.approx(flat.p_trig, rel=1e-12)
-    assert combined.p_coincidence == pytest.approx(flat.p_coincidence, rel=1e-12)
-    assert combined.p_accidental == pytest.approx(flat.p_accidental, rel=1e-12)
+    # MUX8 equals the pass-1 MUX4 with the pass-2 MUX4 weighted by its miss.
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        topo = _random_topology(rng, int(rng.integers(1, 5)))
+        power = rng.uniform(0.0, 40.0)
+        flat = evaluate_mux(topo, power)
+        pass1 = evaluate_mux(topo.subset(1), power)
+        pass2 = evaluate_mux(topo.subset(2), power)
+        miss1 = 1.0 - pass1.p_trig
+        assert flat.p_trig == pytest.approx(
+            1.0 - miss1 * (1.0 - pass2.p_trig), rel=1e-12
+        )
+        assert flat.p_coincidence == pytest.approx(
+            pass1.p_coincidence + miss1 * pass2.p_coincidence, rel=1e-12
+        )
+        assert flat.p_accidental == pytest.approx(
+            pass1.p_accidental + miss1 * pass2.p_accidental, rel=1e-12
+        )
+
+
+# --- the bin table ------------------------------------------------------------------
+
+def test_bin_table_rows_match_scalar_path():
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        topo = _random_topology(rng, int(rng.integers(1, 5)))
+        powers = np.sort(rng.uniform(0.0, 40.0, 6))
+        table = bin_table(topo, powers)
+        assert table.p_trig.shape == (powers.size, len(topo.bins))
+        for i, power in enumerate(powers):
+            for k, bin_ in enumerate(topo.bins):
+                source = bin_.source
+                scalar = source_probs(
+                    bin_squeezing(bin_, power),
+                    source.eta_i,
+                    source.eta_s * bin_.eta_sw,
+                    source.back_reflection_fraction,
+                )
+                for column, value in zip(table, scalar):
+                    assert column[i, k] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+def test_table_probabilities_bounded_and_trigger_rises_with_power():
+    rng = np.random.default_rng(13)
+    powers = np.linspace(0.0, 60.0, 31)
+    for _ in range(10):
+        topo = _random_topology(rng, int(rng.integers(1, 5)))
+        table = bin_table(topo, powers)
+        mux = priority_nest(table)
+        for probs in (table, mux):
+            for column in probs:
+                assert np.all((column >= 0.0) & (column <= 1.0))
+            assert np.all(np.diff(probs.p_trig, axis=0) > 0.0)
+        assert np.all(table.p_single + table.p_multi <= table.p_trig + 1e-15)
+        assert np.all(table.p_c <= table.p_trig + 1e-15)
 
 
 def test_pass2_pump_power_is_halved():
@@ -292,6 +377,23 @@ def test_mux_dominates_best_single_under_lossless_switching():
     mux_curve, single_curve = emission_tradeoff_curve(topo, LossMask.NONE, powers)
     for (mux_s, _), (one_s, _) in zip(mux_curve, single_curve):
         assert mux_s > one_s
+
+
+def test_best_single_source_is_measured_without_the_switch():
+    bins = (
+        _make_bin(0.1, 0.05, 5.0, 0.3, 0.5, delay_id=0),
+        _make_bin(0.2, 0.02, 4.0, 0.3, 0.9, delay_id=1),
+    )
+    powers = [2.0, 10.0, 30.0]
+    _, single_curve = emission_tradeoff_curve(MuxTopology(bins), LossMask.NONE, powers)
+    for power, (p_single, p_multi) in zip(powers, single_curve):
+        solo = [
+            source_probs(bin_squeezing(b, power), b.source.eta_i, b.source.eta_s, 0.0)
+            for b in bins
+        ]
+        best = max(solo, key=lambda p: p.p_single)
+        assert p_single == pytest.approx(best.p_single, rel=1e-12)
+        assert p_multi == pytest.approx(best.p_multi, rel=1e-12)
 
 
 def test_loss_mask_all_except_switch_removes_arm_losses():
