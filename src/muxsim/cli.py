@@ -19,14 +19,15 @@ import numpy as np
 from . import defaults
 from .eventsim import PulseTrainConfig, run_pulse_train
 from .fitting import load_observations_csv, fit_all, write_fit_table_csv
-from .hsps import SourceParams
+from .hsps import SourceParams, SourceProbs
 from .mux import (
     MuxBin,
     MuxTopology,
     bin_table,
-    cycle_probabilities,
     evaluate_mux,
+    extrinsic_removed,
     priority_nest,
+    saturated_rates,
     saturated_report,
     switchless,
 )
@@ -47,6 +48,8 @@ class PowerSweep:
     def __post_init__(self):
         if self.steps < 1:
             raise ScenarioError(f"steps must be >= 1, got {self.steps}")
+        if self.start_mw < 0.0:
+            raise ScenarioError(f"sweep must start at >= 0 mW, got {self.start_mw}")
         if self.steps > 1 and self.stop_mw <= self.start_mw:
             raise ScenarioError("power sweep must be strictly increasing")
 
@@ -63,6 +66,12 @@ class Scenario:
     cycles: int
     seed: int
     reference_power_mw: float
+
+    def __post_init__(self):
+        if self.idle_time_s < 0.0:
+            raise ScenarioError(f"idle_time_s must be >= 0, got {self.idle_time_s}")
+        if not any(b.pass_id == 1 for b in self.topology.bins):
+            raise ScenarioError("topology needs at least one pass-1 bin (MUX4)")
 
     @property
     def full_chain(self) -> DeadtimeChain:
@@ -171,25 +180,34 @@ def parse_scenario(doc: dict) -> Scenario:
     chain = doc.get("deadtime_chain_s", defaults.AMPLIFIER_CHAIN.stages)
     if not isinstance(chain, (list, tuple)):
         raise ScenarioError(f"deadtime_chain_s must be a list, got {chain!r}")
-    return Scenario(
-        topology=_parse_topology(doc.get("topology", {})),
-        sweep=PowerSweep(
-            start_mw=_finite(sweep_obj.get("start", 0.0), "power_sweep_mw.start"),
-            stop_mw=_finite(sweep_obj.get("stop", 25.0), "power_sweep_mw.stop"),
-            steps=_integer(sweep_obj.get("steps", 26), "power_sweep_mw.steps"),
-        ),
-        amplifier_chain=DeadtimeChain(
-            tuple(_finite(d, "deadtime_chain_s") for d in chain)
-        ),
-        idle_time_s=_finite(
-            doc.get("idle_time_s", defaults.IDLE_TIME_S), "idle_time_s"
-        ),
-        cycles=_integer(sim_obj.get("cycles", 1_000_000), "simulation.cycles"),
-        seed=_integer(sim_obj.get("seed", 12345), "simulation.seed"),
-        reference_power_mw=_finite(
-            sim_obj.get("reference_power_mw", 5.0), "simulation.reference_power_mw"
-        ),
-    )
+    # The model types reject values outside their domain with ValueError.
+    try:
+        return Scenario(
+            topology=_parse_topology(doc.get("topology", {})),
+            sweep=PowerSweep(
+                start_mw=_finite(
+                    sweep_obj.get("start", 0.0), "power_sweep_mw.start"
+                ),
+                stop_mw=_finite(sweep_obj.get("stop", 25.0), "power_sweep_mw.stop"),
+                steps=_integer(sweep_obj.get("steps", 26), "power_sweep_mw.steps"),
+            ),
+            amplifier_chain=DeadtimeChain(
+                tuple(_finite(d, "deadtime_chain_s") for d in chain)
+            ),
+            idle_time_s=_finite(
+                doc.get("idle_time_s", defaults.IDLE_TIME_S), "idle_time_s"
+            ),
+            cycles=_integer(sim_obj.get("cycles", 1_000_000), "simulation.cycles"),
+            seed=_integer(sim_obj.get("seed", 12345), "simulation.seed"),
+            reference_power_mw=_finite(
+                sim_obj.get("reference_power_mw", 5.0),
+                "simulation.reference_power_mw",
+            ),
+        )
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def load_scenario(path: Optional[str]) -> Scenario:
@@ -271,29 +289,26 @@ def svg_line_chart(
 
 # --- model evaluation helpers ------------------------------------------------
 
-def _extrinsic_removed_topology(topology: MuxTopology) -> MuxTopology:
-    bins = tuple(
-        replace(b, eta_sw=min(b.eta_sw / defaults.MEMS_ASYMMETRY, 1.0))
-        for b in topology.bins
-    )
-    return replace(topology, bins=bins)
+# Rate columns of a model row: saturated, unsaturated, extrinsic removed.
+_RATE_COLUMNS = (
+    "r_trig_hz", "r_c_hz", "r_a_hz", "car",
+    "r_trig_nosat_hz", "r_c_nosat_hz", "r_a_nosat_hz", "car_nosat",
+    "r_trig_extr_hz", "r_c_extr_hz", "r_a_extr_hz", "car_extr",
+)
 
 
 def _model_rows(scenario: Scenario) -> List[dict]:
     """One row per (power, source) with saturated / unsaturated / extrinsic-
     removed rate variants."""
     topo = scenario.topology
-    chain = scenario.full_chain
     rep = topo.rep_rate_hz
     powers = scenario.sweep.powers()
     table = bin_table(topo, powers)
-    extr = bin_table(_extrinsic_removed_topology(topo), powers)
+    extr = bin_table(extrinsic_removed(topo), powers)
     pass1 = [k for k, b in enumerate(topo.bins) if b.pass_id == 1]
-    if not pass1:
-        raise ValueError("topology has no pass-1 bins")
-    # (label, probabilities, extrinsic-removed probabilities) per power; a
-    # single source is measured without the switch network, so it has no
-    # extrinsic loss to remove.
+    # (label, probabilities, extrinsic-removed probabilities) over the
+    # powers; a single source is measured without the switch network, so it
+    # has no extrinsic loss to remove.
     sources = [
         ("MUX8", priority_nest(table), priority_nest(extr)),
         ("MUX4", priority_nest(table.take(pass1)), priority_nest(extr.take(pass1))),
@@ -303,32 +318,37 @@ def _model_rows(scenario: Scenario) -> List[dict]:
         (defaults.source_label(b.pass_id, b.delay_id), solo.take(k), solo.take(k))
         for k, b in enumerate(topo.bins)
     ]
-    rows = []
-    for i, power in enumerate(powers):
-        for label, probs, extr_probs in sources:
-            at_power = cycle_probabilities(probs, i)
-            sat = saturated_report(at_power, rep, chain)
-            unsat = saturated_report(at_power, rep)
-            extr_rep = saturated_report(cycle_probabilities(extr_probs, i), rep)
-            rows.append(
-                {
-                    "power_mw": power,
-                    "source": label,
-                    "r_trig_hz": sat.r_trig_hz,
-                    "r_c_hz": sat.r_coincidence_hz,
-                    "r_a_hz": sat.r_accidental_hz,
-                    "car": sat.car,
-                    "r_trig_nosat_hz": unsat.r_trig_hz,
-                    "r_c_nosat_hz": unsat.r_coincidence_hz,
-                    "r_a_nosat_hz": unsat.r_accidental_hz,
-                    "car_nosat": unsat.car,
-                    "r_trig_extr_hz": extr_rep.r_trig_hz,
-                    "r_c_extr_hz": extr_rep.r_coincidence_hz,
-                    "r_a_extr_hz": extr_rep.r_accidental_hz,
-                    "car_extr": extr_rep.car,
-                }
-            )
-    return rows
+
+    def per_power(probs: SourceProbs, chain: DeadtimeChain) -> List[tuple]:
+        """(r_trig, r_c, r_a, CAR) at each power; CAR is None without
+        accidentals."""
+        r_trig, r_c, r_a = (
+            x.tolist()
+            for x in saturated_rates(probs.p_trig, probs.p_c, probs.p_a, rep, chain)
+        )
+        car = [c / a if a > 0.0 else None for c, a in zip(r_c, r_a)]
+        return list(zip(r_trig, r_c, r_a, car))
+
+    # Per source, the saturated, unsaturated and extrinsic-removed rates.
+    no_chain = DeadtimeChain()
+    variants = [
+        (
+            label,
+            per_power(probs, scenario.full_chain),
+            per_power(probs, no_chain),
+            per_power(extr_probs, no_chain),
+        )
+        for label, probs, extr_probs in sources
+    ]
+    return [
+        {
+            "power_mw": power,
+            "source": label,
+            **dict(zip(_RATE_COLUMNS, sat[i] + unsat[i] + extr_rates[i])),
+        }
+        for i, power in enumerate(powers)
+        for label, sat, unsat, extr_rates in variants
+    ]
 
 
 def _write_csv(path: Path, fieldnames: Sequence[str], rows: Sequence[dict]) -> None:

@@ -11,7 +11,7 @@ from typing import Dict
 
 from .eventsim import route_bin
 from .hsps import SourceParams
-from .mux import MuxBin, MuxTopology
+from .mux import MEMS_ASYMMETRY, MuxBin, MuxTopology
 from .saturation import DeadtimeChain
 
 REP_RATE_HZ = 80e6
@@ -53,7 +53,6 @@ SWITCH_TRANSMISSION = 10.0 ** (-0.1)  # ~1 dB per switch
 SWITCHES_PER_PATH = 3  # two loop switches plus the pass-combining switch
 LOOP_TRANSMISSION = 0.95
 BUFFER_TRANSMISSION = 0.90
-MEMS_ASYMMETRY = 0.96  # extra measurement loss on the multiplexed channel
 FLAT_PATH_TRANSMISSION = 10.0 ** (-0.4)  # ~4 dB aggregate override
 
 

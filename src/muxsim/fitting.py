@@ -1,9 +1,11 @@
 """Recover per-source parameters from rate observations over a power sweep.
 
 The objective is the mean coefficient of determination across the
-trigger, coincidence and accidental channels, maximized by a multi-start
-derivative-free simplex search.  Rates are compared in log space when all
-observations are positive so that decades are balanced.
+trigger, coincidence and accidental channels, compared in log space when
+all observations are positive so that decades are balanced.  Maximizing it
+is a weighted least-squares problem, solved from several starts by bounded
+trust-region reflective steps (Branch, Coleman & Li, SIAM J. Sci. Comput.
+21, 1999); the Jacobian at the optimum gives each parameter a standard error.
 """
 
 import csv
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 from scipy.stats import qmc
 
 from .hsps import (
@@ -51,6 +53,12 @@ class Observation:
 
 @dataclass(frozen=True)
 class FitResult:
+    """Fitted parameters, per-channel R^2 and the best start's solver state:
+    ``converged`` is its least-squares ``status > 0``, ``iterations`` its
+    ``nfev`` (finite-difference Jacobian evaluations not counted).  The
+    ``rel_se_*`` fields are first-order relative standard errors (inf where
+    undetermined); ``rel_se_f`` is None for pass-1 fits."""
+
     params: SourceParams
     r2_trig: float
     r2_c: float
@@ -58,6 +66,10 @@ class FitResult:
     r2_mean: float
     converged: bool
     iterations: int
+    rel_se_eta_i: float
+    rel_se_eta_s: float
+    rel_se_p_seed: float
+    rel_se_f: Optional[float]
 
 
 # Search bounds: (eta_i, eta_s, p_seed_mw[, f]).
@@ -65,6 +77,9 @@ ETA_BOUNDS = (1e-4, 0.5)
 P_SEED_BOUNDS = (0.5, 50.0)
 F_BOUNDS = (0.0, 1.0)
 N_STARTS = 16
+# Residual where the model cannot be evaluated: far above any prediction's,
+# so a start that only finds such points loses to every other start.
+FAILED_RESIDUAL = 1e10
 
 
 def r_squared(predicted: Sequence[float], observed: Sequence[float]) -> float:
@@ -96,21 +111,15 @@ def predict_rates(
     return saturated_rates(p.p_trig, p.p_c, p.p_a, rep_rate_hz, chain)
 
 
-def _fold(x: float, lo: float, hi: float) -> float:
-    """Reflect an unconstrained coordinate into [lo, hi]."""
-    width = hi - lo
-    y = (x - lo) % (2.0 * width)
-    return lo + (y if y <= width else 2.0 * width - y)
-
-
-def _channel_r2(
-    pred: np.ndarray, obs: np.ndarray, log_space: bool
-) -> Optional[float]:
-    if log_space:
-        if np.any(pred <= 0.0):
-            return None
-        return r_squared(np.log(pred), np.log(obs))
-    return r_squared(pred, obs)
+def _standard_errors(jac: np.ndarray, cost: float) -> np.ndarray:
+    """Standard errors of the fit coordinates, s^2 (J^T J)^-1 with
+    s^2 = sum r^2 / (m - n); inf where J^T J does not determine them."""
+    m, n = jac.shape
+    try:
+        var = 2.0 * cost / (m - n) * np.diag(np.linalg.inv(jac.T @ jac))
+    except np.linalg.LinAlgError:
+        return np.full(n, np.inf)
+    return np.sqrt(np.where(var >= 0.0, var, np.inf))
 
 
 def _heuristic_start(
@@ -122,8 +131,8 @@ def _heuristic_start(
     chain: DeadtimeChain,
     with_f: bool,
 ) -> np.ndarray:
-    """Moment-based initial guess: CAR fixes the squeezing scale, levels
-    fix the transmissions."""
+    """Moment-based initial guess in fit coordinates: CAR fixes the
+    squeezing scale, levels fix the transmissions."""
     try:
         t_true = np.array([true_from_detected(r, chain) for r in r_trig])
     except SaturationError:
@@ -140,14 +149,14 @@ def _heuristic_start(
             eta_s = float(np.median(r_c[valid] / t_true[valid]))
     else:
         p_seed, eta_i, eta_s = 5.0, 0.02, 0.002
-    start = [
-        float(np.clip(eta_i, *ETA_BOUNDS)),
-        float(np.clip(eta_s, *ETA_BOUNDS)),
-        float(np.clip(p_seed, *P_SEED_BOUNDS)),
-    ]
-    if with_f:
-        start.append(0.2)
-    return np.array(start)
+    start = np.log(
+        [
+            np.clip(eta_i, *ETA_BOUNDS),
+            np.clip(eta_s, *ETA_BOUNDS),
+            np.clip(p_seed, *P_SEED_BOUNDS),
+        ]
+    )
+    return np.append(start, 0.2) if with_f else start
 
 
 def fit_source(
@@ -158,7 +167,14 @@ def fit_source(
     seed: int = 0,
     n_starts: int = N_STARTS,
 ) -> FitResult:
-    """Maximize mean R^2 over (eta_i, eta_s, p_seed[, f])."""
+    """Maximize mean R^2 over (eta_i, eta_s, p_seed[, f]).
+
+    The residuals r_k = (g(pred_k) - g(obs_k)) / sqrt(3 SS_tot,k), with g
+    = log when every observation is positive and the identity otherwise,
+    have 1 - sum r^2 = mean R^2.  They are minimized over (log eta_i,
+    log eta_s, log p_seed[, f]) within the search bounds from
+    Latin-hypercube starts plus a moment-based one; the best start wins.
+    """
     if model_kind not in ("pass1", "pass2"):
         raise ValueError(f"model_kind must be 'pass1' or 'pass2', got {model_kind!r}")
     if len(observations) < 4:
@@ -166,86 +182,68 @@ def fit_source(
     powers = np.array([o.reference_power_mw for o in observations])
     if np.unique(powers).size < 3:
         raise ValueError("need at least 3 distinct powers")
-    r_trig = np.array([o.r_trig_hz for o in observations])
-    r_c = np.array([o.r_c_hz for o in observations])
-    r_a = np.array([o.r_a_hz for o in observations])
+    observed = np.array([[o.r_trig_hz, o.r_c_hz, o.r_a_hz] for o in observations]).T
     with_f = model_kind == "pass2"
-    log_space = bool((r_trig > 0).all() and (r_c > 0).all() and (r_a > 0).all())
+    log_space = bool((observed > 0.0).all())
+    target = np.log(observed) if log_space else observed
+    ss_tot = np.sum((target - target.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    if np.any(ss_tot == 0.0):
+        raise ValueError("observed values are all identical; R^2 undefined")
+    weight = 1.0 / np.sqrt(3.0 * ss_tot)[:, None]
 
-    bounds = [ETA_BOUNDS, ETA_BOUNDS, P_SEED_BOUNDS] + ([F_BOUNDS] if with_f else [])
-    log_scaled = [True, True, True] + ([False] if with_f else [])
+    def params(x: np.ndarray) -> Tuple[float, float, float, float]:
+        eta_i, eta_s, p_seed = np.exp(x[:3])
+        return eta_i, eta_s, p_seed, (x[3] if with_f else 0.0)
 
-    def fold_params(x: np.ndarray) -> List[float]:
-        return [_fold(v, lo, hi) for v, (lo, hi) in zip(x, bounds)]
-
-    def objective(x: np.ndarray) -> float:
-        eta_i, eta_s, p_seed, *rest = fold_params(x)
-        f = rest[0] if rest else 0.0
+    def residuals(x: np.ndarray) -> np.ndarray:
         try:
-            pred = predict_rates(
-                eta_i, eta_s, p_seed, f, powers, rep_rate_hz, deadtime_chain
+            pred = np.stack(
+                predict_rates(*params(x), powers, rep_rate_hz, deadtime_chain)
             )
         except (ValueError, ArithmeticError):
-            return 1e9
-        r2s = [
-            _channel_r2(p, o, log_space)
-            for p, o in zip(pred, (r_trig, r_c, r_a))
-        ]
-        if any(v is None for v in r2s):
-            return 1e9
-        return -float(np.mean(r2s))
+            return np.full(target.size, FAILED_RESIDUAL)
+        if log_space:
+            if np.any(pred <= 0.0):
+                return np.full(target.size, FAILED_RESIDUAL)
+            pred = np.log(pred)
+        return ((pred - target) * weight).ravel()
+
+    bounds = np.log([ETA_BOUNDS, ETA_BOUNDS, P_SEED_BOUNDS]).T
+    if with_f:
+        bounds = np.column_stack([bounds, F_BOUNDS])
 
     # Latin-hypercube starts (log-spaced for the scale parameters) plus a
     # moment-based heuristic start.
-    sampler = qmc.LatinHypercube(d=len(bounds), seed=seed)
-    unit = sampler.random(n_starts)
-    starts = []
-    for row in unit:
-        point = []
-        for u, (lo, hi), logs in zip(row, bounds, log_scaled):
-            if logs:
-                point.append(math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo))))
-            else:
-                point.append(lo + u * (hi - lo))
-        starts.append(np.array(point))
+    sampler = qmc.LatinHypercube(d=bounds.shape[1], seed=seed)
+    starts = list(qmc.scale(sampler.random(n_starts), *bounds))
     starts.append(
-        _heuristic_start(powers, r_trig, r_c, r_a, rep_rate_hz, deadtime_chain, with_f)
+        _heuristic_start(powers, *observed, rep_rate_hz, deadtime_chain, with_f)
     )
 
     best = None
-    for idx, x0 in enumerate(starts):
-        res = minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"maxiter": 800, "xatol": 1e-8, "fatol": 1e-10},
-        )
-        if best is None or res.fun < best[0]:
-            best = (res.fun, idx, res)
-    if best is None or best[0] >= 1e9:
+    for x0 in starts:
+        res = least_squares(residuals, x0, bounds=bounds, method="trf", x_scale="jac")
+        if best is None or res.cost < best.cost:
+            best = res
+    if best.cost >= 0.5 * target.size * FAILED_RESIDUAL**2:
         raise FitError("all starts diverged; no finite objective found")
 
-    polish = minimize(
-        objective, best[2].x, method="Nelder-Mead",
-        options={"maxiter": 4000, "xatol": 1e-11, "fatol": 1e-13},
-    )
-    final = polish if polish.fun <= best[2].fun else best[2]
-    if final.fun >= 1e9:
-        raise FitError("optimum is not finite")
-
-    eta_i, eta_s, p_seed, *rest = fold_params(final.x)
-    f = rest[0] if rest else 0.0
-    pred = predict_rates(eta_i, eta_s, p_seed, f, powers, rep_rate_hz, deadtime_chain)
-    r2s = [
-        _channel_r2(p, o, log_space)
-        for p, o in zip(pred, (r_trig, r_c, r_a))
-    ]
+    r2 = 1.0 - 3.0 * np.sum(best.fun.reshape(3, -1) ** 2, axis=1)
+    eta_i, eta_s, p_seed, f = params(best.x)
+    se = _standard_errors(best.jac, best.cost)
     return FitResult(
-        params=SourceParams(eta_i, eta_s, p_seed, f),
-        r2_trig=r2s[0],
-        r2_c=r2s[1],
-        r2_a=r2s[2],
-        r2_mean=float(np.mean(r2s)),
-        converged=bool(final.success),
-        iterations=int(final.nit) + int(best[2].nit),
+        params=SourceParams(float(eta_i), float(eta_s), float(p_seed), float(f)),
+        r2_trig=float(r2[0]),
+        r2_c=float(r2[1]),
+        r2_a=float(r2[2]),
+        r2_mean=float(1.0 - 2.0 * best.cost),
+        converged=bool(best.status > 0),
+        iterations=int(best.nfev),
+        # an error in log(x) is, to first order, the relative error in x
+        rel_se_eta_i=float(se[0]),
+        rel_se_eta_s=float(se[1]),
+        rel_se_p_seed=float(se[2]),
+        rel_se_f=float(se[3] / f if f > 0.0 else math.inf) if with_f else None,
     )
 
 
@@ -298,7 +296,8 @@ def load_observations_csv(path) -> Dict[str, List[Observation]]:
 
 
 def write_fit_table_csv(path, results: Mapping[str, object]) -> None:
-    """Emit one row per source: fitted parameters and R^2 statistics."""
+    """Emit one row per source: fitted parameters, R^2 statistics and the
+    parameters' relative standard errors."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -314,6 +313,10 @@ def write_fit_table_csv(path, results: Mapping[str, object]) -> None:
                 "r2_mean",
                 "converged",
                 "error",
+                "rel_se_eta_i",
+                "rel_se_eta_s",
+                "rel_se_p_seed_mw",
+                "rel_se_back_reflection_fraction",
             ]
         )
         for label, result in results.items():
@@ -332,7 +335,11 @@ def write_fit_table_csv(path, results: Mapping[str, object]) -> None:
                         f"{result.r2_mean:.6g}",
                         int(result.converged),
                         "",
+                        f"{result.rel_se_eta_i:.6g}",
+                        f"{result.rel_se_eta_s:.6g}",
+                        f"{result.rel_se_p_seed:.6g}",
+                        "" if result.rel_se_f is None else f"{result.rel_se_f:.6g}",
                     ]
                 )
             else:
-                writer.writerow([label] + [""] * 9 + [str(result)])
+                writer.writerow([label] + [""] * 9 + [str(result)] + [""] * 4)

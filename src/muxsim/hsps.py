@@ -233,12 +233,11 @@ def _heralded_forms(s, eta_i, eta_s) -> _HeraldedForms:
     den = one_sb_2 * one_sab_2
     p_single = one_s * eta_s * num / den
 
-    p_both = one_s * s * (1.0 / one_s + ab_one_sab - a / one_sa - b / one_sb)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Limit of the conditional as eta_i -> 0 (herald never clicks).
-        total_limit = 1.0 - b * one_s ** 2 / one_sb_2
-        total = np.where(eta_i == 0.0, total_limit, np.divide(p_both, p_trig))
+    # P(signal click | herald click) as a product of positive factors: no
+    # division by p_trig, so it holds down to eta_i = 0 and keeps full
+    # precision however small eta_i or eta_s are.
+    total = eta_s * (1.0 - s * sa * b) / (one_sb * one_sab)
+    p_both = p_trig * total
     p_multi = _clamp_probability(
         np.where(s == 0.0, 0.0, total - p_single), "p_multi_signal"
     )

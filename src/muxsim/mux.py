@@ -33,6 +33,9 @@ from .saturation import DeadtimeChain, detected_from_true
 # Pump power reaching the second pass is roughly halved by the uncoated
 # crystal facets and extra filtering.
 PASS2_POWER_FACTOR = 0.5
+# Extra measurement loss on the multiplexed channel, part of every switch
+# path's eta_sw; it is what the extrinsic-removed variants take out.
+MEMS_ASYMMETRY = 0.96
 
 
 class LossMask(Enum):
@@ -167,20 +170,24 @@ def switchless(topology: MuxTopology) -> MuxTopology:
     )
 
 
+def extrinsic_removed(topology: MuxTopology) -> MuxTopology:
+    """The same bins with the measurement-only MEMS loss divided out of each
+    switch path (eta_sw capped at 1)."""
+    bins = tuple(
+        replace(b, eta_sw=min(b.eta_sw / MEMS_ASYMMETRY, 1.0)) for b in topology.bins
+    )
+    return replace(topology, bins=bins)
+
+
 def evaluate_mux(
     topology: MuxTopology, reference_power_mw: float
 ) -> MuxProbabilities:
     """All three per-cycle probabilities of one multiplexed source."""
     mux = priority_nest(bin_table(topology, [reference_power_mw]))
-    return cycle_probabilities(mux, 0)
-
-
-def cycle_probabilities(probs: SourceProbs, index: int) -> MuxProbabilities:
-    """The per-cycle probabilities at one index of arrays of them."""
     return MuxProbabilities(
-        p_trig=float(probs.p_trig[index]),
-        p_coincidence=float(probs.p_c[index]),
-        p_accidental=float(probs.p_a[index]),
+        p_trig=float(mux.p_trig[0]),
+        p_coincidence=float(mux.p_c[0]),
+        p_accidental=float(mux.p_a[0]),
     )
 
 
@@ -246,7 +253,9 @@ def emission_tradeoff_curve(
     constituent bin with the highest single-photon emission at each power,
     evaluated without the switching network.
     """
-    if loss_mask is LossMask.ALL_EXCEPT_SWITCH:
+    if loss_mask is LossMask.EXTRINSIC_REMOVED:
+        topology = extrinsic_removed(topology)
+    elif loss_mask is LossMask.ALL_EXCEPT_SWITCH:
         topology = replace(
             topology,
             bins=tuple(

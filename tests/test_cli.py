@@ -311,6 +311,31 @@ def test_non_finite_or_mistyped_scenario_values_rejected(
     assert not (tmp_path / "o").exists()
 
 
+_PASS2_BIN = {
+    "pass": 2, "delay": 0, "eta_i": 0.1, "eta_s": 0.01, "p_seed_mw": 5.0,
+    "pump_fraction": 0.5, "eta_sw": 0.8,
+}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"power_sweep_mw": {"start": -1, "stop": 5, "steps": 3}}',
+        '{"idle_time_s": -1e-6}',
+        '{"deadtime_chain_s": [-1e-7]}',
+        '{"topology": {"eta_sw_mode": "other"}}',
+        json.dumps({"topology": {"bins": [_PASS2_BIN]}}),
+        json.dumps({"topology": {"bins": [{**_PASS2_BIN, "pass": 1, "eta_i": 1.5}]}}),
+    ],
+)
+def test_out_of_domain_scenario_values_rejected(tmp_path, capsys, text):
+    # Values the model types reject, and a topology without the pass-1 bins
+    # that MUX4 needs, fail at parse time like malformed ones.
+    test_non_finite_or_mistyped_scenario_values_rejected(
+        tmp_path, capsys, "model", text
+    )
+
+
 def test_decreasing_sweep_rejected(tmp_path, capsys):
     scenario = _scenario(
         tmp_path, power_sweep_mw={"start": 10.0, "stop": 5.0, "steps": 4}

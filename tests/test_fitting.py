@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from muxsim import DeadtimeChain, FitResult, Observation, fit_all, fit_source, r_squared
-from muxsim.defaults import FULL_CHAIN
+from muxsim.defaults import FULL_CHAIN, PASS1_SOURCES, PASS2_SOURCES
 from muxsim.fitting import (
     ObservationsParseError,
     load_observations_csv,
@@ -13,6 +13,8 @@ from muxsim.fitting import (
 )
 
 NO_CHAIN = DeadtimeChain(())
+# The sweep of acceptance criterion 6 and the benchmark's noisy fits.
+SWEEP_MW = np.linspace(2.0, 25.0, 12)
 
 
 def _synthetic(truth, powers, chain, rep_rate_hz=80e6):
@@ -119,6 +121,73 @@ def test_reported_objective_dominates_arbitrary_points():
         assert result.r2_mean >= np.mean(r2s) - 1e-12
 
 
+def _truth(source):
+    return (
+        source.eta_i, source.eta_s, source.p_seed_mw, source.back_reflection_fraction
+    )
+
+
+def _noisy(truth, rng, noise=0.03):
+    trig, c, a = predict_rates(*truth, SWEEP_MW, 80e6, FULL_CHAIN)
+    factors = 1.0 + rng.normal(0.0, noise, (len(SWEEP_MW), 3))
+    return [
+        Observation(p, t * ft, cc * fc, aa * fa)
+        for p, t, cc, aa, (ft, fc, fa) in zip(SWEEP_MW, trig, c, a, factors)
+    ]
+
+
+def _log_channels(params, obs):
+    """(log predicted, log observed) rates as (3, n) arrays."""
+    pred = predict_rates(*params, SWEEP_MW, 80e6, FULL_CHAIN)
+    observed = [[o.r_trig_hz, o.r_c_hz, o.r_a_hz] for o in obs]
+    return np.log(np.stack(pred)), np.log(np.array(observed).T)
+
+
+def test_r2_mean_is_one_minus_twice_the_least_squares_cost():
+    truth = _truth(PASS2_SOURCES[1])
+    obs = _noisy(truth, np.random.default_rng(11))
+    result = fit_source(obs, "pass2", FULL_CHAIN, seed=0, n_starts=4)
+    p = result.params
+    pred, observed = _log_channels(
+        (p.eta_i, p.eta_s, p.p_seed_mw, p.back_reflection_fraction), obs
+    )
+    ss_tot = np.sum((observed - observed.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    cost = 0.5 * np.sum((pred - observed) ** 2 / (3.0 * ss_tot[:, None]))
+    assert 1.0 - 2.0 * cost == pytest.approx(result.r2_mean, abs=1e-12)
+    channels = (result.r2_trig, result.r2_c, result.r2_a)
+    assert np.mean(channels) == pytest.approx(result.r2_mean, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind, sources", [("pass1", PASS1_SOURCES), ("pass2", PASS2_SOURCES)]
+)
+def test_noisy_fits_reach_the_truths_r2_and_recover_eta_i(kind, sources):
+    for draw in range(6):
+        truth = _truth(sources[draw % len(sources)])
+        obs = _noisy(truth, np.random.default_rng([draw, kind == "pass2"]))
+        result = fit_source(obs, kind, FULL_CHAIN, seed=0)
+        pred, observed = _log_channels(truth, obs)
+        r2_truth = np.mean([r_squared(p, o) for p, o in zip(pred, observed)])
+        assert result.r2_mean >= r2_truth - 1e-4
+        assert result.params.eta_i == pytest.approx(truth[0], rel=0.15)
+        if kind == "pass2":
+            # f trades off against eta_s and p_seed within the noise, eta_i
+            # does not
+            assert result.rel_se_f > result.rel_se_eta_i
+
+
+def test_noiseless_standard_errors_vanish():
+    for source, kind in ((PASS1_SOURCES[0], "pass1"), (PASS2_SOURCES[0], "pass2")):
+        obs = _synthetic(_truth(source), SWEEP_MW, FULL_CHAIN)
+        result = fit_source(obs, kind, FULL_CHAIN, seed=0, n_starts=4)
+        errors = [result.rel_se_eta_i, result.rel_se_eta_s, result.rel_se_p_seed]
+        if kind == "pass2":
+            errors.append(result.rel_se_f)
+        else:
+            assert result.rel_se_f is None
+        assert max(errors) < 1e-6
+
+
 def test_fit_input_validation():
     powers = np.linspace(2.0, 20.0, 8)
     obs = _synthetic((0.02, 0.003, 5.0, 0.0), powers, NO_CHAIN)
@@ -200,6 +269,13 @@ def test_write_fit_table_includes_failures(tmp_path):
     write_fit_table_csv(path, results)
     text = path.read_text().splitlines()
     assert text[0].startswith("source,eta_i,eta_s")
+    assert text[0].endswith(
+        ",error,rel_se_eta_i,rel_se_eta_s,rel_se_p_seed_mw,"
+        "rel_se_back_reflection_fraction"
+    )
     assert len(text) == 3
     broken_row = next(line for line in text if line.startswith("broken"))
     assert "least 4 observations" in broken_row
+    assert broken_row.endswith(",,,,")
+    ok_row = next(line for line in text if line.startswith("ok")).split(",")
+    assert len(ok_row) == 15 and ok_row[-1] == "" and float(ok_row[-2]) >= 0.0

@@ -23,6 +23,7 @@ from muxsim.mux import (
     bin_pump_power_mw,
     bin_squeezing,
     bin_table,
+    extrinsic_removed,
     priority_nest,
 )
 from muxsim.saturation import DeadtimeChain
@@ -404,6 +405,20 @@ def test_loss_mask_all_except_switch_removes_arm_losses():
     lossy, _ = emission_tradeoff_curve(topo, LossMask.NONE, [10.0])
     masked, _ = emission_tradeoff_curve(topo, LossMask.ALL_EXCEPT_SWITCH, [10.0])
     assert masked[0][0] > lossy[0][0]
+
+
+def test_extrinsic_removed_curve_takes_the_mems_loss_out():
+    topo = default_topology()
+    powers = np.linspace(1.0, 40.0, 12)
+    lossy, lossy_single = emission_tradeoff_curve(topo, LossMask.NONE, powers)
+    removed, removed_single = emission_tradeoff_curve(
+        topo, LossMask.EXTRINSIC_REMOVED, powers
+    )
+    expected = priority_nest(bin_table(extrinsic_removed(topo), powers))
+    assert removed == list(zip(expected.p_single.tolist(), expected.p_multi.tolist()))
+    assert all(r[0] > l[0] for r, l in zip(removed, lossy))
+    # the best single source is measured without the switch either way
+    assert removed_single == lossy_single
 
 
 # --- validation -------------------------------------------------------------------------

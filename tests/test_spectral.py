@@ -12,7 +12,7 @@ from muxsim import (
     indistinguishability_table,
     overlap_gamma,
 )
-from muxsim.spectral import FWHM_TO_SIGMA, SpectrumFitError
+from muxsim.spectral import FWHM_TO_SIGMA, SpectrumFitError, _initial_guess
 
 
 def _quadrature_gamma(a: SpectrumModel, b: SpectrumModel) -> float:
@@ -59,6 +59,26 @@ def test_noisy_gaussian_center_within_tenth_nanometer():
     ]
     fitted, _ = fit_gaussian(samples)
     assert abs(fitted.center_nm - truth.center_nm) < 0.1
+
+
+def test_fit_beats_truth_and_start_on_poisson_spectra():
+    rng = np.random.default_rng(21)
+    wl = np.linspace(1545.0, 1555.0, 161)
+    for _ in range(64):
+        truth = SpectrumModel(
+            center_nm=float(rng.uniform(1549.0, 1551.0)),
+            fwhm_nm=float(rng.uniform(0.6, 1.2)),
+            amplitude=2000.0,
+        )
+        counts = rng.poisson(truth.intensity(wl)).astype(float)
+        fitted, norm = fit_gaussian(list(zip(wl, counts)))
+        center, sigma, amp = _initial_guess(wl, counts)
+        start = SpectrumModel(center, sigma / FWHM_TO_SIGMA, amp)
+        assert norm == pytest.approx(
+            np.linalg.norm(fitted.intensity(wl) - counts), rel=1e-12
+        )
+        assert norm <= np.linalg.norm(truth.intensity(wl) - counts)
+        assert norm <= np.linalg.norm(start.intensity(wl) - counts)
 
 
 def test_degenerate_inputs_rejected():
