@@ -38,7 +38,6 @@ from .report import RateReport
 from .saturation import (
     DeadtimeChain,
     detected_from_true,
-    effective_eta_i,
     true_from_detected,
 )
 from .spectral import (
@@ -66,7 +65,6 @@ __all__ = [
     "SqueezingPoint",
     "calibrate_coupling",
     "detected_from_true",
-    "effective_eta_i",
     "emission_probs",
     "emission_tradeoff_curve",
     "evaluate_mux",

@@ -61,21 +61,16 @@ class PowerSweep:
 class Scenario:
     topology: MuxTopology
     sweep: PowerSweep
-    amplifier_chain: DeadtimeChain
-    idle_time_s: float
+    deadtime_chain: DeadtimeChain  # amplifiers, then the idle window
     cycles: int
     seed: int
     reference_power_mw: float
 
     def __post_init__(self):
-        if self.idle_time_s < 0.0:
-            raise ScenarioError(f"idle_time_s must be >= 0, got {self.idle_time_s}")
         if not any(b.pass_id == 1 for b in self.topology.bins):
             raise ScenarioError("topology needs at least one pass-1 bin (MUX4)")
-
-    @property
-    def full_chain(self) -> DeadtimeChain:
-        return self.amplifier_chain.extended(self.idle_time_s)
+        # ValueError unless the model's exact acceptance covers the chain.
+        self.deadtime_chain.acceptance(0.0, self.topology.rep_rate_hz)
 
 
 def _reject_unknown(obj: dict, allowed: Sequence[str], where: str) -> None:
@@ -148,6 +143,8 @@ def _parse_topology(obj: dict) -> MuxTopology:
         obj, ("eta_sw_mode", "bins", "rep_rate_hz", "bin_spacing_ns"), "topology"
     )
     if "bins" in obj:
+        if not isinstance(obj["bins"], list):
+            raise ScenarioError(f"topology.bins must be a list, got {obj['bins']!r}")
         bins = tuple(_parse_bin(b, i) for i, b in enumerate(obj["bins"]))
         return MuxTopology(
             bins,
@@ -177,9 +174,12 @@ def parse_scenario(doc: dict) -> Scenario:
     _reject_unknown(
         sim_obj, ("cycles", "seed", "reference_power_mw"), "simulation"
     )
-    chain = doc.get("deadtime_chain_s", defaults.AMPLIFIER_CHAIN.stages)
-    if not isinstance(chain, (list, tuple)):
-        raise ScenarioError(f"deadtime_chain_s must be a list, got {chain!r}")
+    # The amplifier deadtimes, then the idle window as the chain's last stage.
+    amplifiers = doc.get("deadtime_chain_s", defaults.FULL_CHAIN.stages[:-1])
+    if not isinstance(amplifiers, (list, tuple)):
+        raise ScenarioError(f"deadtime_chain_s must be a list, got {amplifiers!r}")
+    chain = [_finite(d, "deadtime_chain_s") for d in amplifiers]
+    chain.append(_finite(doc.get("idle_time_s", defaults.IDLE_TIME_S), "idle_time_s"))
     # The model types reject values outside their domain with ValueError.
     try:
         return Scenario(
@@ -191,12 +191,7 @@ def parse_scenario(doc: dict) -> Scenario:
                 stop_mw=_finite(sweep_obj.get("stop", 25.0), "power_sweep_mw.stop"),
                 steps=_integer(sweep_obj.get("steps", 26), "power_sweep_mw.steps"),
             ),
-            amplifier_chain=DeadtimeChain(
-                tuple(_finite(d, "deadtime_chain_s") for d in chain)
-            ),
-            idle_time_s=_finite(
-                doc.get("idle_time_s", defaults.IDLE_TIME_S), "idle_time_s"
-            ),
+            deadtime_chain=DeadtimeChain(tuple(chain)),
             cycles=_integer(sim_obj.get("cycles", 1_000_000), "simulation.cycles"),
             seed=_integer(sim_obj.get("seed", 12345), "simulation.seed"),
             reference_power_mw=_finite(
@@ -334,7 +329,7 @@ def _model_rows(scenario: Scenario) -> List[dict]:
     variants = [
         (
             label,
-            per_power(probs, scenario.full_chain),
+            per_power(probs, scenario.deadtime_chain),
             per_power(probs, no_chain),
             per_power(extr_probs, no_chain),
         )
@@ -392,31 +387,18 @@ def cmd_simulate(
         topology=scenario.topology,
         reference_power_mw=scenario.reference_power_mw,
         n_clock_cycles=scenario.cycles,
-        deadtime_chain=scenario.amplifier_chain,
-        idle_time_s=scenario.idle_time_s,
+        deadtime_chain=scenario.deadtime_chain,
         rng_seed=scenario.seed,
     )
     trace, report = run_pulse_train(config)
     probs = evaluate_mux(scenario.topology, scenario.reference_power_mw)
     analytic = saturated_report(
-        probs, scenario.topology.rep_rate_hz, scenario.full_chain
+        probs, scenario.topology.rep_rate_hz, scenario.deadtime_chain
     )
     rows = []
-    for name, sim, err, ana in (
-        ("r_trig_hz", report.r_trig_hz, report.r_trig_err_hz, analytic.r_trig_hz),
-        (
-            "r_coincidence_hz",
-            report.r_coincidence_hz,
-            report.r_coincidence_err_hz,
-            analytic.r_coincidence_hz,
-        ),
-        (
-            "r_accidental_hz",
-            report.r_accidental_hz,
-            report.r_accidental_err_hz,
-            analytic.r_accidental_hz,
-        ),
-    ):
+    for name in ("r_trig_hz", "r_coincidence_hz", "r_accidental_hz"):
+        sim, ana = getattr(report, name), getattr(analytic, name)
+        err = getattr(report, name.replace("_hz", "_err_hz"))
         z = (sim - ana) / err if err and err > 0 else None
         rows.append(
             {"quantity": name, "simulated": sim, "std_error": err,
@@ -444,7 +426,7 @@ def cmd_fit(
     results = fit_all(
         by_source,
         kinds,
-        scenario.full_chain,
+        scenario.deadtime_chain,
         rep_rate_hz=scenario.topology.rep_rate_hz,
         seed=scenario.seed,
     )

@@ -22,8 +22,7 @@ N_DELAYS = 4
 # a global idle window that limits the switch drive rate to 500 kHz.
 AMPLIFIER_DEADTIME_S = 1e-7
 IDLE_TIME_S = 2e-6
-AMPLIFIER_CHAIN = DeadtimeChain((AMPLIFIER_DEADTIME_S, AMPLIFIER_DEADTIME_S))
-FULL_CHAIN = AMPLIFIER_CHAIN.extended(IDLE_TIME_S)
+FULL_CHAIN = DeadtimeChain((AMPLIFIER_DEADTIME_S, AMPLIFIER_DEADTIME_S, IDLE_TIME_S))
 
 # Measured pump power share per delay bin (pass 2 is additionally halved
 # by the uncoated crystal facets; that factor lives in the mux module).

@@ -72,8 +72,8 @@ class PulseTrainConfig:
     topology: MuxTopology
     reference_power_mw: float
     n_clock_cycles: int
-    deadtime_chain: DeadtimeChain = DeadtimeChain((1e-7, 1e-7))
-    idle_time_s: float = 2e-6
+    # Amplifiers, then the feed-forward idle window.
+    deadtime_chain: DeadtimeChain = DeadtimeChain((1e-7, 1e-7, 2e-6))
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -83,8 +83,6 @@ class PulseTrainConfig:
             )
         if self.reference_power_mw < 0.0:
             raise ConfigurationError("reference_power_mw must be >= 0")
-        if self.idle_time_s < 0.0:
-            raise ConfigurationError("idle_time_s must be >= 0")
         topo = self.topology
         slots = max(b.delay_id for b in topo.bins) + 1
         if slots * topo.bin_spacing_s >= 1.0 / topo.rep_rate_hz:
@@ -234,16 +232,8 @@ def route_bin(herald_bin: int, n_output_bins: int) -> Tuple[Tuple[int, ...], int
     return tuple(mask), n_output_bins - 1
 
 
-def _deadtime_cycles(duration_s: float, rep_rate_hz: float) -> int:
-    """Blocked clock cycles after an event that passes a deadtime stage."""
-    return int(round(duration_s * rep_rate_hz))
-
-
 def _accept_heralds(
-    candidate_cycles: np.ndarray,
-    rep_rate_hz: float,
-    chain: DeadtimeChain,
-    idle_time_s: float,
+    candidate_cycles: np.ndarray, rep_rate_hz: float, chain: DeadtimeChain
 ) -> np.ndarray:
     """Boolean acceptance per candidate after sequential refractory stages.
 
@@ -251,10 +241,8 @@ def _accept_heralds(
     not re-arm the stage that blocked it, so the chain is a cascade of
     non-paralyzable filters, each applied to the survivors of the one before.
     """
-    blocks = [_deadtime_cycles(d, rep_rate_hz) for d in chain.stages]
-    blocks.append(_deadtime_cycles(idle_time_s, rep_rate_hz))
     accepted = np.ones(candidate_cycles.size, dtype=bool)
-    for block in blocks:
+    for block in chain.blocks(rep_rate_hz):
         accepted[accepted] = _non_paralyzable(candidate_cycles[accepted], block)
     return accepted
 
@@ -367,12 +355,7 @@ def run_pulse_train(config: PulseTrainConfig) -> Tuple[EventTrace, RateReport]:
     heads = np.flatnonzero(np.diff(cyc, prepend=-1))
     candidate_cycles, candidate_bin = cyc[heads], own[heads]
     accepted = np.flatnonzero(
-        _accept_heralds(
-            candidate_cycles,
-            topo.rep_rate_hz,
-            config.deadtime_chain,
-            config.idle_time_s,
-        )
+        _accept_heralds(candidate_cycles, topo.rep_rate_hz, config.deadtime_chain)
     )
     sel = heads[accepted]
     t_acc, k_acc, back_only = cyc[sel], own[sel], ~idl[sel]

@@ -190,6 +190,8 @@ def fit_source(
     if np.any(ss_tot == 0.0):
         raise ValueError("observed values are all identical; R^2 undefined")
     weight = 1.0 / np.sqrt(3.0 * ss_tot)[:, None]
+    # ValueError now, not a diverged fit, for a chain the model cannot cover.
+    deadtime_chain.acceptance(0.0, rep_rate_hz)
 
     def params(x: np.ndarray) -> Tuple[float, float, float, float]:
         eta_i, eta_s, p_seed = np.exp(x[:3])

@@ -28,7 +28,7 @@ from .hsps import (
     xi_from_power,
 )
 from .report import RateReport
-from .saturation import DeadtimeChain, detected_from_true
+from .saturation import DeadtimeChain
 
 # Pump power reaching the second pass is roughly halved by the uncoated
 # crystal facets and extra filtering.
@@ -199,18 +199,14 @@ def saturated_rates(
     chain: DeadtimeChain,
 ) -> Tuple[ArrayLike, ArrayLike, ArrayLike]:
     """(trigger, coincidence, accidental) rates in Hz, broadcast over arrays
-    of per-cycle probabilities, with the deadtime chain thinning the
-    accepted-herald stream.
+    of per-cycle probabilities, each scaled by the chain's exact acceptance
+    of heralds that arrive with probability p_trig per cycle.
 
     Coincidences and accidentals only occur on accepted heralds, so they
-    are scaled by the same saturation factor as the trigger rate.
+    are scaled by the same acceptance as the trigger rate.
     """
-    r_trig_true = rep_rate_hz * p_trig
-    r_trig = detected_from_true(r_trig_true, chain)
-    factor = np.divide(
-        r_trig, r_trig_true, out=np.ones_like(r_trig_true), where=r_trig_true > 0.0
-    )
-    return r_trig, rep_rate_hz * p_c * factor, rep_rate_hz * p_a * factor
+    accepted = rep_rate_hz * chain.acceptance(p_trig, rep_rate_hz)
+    return p_trig * accepted, p_c * accepted, p_a * accepted
 
 
 def saturated_report(

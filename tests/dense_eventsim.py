@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from muxsim.eventsim import PulseTrainConfig, _deadtime_cycles, route_bin
+from muxsim.eventsim import PulseTrainConfig, route_bin
 from muxsim.hsps import p_trig_idler
 from muxsim.mux import bin_squeezing
 from muxsim.saturation import DeadtimeChain
@@ -69,11 +69,9 @@ def _accept_heralds(
     candidate_cycles: np.ndarray,
     rep_rate_hz: float,
     chain: DeadtimeChain,
-    idle_time_s: float,
 ) -> np.ndarray:
     """Boolean acceptance per candidate after sequential refractory stages."""
-    blocks = [_deadtime_cycles(d, rep_rate_hz) for d in chain.stages]
-    blocks.append(_deadtime_cycles(idle_time_s, rep_rate_hz))
+    blocks = chain.blocks(rep_rate_hz)
     next_free = [0] * len(blocks)
     accepted = np.zeros(candidate_cycles.shape[0], dtype=bool)
     for i, t in enumerate(candidate_cycles):
@@ -122,9 +120,7 @@ def run_dense_pulse_train(config: PulseTrainConfig) -> DenseTrace:
     first_bin = np.where(has_candidate, np.argmax(any_idler, axis=1), -1)
 
     candidates = np.flatnonzero(has_candidate)
-    accepted_mask = _accept_heralds(
-        candidates, topo.rep_rate_hz, config.deadtime_chain, config.idle_time_s
-    )
+    accepted_mask = _accept_heralds(candidates, topo.rep_rate_hz, config.deadtime_chain)
     accepted_cycles = candidates[accepted_mask]
     sel_bins = first_bin[accepted_cycles]
 

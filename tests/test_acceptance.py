@@ -34,14 +34,13 @@ from muxsim import (
 )
 from muxsim.cli import _model_rows, load_scenario, main
 from muxsim.defaults import (
-    AMPLIFIER_CHAIN,
     FULL_CHAIN,
-    IDLE_TIME_S,
     PASS1_SOURCES,
     PASS2_SOURCES,
     default_topology,
 )
 from muxsim.fitting import predict_rates
+from muxsim.mux import saturated_rates
 
 from conftest import mc_source_probs
 
@@ -101,9 +100,7 @@ def test_criterion_01_core_closed_forms_match_monte_carlo():
 def test_criterion_02_full_mux_simulation_matches_hybrid_model():
     topology = default_topology()
     n = 1_000_000
-    config = PulseTrainConfig(
-        topology, 5.0, n, AMPLIFIER_CHAIN, IDLE_TIME_S, rng_seed=12345
-    )
+    config = PulseTrainConfig(topology, 5.0, n, FULL_CHAIN, rng_seed=12345)
     trace, _ = run_pulse_train(config)
     analytic = saturated_report(evaluate_mux(topology, 5.0), 80e6, FULL_CHAIN)
     zs = []
@@ -121,6 +118,24 @@ def test_criterion_02_full_mux_simulation_matches_hybrid_model():
         "trig/coincidence/accidental z = "
         + ", ".join(f"{z:+.2f}" for z in zs)
         + f" at {n} cycles",
+    )
+
+
+def test_trigger_rate_matches_simulation_across_power_sweep():
+    # 1e8 cycles per power resolve the trigger rate to 0.2-0.5%, well inside
+    # the 3-7% by which the deadtime saturation changes it over this sweep.
+    topology = default_topology()
+    zs = []
+    for power in (5.0, 15.0, 25.0, 40.0):
+        config = PulseTrainConfig(topology, power, 10**8, FULL_CHAIN, rng_seed=12345)
+        _, report = run_pulse_train(config)
+        p_trig = evaluate_mux(topology, power).p_trig
+        analytic = saturated_rates(p_trig, 0.0, 0.0, 80e6, FULL_CHAIN)[0]
+        zs.append((report.r_trig_hz - analytic) / report.r_trig_err_hz)
+    _check(
+        "2 (power sweep)",
+        all(abs(z) < 3.0 for z in zs),
+        "r_trig z = " + ", ".join(f"{z:+.2f}" for z in zs) + " at 5, 15, 25, 40 mW",
     )
 
 
@@ -225,6 +240,39 @@ def test_criterion_06_fit_round_trips():
         f"noiseless worst err {worst_clean:.4f} (R2 >= {min_r2_clean:.4f}), "
         f"f err {worst_f:.4f}, noisy worst err {worst_noisy:.3f} "
         f"(R2 >= {min_r2_noisy:.4f}), {elapsed:.0f} s",
+    )
+
+
+def test_fit_recovers_simulated_source():
+    # Closed loop: one pass-1 bin (pump fraction 1, eta_sw 1) simulated at 12
+    # powers, 1e8 cycles each, then fitted.  Over 20 seed sets the parameter
+    # errors reached 8.2% and the trigger-rate scale eta_i / p_seed 1.6% with
+    # the exact saturation model; the stage-by-stage Poisson model put that
+    # scale 3.7-7.1% off on every one of them.
+    truth = PASS1_SOURCES[0]
+    topology = MuxTopology((MuxBin(1, 0, truth, 1.0, 1.0),), 80e6, 3e-9)
+    obs = []
+    for i, power in enumerate(np.linspace(2.0, 25.0, 12)):
+        config = PulseTrainConfig(topology, power, 10**8, FULL_CHAIN, rng_seed=100 + i)
+        _, report = run_pulse_train(config)
+        obs.append(
+            Observation(
+                power, report.r_trig_hz, report.r_coincidence_hz, report.r_accidental_hz
+            )
+        )
+    fitted = fit_source(obs, "pass1", FULL_CHAIN, seed=0).params
+    errors = [
+        fitted.eta_i / truth.eta_i - 1.0,
+        fitted.eta_s / truth.eta_s - 1.0,
+        fitted.p_seed_mw / truth.p_seed_mw - 1.0,
+    ]
+    scale = (fitted.eta_i / fitted.p_seed_mw) / (truth.eta_i / truth.p_seed_mw) - 1.0
+    _check(
+        "6 (closed loop)",
+        max(abs(e) for e in errors) < 0.10 and abs(scale) < 0.025,
+        "eta_i, eta_s, p_seed errors "
+        + ", ".join(f"{e:+.4f}" for e in errors)
+        + f" (bound 0.10), eta_i / p_seed error {scale:+.4f} (bound 0.025)",
     )
 
 

@@ -326,11 +326,18 @@ _PASS2_BIN = {
         '{"topology": {"eta_sw_mode": "other"}}',
         json.dumps({"topology": {"bins": [_PASS2_BIN]}}),
         json.dumps({"topology": {"bins": [{**_PASS2_BIN, "pass": 1, "eta_i": 1.5}]}}),
+        '{"topology": {"bins": 5}}',
+        # Amplifier blocks of 8 and 40 cycles rising to the 160-cycle window:
+        # three stages that can block, beyond the exact acceptance.
+        '{"deadtime_chain_s": [1e-7, 5e-7]}',
+        # An idle window of 8e7 cycles, past the renewal sum's table limit.
+        '{"idle_time_s": 1.0}',
     ],
 )
 def test_out_of_domain_scenario_values_rejected(tmp_path, capsys, text):
-    # Values the model types reject, and a topology without the pass-1 bins
-    # that MUX4 needs, fail at parse time like malformed ones.
+    # Values the model types reject, a topology without the pass-1 bins that
+    # MUX4 needs, and a chain the model cannot cover fail at parse time like
+    # malformed ones.
     test_non_finite_or_mistyped_scenario_values_rejected(
         tmp_path, capsys, "model", text
     )

@@ -19,7 +19,7 @@ from muxsim import (
     route_bin,
     run_pulse_train,
 )
-from muxsim.defaults import AMPLIFIER_CHAIN, IDLE_TIME_S, default_topology
+from muxsim.defaults import FULL_CHAIN, IDLE_TIME_S, default_topology
 from muxsim.eventsim import ConfigurationError, RoutingError, _accept_heralds
 
 import dense_eventsim
@@ -131,8 +131,7 @@ def test_idle_window_blocks_following_heralds():
         default_topology(),
         20.0,
         300_000,
-        deadtime_chain=AMPLIFIER_CHAIN,
-        idle_time_s=IDLE_TIME_S,
+        deadtime_chain=FULL_CHAIN,
         rng_seed=6,
     )
     trace, report = run_pulse_train(config)
@@ -148,7 +147,7 @@ def test_single_bin_matches_closed_forms():
     eta_i, eta_s, p_seed = 0.1, 0.05, 5.0
     topo = _single_bin_topology(eta_i, eta_s, p_seed, fraction=0.9)
     config = PulseTrainConfig(
-        topo, 8.0, 1_000_000, deadtime_chain=NO_DEADTIME, idle_time_s=0.0, rng_seed=42
+        topo, 8.0, 1_000_000, deadtime_chain=NO_DEADTIME, rng_seed=42
     )
     trace, _ = run_pulse_train(config)
     analytic = rates(SourceParams(eta_i, eta_s, p_seed), 8.0 * 0.9, 80e6)
@@ -165,7 +164,7 @@ def test_single_bin_matches_closed_forms():
 def test_pass2_bin_matches_closed_forms():
     topo = _single_bin_topology(0.2, 0.1, 5.0, eta_sw=0.7, fraction=0.8, f=0.5)
     config = PulseTrainConfig(
-        topo, 10.0, 1_000_000, deadtime_chain=NO_DEADTIME, idle_time_s=0.0, rng_seed=43
+        topo, 10.0, 1_000_000, deadtime_chain=NO_DEADTIME, rng_seed=43
     )
     trace, _ = run_pulse_train(config)
     probs = evaluate_mux(topo, 10.0)
@@ -200,7 +199,7 @@ def test_randomized_topologies_match_analytic_model():
         topo = MuxTopology(bins, 80e6, 3e-9)
         power = float(rng.uniform(2.0, 20.0))
         config = PulseTrainConfig(
-            topo, power, n, deadtime_chain=NO_DEADTIME, idle_time_s=0.0,
+            topo, power, n, deadtime_chain=NO_DEADTIME,
             rng_seed=1000 + case,
         )
         trace, _ = run_pulse_train(config)
@@ -220,10 +219,10 @@ def test_loss_splitting_is_distribution_identical():
     a = _single_bin_topology(0.2, 0.3, 5.0, eta_sw=1.0)
     b = _single_bin_topology(0.2, 0.6, 5.0, eta_sw=0.5)
     run_a, _ = run_pulse_train(
-        PulseTrainConfig(a, 8.0, n, deadtime_chain=NO_DEADTIME, idle_time_s=0.0, rng_seed=7)
+        PulseTrainConfig(a, 8.0, n, deadtime_chain=NO_DEADTIME, rng_seed=7)
     )
     run_b, _ = run_pulse_train(
-        PulseTrainConfig(b, 8.0, n, deadtime_chain=NO_DEADTIME, idle_time_s=0.0, rng_seed=8)
+        PulseTrainConfig(b, 8.0, n, deadtime_chain=NO_DEADTIME, rng_seed=8)
     )
     for field in ("signal_click", "accidental_click"):
         ca = int(getattr(run_a, field).sum())
@@ -240,7 +239,7 @@ def test_accidental_estimator_product_rule():
     topo = _single_bin_topology(0.2, 0.15, 5.0)
     n = 500_000
     config = PulseTrainConfig(
-        topo, 8.0, n, deadtime_chain=NO_DEADTIME, idle_time_s=0.0, rng_seed=21
+        topo, 8.0, n, deadtime_chain=NO_DEADTIME, rng_seed=21
     )
     trace, report = run_pulse_train(config)
     probs = evaluate_mux(topo, 8.0)
@@ -254,7 +253,7 @@ def test_accidental_estimator_product_rule():
 def test_accidental_estimator_zero_signal_transmission():
     topo = _single_bin_topology(0.2, 0.0, 5.0)
     config = PulseTrainConfig(
-        topo, 8.0, 50_000, deadtime_chain=NO_DEADTIME, idle_time_s=0.0, rng_seed=18
+        topo, 8.0, 50_000, deadtime_chain=NO_DEADTIME, rng_seed=18
     )
     _, report = run_pulse_train(config)
     assert report.r_accidental_hz == 0.0
@@ -272,7 +271,7 @@ def _pass2_bin_config(n, **settings):
     [
         lambda n: PulseTrainConfig(default_topology(), 5.0, n),
         lambda n: PulseTrainConfig(default_topology(), 40.0, n),
-        lambda n: _pass2_bin_config(n, deadtime_chain=NO_DEADTIME, idle_time_s=0.0),
+        lambda n: _pass2_bin_config(n, deadtime_chain=NO_DEADTIME),
         # The cycle after an accepted herald often holds a blocked idler
         # click, which raises that cycle's pair number for the accidental gate.
         _pass2_bin_config,
@@ -318,11 +317,11 @@ def test_acceptance_equals_sequential_rule():
         size = int(rng.integers(0, 300))
         cycles = np.sort(rng.integers(0, int(rng.integers(1, 5000)), size))
         stages = rng.integers(0, 20, rng.integers(0, 4))
-        chain = DeadtimeChain(tuple(float(d) for d in stages))
-        idle = float(rng.integers(0, 200))
+        idle = rng.integers(0, 200)
+        chain = DeadtimeChain(tuple(float(d) for d in stages) + (float(idle),))
         assert np.array_equal(
-            _accept_heralds(cycles, 1.0, chain, idle),
-            dense_eventsim._accept_heralds(cycles, 1.0, chain, idle),
+            _accept_heralds(cycles, 1.0, chain),
+            dense_eventsim._accept_heralds(cycles, 1.0, chain),
         )
 
 
@@ -345,7 +344,7 @@ def test_trace_csv_round_trip(tmp_path):
     "config",
     [
         PulseTrainConfig(default_topology(), 40.0, 20_000, rng_seed=12),
-        _pass2_bin_config(20_000, deadtime_chain=NO_DEADTIME, idle_time_s=0.0),
+        _pass2_bin_config(20_000, deadtime_chain=NO_DEADTIME),
     ],
     ids=["default-40mW", "pass2-bin-no-deadtime"],
 )

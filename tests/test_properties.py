@@ -90,7 +90,11 @@ _SCENARIO = st.fixed_dictionaries(
                 },
             ),
             st.fixed_dictionaries(
-                {"bins": st.lists(_BIN, max_size=4)},
+                {
+                    "bins": st.one_of(
+                        st.lists(_BIN, max_size=4), st.integers(), st.none(), _BIN
+                    )
+                },
                 optional={
                     "rep_rate_hz": _number(-1e6, 1e9),
                     "bin_spacing_ns": _number(-1.0, 10.0),

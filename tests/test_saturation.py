@@ -1,19 +1,15 @@
-"""Deadtime rate corrections: exactness, round-trips, and an MC oracle."""
+"""Deadtime chains: the exact renewal acceptance against a transfer-matrix
+oracle and the simulator's rule, and the Poisson rate corrections' exactness,
+round-trips and MC oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from muxsim import (
-    DeadtimeChain,
-    SourceParams,
-    detected_from_true,
-    effective_eta_i,
-    p_trig_idler,
-    true_from_detected,
-)
-from muxsim.saturation import ConsistencyError, SaturationError
+from muxsim import DeadtimeChain, detected_from_true, true_from_detected
+from muxsim.eventsim import _accept_heralds
+from muxsim.saturation import SaturationError
 
 
 def _refractory_sim(rate_hz, stages, t_total_s, seed):
@@ -108,46 +104,85 @@ def test_negative_rates_rejected():
         DeadtimeChain((-1e-9,))
 
 
-def test_chain_extension():
-    chain = DeadtimeChain((1e-7,)).extended(2e-6)
-    assert chain.stages == (1e-7, 2e-6)
+# --- exact acceptance of the simulator's rule -----------------------------------------
+
+def _transfer_matrix_rate(a, idle, p):
+    """Accepted heralds per cycle for a first stage of block a and a window of
+    block idle: the first stage's residual block r in 0..a after each cycle
+    of the window is a Markov chain started at r = a, and the next herald is
+    accepted p / (1 + p (idle + E[r])) of the cycles."""
+    step = np.zeros((a + 1, a + 1))
+    step[0, 0] = 1.0 - p
+    step[a, 0] += p
+    for r in range(1, a + 1):
+        step[r - 1, r] = 1.0
+    residual = np.linalg.matrix_power(step, idle)[:, a]
+    return p / (1.0 + p * (idle + np.arange(a + 1) @ residual))
 
 
-def test_effective_eta_identity_cases():
-    source = SourceParams(0.015, 0.0019, 5.2)
-    assert effective_eta_i(source, 0.3, 80e6, DeadtimeChain(())) == pytest.approx(
-        source.eta_i, abs=1e-15
-    )
-    assert effective_eta_i(source, 0.0, 80e6, DeadtimeChain((2e-6,))) == source.eta_i
+def test_two_stage_rate_matches_transfer_matrix():
+    rng = np.random.default_rng(60)
+    cases = [(8, 160, 0.0), (8, 160, 1.0), (1, 2, 1.0), (15, 300, 0.999)]
+    for _ in range(200):
+        a = int(rng.integers(1, 17))
+        cases.append((a, int(rng.integers(a + 1, 320)), float(10 ** rng.uniform(-9, 0))))
+    for a, idle, p in cases:
+        chain = DeadtimeChain((float(a), float(idle)))
+        rate = p * float(chain.acceptance(p, 1.0))
+        assert rate == pytest.approx(_transfer_matrix_rate(a, idle, p), rel=1e-12, abs=0.0)
 
 
-def test_effective_eta_low_rate_limit():
-    # At a low trigger rate, d*T << 1 and the effective transmission is
-    # within 0.1% of the bare one.
-    source = SourceParams(0.015, 0.0019, 5.2)
-    chain = DeadtimeChain((1e-7,))
-    eta = effective_eta_i(source, 0.05, 80e6, chain)
-    assert eta == pytest.approx(source.eta_i, rel=1e-3)
-    assert eta <= source.eta_i
+def test_one_stage_chain_is_the_poisson_formula():
+    rep = 80e6
+    rng = np.random.default_rng(61)
+    for block in (1, 8, 160, 1000):
+        chain = DeadtimeChain((block / rep,))
+        p = np.concatenate([[0.0, 1.0], 10 ** rng.uniform(-9, 0, 50)])
+        np.testing.assert_allclose(
+            rep * p * chain.acceptance(p, rep),
+            detected_from_true(rep * p, chain),
+            rtol=1e-12,
+        )
 
 
-def test_effective_eta_reproduces_saturated_probability():
-    source = SourceParams(0.2, 0.0019, 5.2)
+def test_stage_no_longer_than_an_earlier_one_changes_nothing():
+    rng = np.random.default_rng(62)
+    p = np.concatenate([[0.0, 1.0], 10 ** rng.uniform(-6, 0, 20)])
+    cycles = np.flatnonzero(rng.random(200_000) < 0.05)
+    for _ in range(30):
+        a = int(rng.integers(1, 20))
+        idle = int(rng.integers(a + 1, 300))
+        base = (float(a), float(idle))
+        at = int(rng.integers(1, 3))
+        dominated = float(rng.integers(0, max(base[:at]) + 1))
+        longer = DeadtimeChain(base[:at] + (dominated,) + base[at:])
+        base = DeadtimeChain(base)
+        assert np.array_equal(longer.acceptance(p, 1.0), base.acceptance(p, 1.0))
+        # The simulator's cascade agrees that the inserted stage never blocks.
+        assert np.array_equal(
+            _accept_heralds(cycles, 1.0, longer), _accept_heralds(cycles, 1.0, base)
+        )
+
+
+def test_acceptance_matches_the_simulators_rule():
+    # Bernoulli(p) candidates through the default chain at 80 MHz; a renewal
+    # count is less dispersed than a Poisson one, so sqrt(expected) is a
+    # conservative standard error.
+    rng = np.random.default_rng(63)
     chain = DeadtimeChain((1e-7, 1e-7, 2e-6))
-    xi = 0.4
-    eta_eff = effective_eta_i(source, xi, 80e6, chain)
-    p_sat = detected_from_true(
-        p_trig_idler(xi, source.eta_i) * 80e6, chain
-    ) / 80e6
-    assert p_trig_idler(xi, eta_eff) == pytest.approx(p_sat, abs=1e-12)
-    assert eta_eff < source.eta_i
+    for p, n in ((2.7e-3, 20_000_000), (2.3e-2, 5_000_000), (0.3, 2_000_000)):
+        cycles = np.cumsum(rng.geometric(p, int(1.1 * n * p) + 100)) - 1
+        cycles = cycles[cycles < n]
+        accepted = int(_accept_heralds(cycles, 80e6, chain).sum())
+        expected = n * p * float(chain.acceptance(p, 80e6))
+        assert abs(accepted - expected) < 4.0 * math.sqrt(expected)
 
 
-def test_effective_eta_rejects_bad_rep_rate():
-    source = SourceParams(0.2, 0.0019, 5.2)
+def test_chains_beyond_the_exact_acceptance_are_rejected():
     with pytest.raises(ValueError):
-        effective_eta_i(source, 0.4, 0.0, DeadtimeChain(()))
-
-
-def test_consistency_error_type_exists():
-    assert issubclass(ConsistencyError, ValueError)
+        DeadtimeChain((1e-7, 5e-7, 2e-6)).acceptance(0.01, 80e6)
+    assert DeadtimeChain((5e-7, 1e-7, 2e-6)).acceptance(0.0, 80e6) == 1.0
+    with pytest.raises(ValueError):
+        DeadtimeChain((1e-7, 1.0)).acceptance(0.01, 80e6)
+    # One stage needs no table, however long it is.
+    assert DeadtimeChain((1.0,)).acceptance(0.5, 80e6) == 1.0 / (1.0 + 4e7)
