@@ -12,17 +12,12 @@ from typing import Dict
 from .eventsim import route_bin
 from .hsps import SourceParams
 from .mux import MEMS_ASYMMETRY, MuxBin, MuxTopology
-from .saturation import DeadtimeChain
+# Re-exported: the default electronics live in saturation, free of cycles.
+from .saturation import AMPLIFIER_DEADTIME_S, FULL_CHAIN, IDLE_TIME_S  # noqa: F401
 
 REP_RATE_HZ = 80e6
 BIN_SPACING_S = 3e-9
 N_DELAYS = 4
-
-# Electronics: two pulse amplifiers ahead of the feed-forward logic, then
-# a global idle window that limits the switch drive rate to 500 kHz.
-AMPLIFIER_DEADTIME_S = 1e-7
-IDLE_TIME_S = 2e-6
-FULL_CHAIN = DeadtimeChain((AMPLIFIER_DEADTIME_S, AMPLIFIER_DEADTIME_S, IDLE_TIME_S))
 
 # Measured pump power share per delay bin (pass 2 is additionally halved
 # by the uncoated crystal facets; that factor lives in the mux module).

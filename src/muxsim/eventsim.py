@@ -50,7 +50,7 @@ import numpy as np
 from .hsps import p_trig_idler
 from .mux import MuxTopology, bin_squeezing
 from .report import RateReport
-from .saturation import DeadtimeChain
+from .saturation import FULL_CHAIN, DeadtimeChain
 
 
 class RoutingError(ValueError):
@@ -72,8 +72,7 @@ class PulseTrainConfig:
     topology: MuxTopology
     reference_power_mw: float
     n_clock_cycles: int
-    # Amplifiers, then the feed-forward idle window.
-    deadtime_chain: DeadtimeChain = DeadtimeChain((1e-7, 1e-7, 2e-6))
+    deadtime_chain: DeadtimeChain = FULL_CHAIN
     rng_seed: int = 0
 
     def __post_init__(self):

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.stats import qmc
 
 from .hsps import (
     SourceParams,
@@ -122,6 +120,16 @@ def _standard_errors(jac: np.ndarray, cost: float) -> np.ndarray:
     return np.sqrt(np.where(var >= 0.0, var, np.inf))
 
 
+def _latin_hypercube(n: int, bounds: np.ndarray, seed: int) -> np.ndarray:
+    """n points in the box bounds = (lower, upper), one per n-th of each axis:
+    qmc.scale(qmc.LatinHypercube(d, seed=seed).random(n), *bounds), bit for bit."""
+    lower, upper = bounds
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(size=(n, lower.size))
+    perms = np.array([rng.permutation(n) + 1 for _ in lower])
+    return (perms.T - jitter) / n * (upper - lower) + lower
+
+
 def _heuristic_start(
     powers: np.ndarray,
     r_trig: np.ndarray,
@@ -214,14 +222,14 @@ def fit_source(
     if with_f:
         bounds = np.column_stack([bounds, F_BOUNDS])
 
-    # Latin-hypercube starts (log-spaced for the scale parameters) plus a
-    # moment-based heuristic start.
-    sampler = qmc.LatinHypercube(d=bounds.shape[1], seed=seed)
-    starts = list(qmc.scale(sampler.random(n_starts), *bounds))
+    # Latin-hypercube starts drawn with numpy alone (log-spaced for the scale
+    # parameters) plus a moment-based heuristic start.
+    starts = list(_latin_hypercube(n_starts, bounds, seed))
     starts.append(
         _heuristic_start(powers, *observed, rep_rate_hz, deadtime_chain, with_f)
     )
 
+    from scipy.optimize import least_squares  # only fits pay its import
     best = None
     for x0 in starts:
         res = least_squares(residuals, x0, bounds=bounds, method="trf", x_scale="jac")

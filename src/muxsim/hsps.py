@@ -14,12 +14,10 @@ the heralded signal statistics; every rate model reads its five columns.
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.optimize import brentq
 
 from .report import RateReport
 
@@ -103,21 +101,15 @@ class EmissionProbs:
             raise ValueError("p_single + p_multi exceeds 1")
 
 
-@cache
 def seed_squeezing() -> float:
     """Squeezing amplitude at which the single-pair probability is 0.1.
 
-    Root of (1 - xi^2) * xi^2 = 0.1 on (0, 1/sqrt(2)), found numerically
-    (solver-limited precision rather than a hard-coded constant), once per
-    process.
+    Root of (1 - xi^2) * xi^2 = 0.1 on (0, 1/sqrt(2)): the smaller root of
+    the quadratic in xi^2, written as xi^2 = 2 p / (1 + sqrt(1 - 4 p)) so
+    that no difference of close terms loses digits.
     """
-    return brentq(
-        lambda x: (1.0 - x * x) * x * x - P_PAIR_REFERENCE,
-        1e-6,
-        1.0 / math.sqrt(2.0) - 1e-12,
-        xtol=1e-14,
-        rtol=8.9e-16,
-    )
+    p = P_PAIR_REFERENCE
+    return math.sqrt(2.0 * p / (1.0 + math.sqrt(1.0 - 4.0 * p)))
 
 
 def calibrate_coupling(p_seed_mw: float) -> float:

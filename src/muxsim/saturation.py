@@ -75,6 +75,12 @@ class DeadtimeChain:
         return 1.0 / (1.0 + p * (rising[1] + terms.sum(-1)))
 
 
+# Default electronics: two pulse amplifiers, then the 2 us (500 kHz) idle window.
+AMPLIFIER_DEADTIME_S = 1e-7
+IDLE_TIME_S = 2e-6
+FULL_CHAIN = DeadtimeChain((AMPLIFIER_DEADTIME_S, AMPLIFIER_DEADTIME_S, IDLE_TIME_S))
+
+
 @functools.lru_cache(maxsize=64)
 def _renewal_law(chain: DeadtimeChain, rep_rate_hz: float) -> tuple:
     """The rising blocks of a chain and, for two, the terms of E[r]: their

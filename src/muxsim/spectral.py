@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
@@ -88,6 +87,7 @@ def fit_gaussian(
         )
         return model - counts
 
+    from scipy.optimize import least_squares  # only fits pay its import
     x0 = np.array([center0, math.log(sigma0), math.log(max(amp0, 1e-300))])
     # Tolerances below the defaults put gamma within ~1e-9 of the fully
     # converged optimum, for about a millisecond per spectrum.

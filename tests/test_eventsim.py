@@ -126,6 +126,12 @@ def test_output_confined_to_accepted_cycles():
     assert np.all(trace.loop_mask[trace.accepted] >= 0)
 
 
+def test_default_chain_is_the_default_electronics():
+    config = PulseTrainConfig(default_topology(), 5.0, 1000)
+    assert config.deadtime_chain == FULL_CHAIN
+    assert FULL_CHAIN.blocks(80e6) == (8, 8, 160)
+
+
 def test_idle_window_blocks_following_heralds():
     config = PulseTrainConfig(
         default_topology(),

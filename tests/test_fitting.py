@@ -6,7 +6,11 @@ import pytest
 from muxsim import DeadtimeChain, FitResult, Observation, fit_all, fit_source, r_squared
 from muxsim.defaults import FULL_CHAIN, PASS1_SOURCES, PASS2_SOURCES
 from muxsim.fitting import (
+    ETA_BOUNDS,
+    F_BOUNDS,
+    P_SEED_BOUNDS,
     ObservationsParseError,
+    _latin_hypercube,
     load_observations_csv,
     predict_rates,
     write_fit_table_csv,
@@ -22,6 +26,27 @@ def _synthetic(truth, powers, chain, rep_rate_hz=80e6):
     return [
         Observation(p, t, cc, aa) for p, t, cc, aa in zip(powers, trig, c, a)
     ]
+
+
+# --- starts ------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_latin_hypercube_matches_scipy_qmc(d):
+    """The numpy starts are scipy's Latin-hypercube draws, bit for bit, so a
+    seed gives the same fit starts as the scipy sampler did."""
+    from scipy.stats import qmc
+
+    bounds = np.log([ETA_BOUNDS, ETA_BOUNDS, P_SEED_BOUNDS]).T
+    if d == 4:
+        bounds = np.column_stack([bounds, F_BOUNDS])
+    for n in (4, 6, 16):
+        for seed in range(10):
+            expected = qmc.scale(qmc.LatinHypercube(d, seed=seed).random(n), *bounds)
+            starts = _latin_hypercube(n, bounds, seed)
+            assert np.array_equal(starts, expected), (n, seed)
+            # one start in each n-th of every axis
+            slices = np.floor((starts - bounds[0]) / (bounds[1] - bounds[0]) * n)
+            assert all(sorted(col) == list(range(n)) for col in slices.T)
 
 
 # --- R^2 ---------------------------------------------------------------------

@@ -31,9 +31,22 @@ XI_SEED_FROZEN = 0.33571068701972884  # root of (1 - x^2) x^2 = 0.1
 # --- calibration --------------------------------------------------------------
 
 def test_seed_squeezing_anchor():
+    from scipy.optimize import brentq
+
     xi = seed_squeezing()
     assert xi == pytest.approx(XI_SEED_FROZEN, abs=1e-12)
     assert (1.0 - xi * xi) * xi * xi == pytest.approx(0.1, abs=1e-12)
+    # The closed form solves the equation to round-off and lies within one
+    # ulp of a bracketing solver's root.
+    assert abs((1.0 - xi * xi) * xi * xi - 0.1) <= 4.0 * np.finfo(float).eps
+    root = brentq(
+        lambda x: (1.0 - x * x) * x * x - 0.1,
+        1e-6,
+        1.0 / math.sqrt(2.0) - 1e-12,
+        xtol=1e-14,
+        rtol=8.9e-16,
+    )
+    assert abs(xi - root) <= math.ulp(root)
 
 
 def test_calibrate_coupling_reference_power():
