@@ -41,6 +41,7 @@ The generator is counter-based (Philox), so a fixed seed gives a
 bit-identical trace.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -95,14 +96,14 @@ class PulseTrainConfig:
 
 # Most geometric gaps drawn per block when skipping ahead to candidate cycles.
 _GAP_BLOCK = 1 << 16
-# Quiet cycles formatted per write when exporting a trace.
-_CSV_BLOCK = 1 << 16
 _CSV_HEADER = (
     "cycle,herald_bin,accepted,back_reflection,loop_mask,"
     "photons_out,signal_click,accidental_click\n"
 )
 _QUIET_TAIL = ",-1,0,0,-1,0,0,0\n"  # every column after the cycle number
 _CANDIDATE_ROW = "{},{},{},{},{},{},{},{}\n".format
+# Last three digits of the cycle numbers in one thousand-block.
+_SUFFIXES = [f"{i:03d}" for i in range(1000)]
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,15 @@ class EventTrace:
         return self._per_cycle(self.accepted_accidental, False, bool)
 
     def to_csv(self, path) -> None:
-        """One row per clock cycle; quiet cycles are written in bulk."""
+        """One row per clock cycle.
+
+        Candidate cycles are formatted one by one.  The quiet rows between
+        them differ only in the cycle number, so from cycle 1000 on they are
+        cut from the text of their thousand-block (cycles 1000 k to
+        1000 k + 999), built by one join of str(k) over the suffixes "000"
+        to "999".  Every row of a block has the same width, so a run of
+        quiet cycles inside it is one slice of that text.
+        """
         # Columns after herald_bin, one entry per candidate cycle.
         cols = np.zeros((6, self.candidate_cycles.size), dtype=np.int64)
         cols[2] = -1
@@ -198,9 +207,24 @@ class EventTrace:
 
 def _write_quiet_rows(fh, start: int, stop: int) -> None:
     """Rows of the cycles in [start, stop), none of which holds a candidate."""
-    for first in range(start, stop, _CSV_BLOCK):
-        last = min(first + _CSV_BLOCK, stop)
-        fh.write(_QUIET_TAIL.join(map(str, range(first, last))) + _QUIET_TAIL)
+    if start < min(stop, 1000):  # rows of cycles 0-999 differ in width
+        head = range(start, min(stop, 1000))
+        fh.write(_QUIET_TAIL.join(map(str, head)) + _QUIET_TAIL)
+        start = head.stop
+    while start < stop:
+        block, first = divmod(start, 1000)
+        last = min(stop - 1000 * block, 1000)
+        text = _quiet_block(block)
+        width = len(text) // 1000
+        fh.write(text[first * width:last * width])
+        start += last - first
+
+
+@functools.lru_cache(maxsize=1)
+def _quiet_block(block: int) -> str:
+    """Quiet rows of the cycles 1000 block to 1000 block + 999, block >= 1."""
+    prefix = str(block)
+    return prefix + (_QUIET_TAIL + prefix).join(_SUFFIXES) + _QUIET_TAIL
 
 
 def route_bin(herald_bin: int, n_output_bins: int) -> Tuple[Tuple[int, ...], int]:

@@ -44,9 +44,10 @@ class Observation:
     r_a_hz: float
 
     def __post_init__(self):
-        for name in ("r_trig_hz", "r_c_hz", "r_a_hz"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+        for name in ("reference_power_mw", "r_trig_hz", "r_c_hz", "r_a_hz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,8 @@ def predict_rates(
     chain: DeadtimeChain,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Model (trigger, coincidence, accidental) rates over a power sweep,
-    saturated by the deadtime chain."""
+    saturated by the deadtime chain.  The four parameters may be (k, 1)
+    columns, giving (k, n_powers) rates for k parameter points at once."""
     xi = xi_from_power(calibrate_coupling(p_seed_mw), np.asarray(powers_mw, float))
     p = source_probs(xi, eta_i, eta_s, f)
     return saturated_rates(p.p_trig, p.p_c, p.p_a, rep_rate_hz, chain)
@@ -201,22 +203,32 @@ def fit_source(
     # ValueError now, not a diverged fit, for a chain the model cannot cover.
     deadtime_chain.acceptance(0.0, rep_rate_hz)
 
-    def params(x: np.ndarray) -> Tuple[float, float, float, float]:
-        eta_i, eta_s, p_seed = np.exp(x[:3])
-        return eta_i, eta_s, p_seed, (x[3] if with_f else 0.0)
+    def params(x: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """(eta_i, eta_s, p_seed, f) of the points along the last axis of x."""
+        eta_i, eta_s, p_seed = np.moveaxis(np.exp(x[..., :3]), -1, 0)
+        return eta_i, eta_s, p_seed, (x[..., 3] if with_f else 0.0)
 
-    def residuals(x: np.ndarray) -> np.ndarray:
+    def batch(xs: np.ndarray) -> np.ndarray:
+        """Residuals of the k points in the rows of xs, as (k, 3 n) rows, from
+        one model call; a batch the model rejects is evaluated row by row, so
+        only its bad points get FAILED_RESIDUAL."""
         try:
             pred = np.stack(
-                predict_rates(*params(x), powers, rep_rate_hz, deadtime_chain)
+                predict_rates(*params(xs[:, None]), powers, rep_rate_hz, deadtime_chain),
+                axis=1,
             )
         except (ValueError, ArithmeticError):
-            return np.full(target.size, FAILED_RESIDUAL)
-        if log_space:
-            if np.any(pred <= 0.0):
-                return np.full(target.size, FAILED_RESIDUAL)
-            pred = np.log(pred)
-        return ((pred - target) * weight).ravel()
+            if len(xs) == 1:
+                return np.full((1, target.size), FAILED_RESIDUAL)
+            return np.concatenate([batch(x[None]) for x in xs])
+        out = np.full((len(xs), target.size), FAILED_RESIDUAL)
+        ok = ~np.any(pred <= 0.0, axis=(1, 2)) if log_space else slice(None)
+        fitted = np.log(pred[ok]) if log_space else pred
+        out[ok] = ((fitted - target) * weight).reshape(-1, target.size)
+        return out
+
+    def residuals(x: np.ndarray) -> np.ndarray:
+        return batch(x[None])[0]
 
     bounds = np.log([ETA_BOUNDS, ETA_BOUNDS, P_SEED_BOUNDS]).T
     if with_f:
@@ -232,7 +244,11 @@ def fit_source(
     from scipy.optimize import least_squares  # only fits pay its import
     best = None
     for x0 in starts:
-        res = least_squares(residuals, x0, bounds=bounds, method="trf", x_scale="jac")
+        res = least_squares(
+            residuals, x0, bounds=bounds, method="trf", x_scale="jac",
+            # one batch call per finite-difference Jacobian
+            workers=lambda _fun, xs: list(batch(np.array(list(xs)))),
+        )
         if best is None or res.cost < best.cost:
             best = res
     if best.cost >= 0.5 * target.size * FAILED_RESIDUAL**2:

@@ -112,11 +112,12 @@ def seed_squeezing() -> float:
     return math.sqrt(2.0 * p / (1.0 + math.sqrt(1.0 - 4.0 * p)))
 
 
-def calibrate_coupling(p_seed_mw: float) -> float:
-    """Coupling constant c (mW^-1/2) such that xi(p_seed_mw) = xi_seed."""
-    if p_seed_mw <= 0.0:
+def calibrate_coupling(p_seed_mw: ArrayLike) -> ArrayLike:
+    """Coupling constant c (mW^-1/2) such that xi(p_seed_mw) = xi_seed,
+    broadcast over an array of p_seed_mw."""
+    if np.count_nonzero(p_seed_mw <= 0.0):
         raise ValueError(f"p_seed_mw must be > 0, got {p_seed_mw}")
-    return math.atanh(seed_squeezing()) / math.sqrt(p_seed_mw)
+    return math.atanh(seed_squeezing()) / np.sqrt(p_seed_mw)
 
 
 def squeezing_from_power(c: float, p_mw: float) -> SqueezingPoint:

@@ -238,6 +238,23 @@ def test_fit_requires_observations(tmp_path, capsys):
     assert "observations" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "row",
+    ["8.0,nan,1000.0,10.0", "8.0,inf,1000.0,10.0", "nan,1e5,1000.0,10.0", "-1.0,1e5,1000.0,10.0"],
+    ids=["nan-rate", "inf-rate", "nan-power", "negative-power"],
+)
+def test_fit_rejects_non_finite_or_negative_observation(tmp_path, capsys, row):
+    obs_path = tmp_path / "obs.csv"
+    good = [f"{p},{p * 1e4},{p * 100},{p * p}" for p in (2.0, 4.0, 6.0)]
+    obs_path.write_text("\n".join(["power_mw,r_trig,r_c,r_a", *good, row]) + "\n")
+    out = tmp_path / "o"
+    assert main(["fit", "--observations", str(obs_path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ObservationsParseError"
+    assert "line 5" in err["detail"]
+    assert not (out / "fit_results.csv").exists()
+
+
 # --- spectra -------------------------------------------------------------------------
 
 def _write_spectrum(path, model, n=60):

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from muxsim import (
     DeadtimeChain,
@@ -20,7 +21,7 @@ from muxsim import (
     run_pulse_train,
 )
 from muxsim.defaults import FULL_CHAIN, IDLE_TIME_S, default_topology
-from muxsim.eventsim import ConfigurationError, RoutingError, _accept_heralds
+from muxsim.eventsim import ConfigurationError, EventTrace, RoutingError, _accept_heralds
 
 import dense_eventsim
 
@@ -373,3 +374,87 @@ def test_trace_csv_matches_row_by_row_writer(tmp_path, config):
     dense.to_csv(tmp_path / "dense.csv")
     sparse_bytes = (tmp_path / "sparse.csv").read_bytes()
     assert sparse_bytes == (tmp_path / "dense.csv").read_bytes()
+
+
+def _built_trace(n_cycles, cycles):
+    """A trace holding candidates at `cycles`; every other one is accepted,
+    with outcomes drawn from a fixed stream."""
+    cycles = np.array(sorted(cycles), dtype=np.int64)
+    rng = np.random.default_rng(cycles.size)
+    accepted = np.arange(0, cycles.size, 2)
+    k = accepted.size
+    return EventTrace(
+        rep_rate_hz=80e6,
+        n_cycles=n_cycles,
+        candidate_cycles=cycles,
+        candidate_bin=rng.integers(0, 8, cycles.size).astype(np.int16),
+        accepted_index=accepted,
+        accepted_loop_mask=rng.integers(0, 8, k).astype(np.int8),
+        accepted_photons=rng.integers(0, 3, k).astype(np.int32),
+        accepted_accidental=rng.random(k) < 0.3,
+        accepted_back=rng.random(k) < 0.3,
+    )
+
+
+def _plain_csv(trace) -> bytes:
+    """The trace CSV formatted one row at a time."""
+    rows = dict.fromkeys(range(trace.n_cycles), "-1,0,0,-1,0,0,0")
+    for cycle, bin_ in zip(trace.candidate_cycles.tolist(), trace.candidate_bin.tolist()):
+        rows[cycle] = f"{bin_},0,0,-1,0,0,0"
+    for j, i in enumerate(trace.accepted_index.tolist()):
+        cycle = int(trace.candidate_cycles[i])
+        photons = int(trace.accepted_photons[j])
+        rows[cycle] = (
+            f"{trace.candidate_bin[i]},1,{int(trace.accepted_back[j])},"
+            f"{trace.accepted_loop_mask[j]},{photons},{int(photons >= 1)},"
+            f"{int(trace.accepted_accidental[j])}"
+        )
+    header = (
+        "cycle,herald_bin,accepted,back_reflection,loop_mask,"
+        "photons_out,signal_click,accidental_click\n"
+    )
+    return (header + "".join(f"{c},{row}\n" for c, row in rows.items())).encode()
+
+
+def _assert_plain(tmp_path, trace):
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    assert path.read_bytes() == _plain_csv(trace)
+
+
+@pytest.mark.parametrize(
+    "n_cycles, cycles",
+    [
+        (1, []),
+        (999, []),
+        (1000, []),
+        (1001, []),
+        (1, [0]),
+        (999, [0, 998]),
+        (1000, [0, 999]),
+        (1001, [0, 1000]),
+        (3000, [998, 1001, 1999, 2000]),
+        (12_000, [5, 9998, 10_001]),
+        (101_000, [99_000, 100_500]),
+        (250_000, [0, 1, 2, 999, 1000, 2999, 3000, 249_999]),
+    ],
+)
+def test_trace_csv_edges_match_plain_writer(tmp_path, n_cycles, cycles):
+    # Quiet runs that start, end or cross at 0, at the ends of the trace, and
+    # at the widths' steps 999/1000, 9999/10000 and 99 999/100 000.
+    _assert_plain(tmp_path, _built_trace(n_cycles, cycles))
+
+
+def test_trace_csv_past_a_million_cycles_matches_plain_writer(tmp_path):
+    # Cycle numbers gain a seventh digit at 1 000 000.
+    cycles = [999_998, 999_999, 1_000_000, 1_000_001, 1_000_499]
+    _assert_plain(tmp_path, _built_trace(1_000_500, cycles))
+
+
+@settings(deadline=None)
+@given(data=st.data(), n_cycles=st.integers(1, 25_000))
+def test_trace_csv_matches_plain_writer_for_drawn_candidates(
+    tmp_path_factory, data, n_cycles
+):
+    cycles = data.draw(st.sets(st.integers(0, n_cycles - 1), max_size=60))
+    _assert_plain(tmp_path_factory.mktemp("trace"), _built_trace(n_cycles, cycles))

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from muxsim import DeadtimeChain, FitResult, Observation, fit_all, fit_source, r_squared
+from muxsim import DeadtimeChain, FitResult, Observation, fit_all, fit_source, fitting, r_squared
 from muxsim.defaults import FULL_CHAIN, PASS1_SOURCES, PASS2_SOURCES
 from muxsim.fitting import (
     ETA_BOUNDS,
     F_BOUNDS,
+    FAILED_RESIDUAL,
     P_SEED_BOUNDS,
     ObservationsParseError,
     _latin_hypercube,
@@ -183,13 +184,21 @@ def test_r2_mean_is_one_minus_twice_the_least_squares_cost():
     assert np.mean(channels) == pytest.approx(result.r2_mean, abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "kind, sources", [("pass1", PASS1_SOURCES), ("pass2", PASS2_SOURCES)]
-)
-def test_noisy_fits_reach_the_truths_r2_and_recover_eta_i(kind, sources):
+def _noisy_draws(kind, sources):
+    """Six seeded noisy sweeps of the default sources: (truth, observations)."""
     for draw in range(6):
         truth = _truth(sources[draw % len(sources)])
-        obs = _noisy(truth, np.random.default_rng([draw, kind == "pass2"]))
+        yield truth, _noisy(truth, np.random.default_rng([draw, kind == "pass2"]))
+
+
+PASSES = pytest.mark.parametrize(
+    "kind, sources", [("pass1", PASS1_SOURCES), ("pass2", PASS2_SOURCES)]
+)
+
+
+@PASSES
+def test_noisy_fits_reach_the_truths_r2_and_recover_eta_i(kind, sources):
+    for truth, obs in _noisy_draws(kind, sources):
         result = fit_source(obs, kind, FULL_CHAIN, seed=0)
         pred, observed = _log_channels(truth, obs)
         r2_truth = np.mean([r_squared(p, o) for p, o in zip(pred, observed)])
@@ -199,6 +208,60 @@ def test_noisy_fits_reach_the_truths_r2_and_recover_eta_i(kind, sources):
             # f trades off against eta_s and p_seed within the noise, eta_i
             # does not
             assert result.rel_se_f > result.rel_se_eta_i
+
+
+def _least_squares_calls(monkeypatch, keep_workers=True):
+    """Record the arguments fit_source hands to scipy's least_squares; with
+    keep_workers False, drop its batched Jacobian map before the call."""
+    import scipy.optimize
+
+    calls = []
+    real = scipy.optimize.least_squares
+
+    def spy(fun, x0, **kwargs):
+        calls.append(dict(kwargs, fun=fun))
+        if not keep_workers:
+            del kwargs["workers"]
+        return real(fun, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    return calls
+
+
+@PASSES
+def test_batched_residuals_equal_single_calls(monkeypatch, kind, sources):
+    calls = _least_squares_calls(monkeypatch)
+    obs = next(_noisy_draws(kind, sources))[1]
+    fit_source(obs, kind, FULL_CHAIN, seed=0, n_starts=1)
+    residuals, batch_map = calls[0]["fun"], calls[0]["workers"]
+    lower, upper = calls[0]["bounds"]
+    points = np.random.default_rng(3).uniform(lower, upper, (6, lower.size))
+    singles = [residuals(x) for x in points]
+    # A batch the model accepts takes one model call...
+    model_calls = []
+    monkeypatch.setattr(
+        fitting, "predict_rates", lambda *a: model_calls.append(a) or predict_rates(*a)
+    )
+    rows = batch_map(residuals, iter(points))
+    assert len(model_calls) == 1 and len(rows) == len(points)
+    assert all(np.array_equal(r, s) for r, s in zip(rows, singles))
+    assert not any((s == FAILED_RESIDUAL).any() for s in singles)
+    # ...and a batch holding points the model rejects (eta_i = e > 1) or
+    # that predict no coincidences (eta_s = 0) fails those rows alone.
+    points[2, 0] = 1.0
+    points[4, 1] = -np.inf
+    rows = batch_map(residuals, iter(points))
+    for i, (row, x) in enumerate(zip(rows, points)):
+        assert np.array_equal(row, residuals(x))
+        assert (row == FAILED_RESIDUAL).all() == (i in (2, 4))
+
+
+@PASSES
+def test_batched_jacobians_leave_fits_unchanged(monkeypatch, kind, sources):
+    draws = [obs for _, obs in _noisy_draws(kind, sources)]
+    batched = [fit_source(obs, kind, FULL_CHAIN, seed=0) for obs in draws]
+    _least_squares_calls(monkeypatch, keep_workers=False)
+    assert [fit_source(obs, kind, FULL_CHAIN, seed=0) for obs in draws] == batched
 
 
 def test_noiseless_standard_errors_vanish():

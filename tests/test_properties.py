@@ -1,5 +1,5 @@
 """Properties over generated inputs: per-pulse probabilities, the saturation
-round trip, and the scenario parser."""
+round trip, and the scenario and observations parsers."""
 
 import json
 import math
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from muxsim.cli import ScenarioError, _model_rows, load_scenario
+from muxsim.fitting import ObservationsParseError, load_observations_csv
 from muxsim.hsps import source_probs
 from muxsim.saturation import DeadtimeChain, detected_from_true, true_from_detected
 
@@ -15,8 +16,16 @@ UNIT = st.floats(0.0, 1.0)
 XI = st.floats(0.0, 0.95)
 
 
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
 def _number(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _input(lo, hi):
+    """A value of an input file: finite in [lo, hi], or not finite."""
+    return _number(lo, hi) | NON_FINITE
 
 
 # --- closed forms ----------------------------------------------------------------
@@ -61,13 +70,13 @@ _BIN = st.fixed_dictionaries(
     {
         "pass": st.integers(0, 3),
         "delay": st.integers(-1, 4),
-        "eta_i": _number(-0.1, 1.2),
-        "eta_s": _number(-0.1, 1.2),
-        "p_seed_mw": _number(-1.0, 60.0),
-        "pump_fraction": _number(-0.1, 1.2),
-        "eta_sw": _number(-0.1, 1.2),
+        "eta_i": _input(-0.1, 1.2),
+        "eta_s": _input(-0.1, 1.2),
+        "p_seed_mw": _input(-1.0, 60.0),
+        "pump_fraction": _input(-0.1, 1.2),
+        "eta_sw": _input(-0.1, 1.2),
     },
-    optional={"back_reflection_fraction": _number(-0.1, 3.0)},
+    optional={"back_reflection_fraction": _input(-0.1, 3.0)},
 )
 _SCENARIO = st.fixed_dictionaries(
     {},
@@ -75,13 +84,13 @@ _SCENARIO = st.fixed_dictionaries(
         "power_sweep_mw": st.fixed_dictionaries(
             {},
             optional={
-                "start": _number(-5.0, 60.0),
-                "stop": _number(-5.0, 80.0),
+                "start": _input(-5.0, 60.0),
+                "stop": _input(-5.0, 80.0),
                 "steps": st.integers(-2, 30),
             },
         ),
-        "deadtime_chain_s": st.lists(_number(-1e-6, 1e-5), max_size=4),
-        "idle_time_s": _number(-1e-6, 1e-5),
+        "deadtime_chain_s": st.lists(_input(-1e-6, 1e-5), max_size=4),
+        "idle_time_s": _input(-1e-6, 1e-5),
         "topology": st.one_of(
             st.fixed_dictionaries(
                 {},
@@ -96,8 +105,8 @@ _SCENARIO = st.fixed_dictionaries(
                     )
                 },
                 optional={
-                    "rep_rate_hz": _number(-1e6, 1e9),
-                    "bin_spacing_ns": _number(-1.0, 10.0),
+                    "rep_rate_hz": _input(-1e6, 1e9),
+                    "bin_spacing_ns": _input(-1.0, 10.0),
                 },
             ),
         ),
@@ -106,7 +115,7 @@ _SCENARIO = st.fixed_dictionaries(
             optional={
                 "cycles": st.integers(-5, 10**7),
                 "seed": st.integers(-5, 100),
-                "reference_power_mw": _number(-5.0, 60.0),
+                "reference_power_mw": _input(-5.0, 60.0),
             },
         ),
     },
@@ -126,3 +135,25 @@ def test_scenario_is_rejected_or_gives_finite_model_rows(tmp_path_factory, doc):
         for key, value in row.items():
             if isinstance(value, float):
                 assert math.isfinite(value), (key, value)
+
+
+# --- observations parser -----------------------------------------------------------
+
+_OBSERVATION = st.tuples(*(_input(-1.0, 1e6) for _ in range(4)))
+
+
+@settings(deadline=None)
+@given(rows=st.lists(_OBSERVATION, max_size=6))
+def test_observation_rows_are_rejected_or_finite(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("observations") / "obs.csv"
+    lines = ["power_mw,r_trig,r_c,r_a", *(",".join(map(repr, row)) for row in rows)]
+    path.write_text("\n".join(lines) + "\n")
+    bad = [i for i, row in enumerate(rows) if not all(math.isfinite(v) and v >= 0.0 for v in row)]
+    if bad:
+        with pytest.raises(ObservationsParseError, match=f"line {bad[0] + 2}:"):
+            load_observations_csv(path)
+        return
+    loaded = load_observations_csv(path).get("source", [])
+    assert [
+        (o.reference_power_mw, o.r_trig_hz, o.r_c_hz, o.r_a_hz) for o in loaded
+    ] == rows
