@@ -32,7 +32,12 @@ from .mux import (
     switchless,
 )
 from .saturation import DeadtimeChain
-from .spectral import fit_gaussian, indistinguishability_table
+from .spectral import (
+    SpectrumFitError,
+    fit_gaussian,
+    indistinguishability_table,
+    load_spectrum_csv,
+)
 
 
 class ScenarioError(ValueError):
@@ -475,9 +480,11 @@ def cmd_spectra(spectra_dir: str, out_dir: Path) -> List[Path]:
         raise FileNotFoundError(f"no spectra CSV files in {spectra_dir}")
     labels, models = [], []
     for file in files:
-        data = np.genfromtxt(file, delimiter=",", names=True)
-        samples = list(zip(data["wavelength_nm"], data["counts"]))
-        model, _ = fit_gaussian(samples)
+        samples = load_spectrum_csv(file)
+        try:
+            model, _ = fit_gaussian(samples)
+        except SpectrumFitError as exc:
+            raise SpectrumFitError(f"{file}: {exc}") from exc
         labels.append(file.stem)
         models.append(model)
     if len(models) == 1:

@@ -3,15 +3,17 @@
 The objective is the mean coefficient of determination across the
 trigger, coincidence and accidental channels, compared in log space when
 all observations are positive so that decades are balanced.  Maximizing it
-is a weighted least-squares problem, solved from several starts by bounded
-trust-region reflective steps (Branch, Coleman & Li, SIAM J. Sci. Comput.
-21, 1999); the Jacobian at the optimum gives each parameter a standard error.
+is a weighted least-squares problem.  A box-bounded Levenberg-Marquardt
+solver in numpy advances all starts together, so each call of the rate
+model covers every start still running; the Jacobian at the optimum gives
+each parameter a standard error.
 """
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,8 +55,9 @@ class Observation:
 @dataclass(frozen=True)
 class FitResult:
     """Fitted parameters, per-channel R^2 and the best start's solver state:
-    ``converged`` is its least-squares ``status > 0``, ``iterations`` its
-    ``nfev`` (finite-difference Jacobian evaluations not counted).  The
+    ``converged`` is true when that start stopped on a tolerance, not on the
+    damping limit or the iteration cap; ``iterations`` counts its residual
+    evaluations, finite-difference Jacobian points not counted.  The
     ``rel_se_*`` fields are first-order relative standard errors (inf where
     undetermined); ``rel_se_f`` is None for pass-1 fits."""
 
@@ -79,6 +82,16 @@ N_STARTS = 16
 # Residual where the model cannot be evaluated: far above any prediction's,
 # so a start that only finds such points loses to every other start.
 FAILED_RESIDUAL = 1e10
+# Levenberg-Marquardt: initial damping, its factors after an accepted and a
+# rejected step, and the stopping rules.
+LM_DAMPING = 1e-3
+LM_ACCEPT = 1.0 / 3.0
+LM_REJECT = 4.0
+LM_FTOL = 1e-12
+LM_XTOL = 1e-12
+LM_MAX_DAMPING = 1e12
+LM_MAX_ITERATIONS = 200
+_FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
 def r_squared(predicted: Sequence[float], observed: Sequence[float]) -> float:
@@ -120,6 +133,136 @@ def _standard_errors(jac: np.ndarray, cost: float) -> np.ndarray:
     except np.linalg.LinAlgError:
         return np.full(n, np.inf)
     return np.sqrt(np.where(var >= 0.0, var, np.inf))
+
+
+def _params(x: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """(eta_i, eta_s, p_seed, f) of the fit points along the last axis of x:
+    (log eta_i, log eta_s, log p_seed[, f]), f = 0 for a pass-1 point."""
+    eta_i, eta_s, p_seed = np.moveaxis(np.exp(x[..., :3]), -1, 0)
+    return eta_i, eta_s, p_seed, (x[..., 3] if x.shape[-1] == 4 else 0.0)
+
+
+def _residual_batch(
+    xs: np.ndarray,
+    powers: np.ndarray,
+    target: np.ndarray,
+    weight: np.ndarray,
+    log_space: bool,
+    rep_rate_hz: float,
+    chain: DeadtimeChain,
+) -> np.ndarray:
+    """Residuals (g(pred) - target) * weight of the k fit points in the rows
+    of xs, as (k, 3 n) rows, from one model call; a batch the model rejects
+    is evaluated row by row, so only its bad points get FAILED_RESIDUAL."""
+    try:
+        pred = np.stack(
+            predict_rates(*_params(xs[:, None]), powers, rep_rate_hz, chain), axis=1
+        )
+    except (ValueError, ArithmeticError):
+        if len(xs) == 1:
+            return np.full((1, target.size), FAILED_RESIDUAL)
+        problem = (powers, target, weight, log_space, rep_rate_hz, chain)
+        return np.concatenate([_residual_batch(x[None], *problem) for x in xs])
+    out = np.full((len(xs), target.size), FAILED_RESIDUAL)
+    ok = ~np.any(pred <= 0.0, axis=(1, 2)) if log_space else slice(None)
+    fitted = np.log(pred[ok]) if log_space else pred
+    out[ok] = ((fitted - target) * weight).reshape(-1, target.size)
+    return out
+
+
+def _forward_jacobian(
+    batch: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    fun: np.ndarray,
+    upper: np.ndarray,
+) -> np.ndarray:
+    """(k, m, n) forward-difference Jacobians at the k rows of x, whose
+    residuals are fun, from one batch call.  Coordinate j steps by
+    sqrt(eps) max(1, |x_j|), away from the upper bound."""
+    k, n = x.shape
+    h = _FD_STEP * np.maximum(1.0, np.abs(x))
+    h = np.where(x + h > upper, -h, h)
+    points = x[:, None, :] + np.eye(n) * h[:, None, :]
+    h = np.diagonal(points, axis1=1, axis2=2) - x  # the step as represented
+    diff = batch(points.reshape(k * n, n)).reshape(k, n, -1) - fun[:, None, :]
+    return np.swapaxes(diff / h[:, :, None], 1, 2)
+
+
+def _lockstep_lm(
+    batch: Callable[[np.ndarray], np.ndarray],
+    x0s: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+) -> Tuple[np.ndarray, ...]:
+    """Minimize 0.5 |r(x)|^2 within lower <= x <= upper from every row of
+    x0s at once by Levenberg-Marquardt (More, Lecture Notes in Math. 630,
+    1978); batch maps (k, n) points to their (k, m) residual rows.
+
+    Each start keeps its own damping, scaled by diag(J^T J), and its own
+    Jacobian, recomputed only after an accepted step; each iteration makes
+    one batch call for the Jacobians and one for the trial points of the
+    starts still running.  A coordinate at a bound whose gradient points out
+    of the box, or one the Jacobian does not see, is held for that step, and
+    the trial point is clipped to the box.  A start stops, converged, when an accepted step lowers its cost
+    by at most LM_FTOL relative and the quadratic model predicted no more,
+    or when a solved step, accepted or not, is at most LM_XTOL relative in
+    size; it stops unconverged when its damping exceeds LM_MAX_DAMPING or
+    after LM_MAX_ITERATIONS.  Returns (x, residuals, cost, converged, nfev)
+    per start, nfev counting residual evaluations without Jacobian points.
+    """
+    x = np.array(x0s, dtype=float)
+    k, n = x.shape
+    fun = batch(x)
+    cost = 0.5 * np.einsum("km,km->k", fun, fun)
+    jac = np.empty((k, fun.shape[1], n))
+    damping = np.full(k, LM_DAMPING)
+    nfev = np.ones(k, dtype=int)
+    converged = np.zeros(k, dtype=bool)
+    running = np.ones(k, dtype=bool)
+    stale = np.ones(k, dtype=bool)  # the Jacobian predates the last accepted step
+    for _ in range(LM_MAX_ITERATIONS):
+        renew = np.flatnonzero(running & stale)
+        if renew.size:
+            jac[renew] = _forward_jacobian(batch, x[renew], fun[renew], upper)
+            stale[renew] = False
+        idx = np.flatnonzero(running)
+        xi, ji, ci = x[idx], jac[idx], cost[idx]
+        grad = np.einsum("kmi,km->ki", ji, fun[idx])
+        hess = np.einsum("kmi,kmj->kij", ji, ji)
+        scale = np.diagonal(hess, axis1=1, axis2=2)
+        free = (scale > 0.0) & ~(
+            ((xi <= lower) & (grad > 0.0)) | ((xi >= upper) & (grad < 0.0))
+        )
+        # Held coordinates get the identity's row and column: no step.
+        system = hess * (free[:, :, None] & free[:, None, :])
+        diag = np.where(free, damping[idx, None] * scale, 1.0)
+        system[:, np.arange(n), np.arange(n)] += diag
+        step = np.linalg.solve(system, -np.where(free, grad, 0.0)[..., None])[..., 0]
+        trial = np.clip(xi + step, lower, upper)
+        trial_fun = batch(trial)
+        trial_cost = 0.5 * np.einsum("km,km->k", trial_fun, trial_fun)
+        nfev[idx] += 1
+
+        # Both tests take the step as solved, before clipping: a step cut
+        # short by a bound gains little, but that does not show convergence.
+        curvature = np.einsum("kij,kj->ki", hess, step)
+        predicted = -np.einsum("ki,ki->k", grad + 0.5 * curvature, step)
+        better = trial_cost < ci
+        small_gain = (ci - trial_cost <= LM_FTOL * ci) & (predicted <= LM_FTOL * ci)
+        small_step = np.linalg.norm(step, axis=1) <= LM_XTOL * (
+            LM_XTOL + np.linalg.norm(xi, axis=1)
+        )
+        done = (better & small_gain) | small_step
+        moved = idx[better]
+        x[moved], fun[moved] = trial[better], trial_fun[better]
+        cost[moved] = trial_cost[better]
+        stale[moved] = True
+        damping[idx] *= np.where(better, LM_ACCEPT, LM_REJECT)
+        converged[idx[done]] = True
+        running[idx[done | (damping[idx] > LM_MAX_DAMPING)]] = False
+        if not running.any():
+            break
+    return x, fun, cost, converged, nfev
 
 
 def _latin_hypercube(n: int, bounds: np.ndarray, seed: int) -> np.ndarray:
@@ -203,68 +346,37 @@ def fit_source(
     # ValueError now, not a diverged fit, for a chain the model cannot cover.
     deadtime_chain.acceptance(0.0, rep_rate_hz)
 
-    def params(x: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """(eta_i, eta_s, p_seed, f) of the points along the last axis of x."""
-        eta_i, eta_s, p_seed = np.moveaxis(np.exp(x[..., :3]), -1, 0)
-        return eta_i, eta_s, p_seed, (x[..., 3] if with_f else 0.0)
-
-    def batch(xs: np.ndarray) -> np.ndarray:
-        """Residuals of the k points in the rows of xs, as (k, 3 n) rows, from
-        one model call; a batch the model rejects is evaluated row by row, so
-        only its bad points get FAILED_RESIDUAL."""
-        try:
-            pred = np.stack(
-                predict_rates(*params(xs[:, None]), powers, rep_rate_hz, deadtime_chain),
-                axis=1,
-            )
-        except (ValueError, ArithmeticError):
-            if len(xs) == 1:
-                return np.full((1, target.size), FAILED_RESIDUAL)
-            return np.concatenate([batch(x[None]) for x in xs])
-        out = np.full((len(xs), target.size), FAILED_RESIDUAL)
-        ok = ~np.any(pred <= 0.0, axis=(1, 2)) if log_space else slice(None)
-        fitted = np.log(pred[ok]) if log_space else pred
-        out[ok] = ((fitted - target) * weight).reshape(-1, target.size)
-        return out
-
-    def residuals(x: np.ndarray) -> np.ndarray:
-        return batch(x[None])[0]
-
     bounds = np.log([ETA_BOUNDS, ETA_BOUNDS, P_SEED_BOUNDS]).T
     if with_f:
         bounds = np.column_stack([bounds, F_BOUNDS])
 
     # Latin-hypercube starts drawn with numpy alone (log-spaced for the scale
     # parameters) plus a moment-based heuristic start.
-    starts = list(_latin_hypercube(n_starts, bounds, seed))
-    starts.append(
-        _heuristic_start(powers, *observed, rep_rate_hz, deadtime_chain, with_f)
+    starts = np.vstack([
+        _latin_hypercube(n_starts, bounds, seed),
+        _heuristic_start(powers, *observed, rep_rate_hz, deadtime_chain, with_f),
+    ])
+    batch = functools.partial(
+        _residual_batch, powers=powers, target=target, weight=weight,
+        log_space=log_space, rep_rate_hz=rep_rate_hz, chain=deadtime_chain,
     )
-
-    from scipy.optimize import least_squares  # only fits pay its import
-    best = None
-    for x0 in starts:
-        res = least_squares(
-            residuals, x0, bounds=bounds, method="trf", x_scale="jac",
-            # one batch call per finite-difference Jacobian
-            workers=lambda _fun, xs: list(batch(np.array(list(xs)))),
-        )
-        if best is None or res.cost < best.cost:
-            best = res
-    if best.cost >= 0.5 * target.size * FAILED_RESIDUAL**2:
+    x, fun, cost, converged, nfev = _lockstep_lm(batch, starts, *bounds)
+    best = int(np.argmin(cost))
+    if not cost[best] < 0.5 * target.size * FAILED_RESIDUAL**2:
         raise FitError("all starts diverged; no finite objective found")
 
-    r2 = 1.0 - 3.0 * np.sum(best.fun.reshape(3, -1) ** 2, axis=1)
-    eta_i, eta_s, p_seed, f = params(best.x)
-    se = _standard_errors(best.jac, best.cost)
+    r2 = 1.0 - 3.0 * np.sum(fun[best].reshape(3, -1) ** 2, axis=1)
+    eta_i, eta_s, p_seed, f = _params(x[best])
+    jac = _forward_jacobian(batch, x[best : best + 1], fun[best : best + 1], bounds[1])
+    se = _standard_errors(jac[0], cost[best])
     return FitResult(
         params=SourceParams(float(eta_i), float(eta_s), float(p_seed), float(f)),
         r2_trig=float(r2[0]),
         r2_c=float(r2[1]),
         r2_a=float(r2[2]),
-        r2_mean=float(1.0 - 2.0 * best.cost),
-        converged=bool(best.status > 0),
-        iterations=int(best.nfev),
+        r2_mean=float(1.0 - 2.0 * cost[best]),
+        converged=bool(converged[best]),
+        iterations=int(nfev[best]),
         # an error in log(x) is, to first order, the relative error in x
         rel_se_eta_i=float(se[0]),
         rel_se_eta_s=float(se[1]),

@@ -7,11 +7,14 @@ fitted by Levenberg-Marquardt least squares (More, Lecture Notes in
 Math. 630, 1978) from a log-parabola start.
 """
 
+import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
+
+from .fitting import _lockstep_lm
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
@@ -69,6 +72,8 @@ def fit_gaussian(
     data = np.asarray(samples, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
         raise SpectrumFitError("samples must be (wavelength_nm, counts) pairs")
+    if not np.isfinite(data).all():
+        raise SpectrumFitError("samples must be finite")
     wl, counts = data[:, 0], data[:, 1]
     if np.unique(wl).size < 4:
         raise SpectrumFitError("need at least 4 distinct wavelengths")
@@ -79,26 +84,49 @@ def fit_gaussian(
 
     center0, sigma0, amp0 = _initial_guess(wl, counts)
 
-    def residuals(params: np.ndarray) -> np.ndarray:
-        center, log_sigma, log_amp = params
-        sigma = math.exp(log_sigma)
-        model = math.exp(log_amp) * np.exp(
-            -((wl - center) ** 2) / (2.0 * sigma * sigma)
-        )
+    def batch(xs: np.ndarray) -> np.ndarray:
+        center, log_sigma, log_amp = xs.T[..., None]
+        sigma = np.exp(log_sigma)
+        model = np.exp(log_amp) * np.exp(-((wl - center) ** 2) / (2.0 * sigma * sigma))
         return model - counts
 
-    from scipy.optimize import least_squares  # only fits pay its import
     x0 = np.array([center0, math.log(sigma0), math.log(max(amp0, 1e-300))])
-    # Tolerances below the defaults put gamma within ~1e-9 of the fully
-    # converged optimum, for about a millisecond per spectrum.
-    result = least_squares(residuals, x0, method="lm", ftol=1e-12, xtol=1e-12)
-    center, log_sigma, log_amp = result.x
+    unbounded = np.full(3, np.inf)
+    x, _, cost, _, _ = _lockstep_lm(batch, x0[None], -unbounded, unbounded)
+    center, log_sigma, log_amp = x[0]
     model = SpectrumModel(
         center_nm=float(center),
         fwhm_nm=float(math.exp(log_sigma) / FWHM_TO_SIGMA),
         amplitude=float(math.exp(log_amp)),
     )
-    return model, math.sqrt(2.0 * result.cost)
+    return model, math.sqrt(2.0 * cost[0])
+
+
+def load_spectrum_csv(path) -> List[Tuple[float, float]]:
+    """Read the (wavelength_nm, counts) rows of a spectrum CSV; a missing
+    column, an unparsable or non-finite value or a negative count raises
+    SpectrumFitError naming the file and line."""
+    samples = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise SpectrumFitError(f"{path}: empty file (line 1)")
+        required = ("wavelength_nm", "counts")
+        missing = [c for c in required if c not in reader.fieldnames]
+        if missing:
+            raise SpectrumFitError(f"{path}: missing columns {missing} (line 1)")
+        for row in reader:
+            try:
+                wavelength, counts = float(row["wavelength_nm"]), float(row["counts"])
+            except (TypeError, ValueError) as exc:
+                raise SpectrumFitError(f"{path}: line {reader.line_num}: {exc}") from exc
+            if not (math.isfinite(wavelength) and math.isfinite(counts) and counts >= 0.0):
+                raise SpectrumFitError(
+                    f"{path}: line {reader.line_num}: values must be finite and "
+                    f"counts >= 0, got {wavelength}, {counts}"
+                )
+            samples.append((wavelength, counts))
+    return samples
 
 
 def overlap_gamma(a: SpectrumModel, b: SpectrumModel) -> float:

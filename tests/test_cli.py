@@ -288,6 +288,44 @@ def test_spectra_duplicated_pair(tmp_path):
     assert float(rows[0]["s1"]) == pytest.approx(1.0, abs=1e-9)
 
 
+def _spectrum_lines():
+    wl = np.linspace(1548.0, 1552.0, 41)
+    counts = 100.0 * np.exp(-((wl - 1550.0) ** 2) / 0.5)
+    return ["wavelength_nm,counts"] + [f"{x:.4f},{y}" for x, y in zip(wl, counts)]
+
+
+def _replace_line(lines, number, text):
+    lines = list(lines)
+    lines[number - 1] = text
+    return lines
+
+
+@pytest.mark.parametrize(
+    "lines, where",
+    [
+        (["wl,counts", "1550.0,3.0"], "line 1"),
+        (["wavelength_nm,counts", "1550.0,3.0"], "4 distinct wavelengths"),
+        (_replace_line(_spectrum_lines(), 22, "1550.0000,nan"), "line 22"),
+        (_replace_line(_spectrum_lines(), 22, "1550.0000,oops"), "line 22"),
+        (_replace_line(_spectrum_lines(), 22, "inf,3.0"), "line 22"),
+        (_replace_line(_spectrum_lines(), 22, "1550.0000,-3.0"), "line 22"),
+    ],
+    ids=["missing-column", "one-row", "nan-count", "unparsable-count", "inf-wavelength",
+         "negative-count"],
+)
+def test_spectra_rejects_bad_files(tmp_path, capsys, lines, where):
+    spectra = tmp_path / "spectra"
+    spectra.mkdir()
+    _write_spectrum(spectra / "good.csv", SpectrumModel(1550.0, 0.9, 100.0))
+    (spectra / "bad.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["spectra", "--spectra-dir", str(spectra), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SpectrumFitError"
+    assert str(spectra / "bad.csv") in err["detail"] and where in err["detail"]
+    assert not (out / "gamma_matrix.csv").exists()
+
+
 def test_spectra_missing_directory_fails(tmp_path, capsys):
     code = main(
         ["spectra", "--spectra-dir", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]

@@ -1,7 +1,12 @@
-"""Parameter recovery: objective definition, round-trips, and CSV plumbing."""
+"""Parameter recovery: the solver, objective definition, round-trips, and CSV
+plumbing."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from muxsim import DeadtimeChain, FitResult, Observation, fit_all, fit_source, fitting, r_squared
 from muxsim.defaults import FULL_CHAIN, PASS1_SOURCES, PASS2_SOURCES
@@ -48,6 +53,91 @@ def test_latin_hypercube_matches_scipy_qmc(d):
             # one start in each n-th of every axis
             slices = np.floor((starts - bounds[0]) / (bounds[1] - bounds[0]) * n)
             assert all(sorted(col) == list(range(n)) for col in slices.T)
+
+
+# --- solver ------------------------------------------------------------------
+
+@st.composite
+def _boxed_linear_problems(draw):
+    """(A, b, lower, upper, share) of min 0.5 |A x - b|^2 over a box, with
+    the start at share in [0, 1]^n of the box.  A stacks the identity on
+    drawn rows, so A^T A >= I keeps it well conditioned."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, 4))
+    drawn = draw(arrays(float, (rows, n), elements=st.floats(-3.0, 3.0)))
+    a = np.vstack([np.eye(n), drawn])
+    b = draw(arrays(float, n + rows, elements=st.floats(-10.0, 10.0)))
+    lower = draw(arrays(float, n, elements=st.floats(-5.0, 4.0)))
+    width = draw(arrays(float, n, elements=st.floats(0.01, 5.0)))
+    share = draw(arrays(float, n, elements=st.floats(0.0, 1.0)))
+    return a, b, lower, lower + width, share
+
+
+def _linear_batch(a, b, lower, upper):
+    """Residual rows of A x - b; every point must lie in the box."""
+
+    def batch(xs):
+        assert ((xs >= lower) & (xs <= upper)).all(), "evaluated outside the box"
+        return xs @ a.T - b
+
+    return batch
+
+
+def _solve_linear(a, b, lower, upper, share):
+    x0 = np.clip(lower + share * (upper - lower), lower, upper)
+    x, fun, cost, converged, nfev = fitting._lockstep_lm(
+        _linear_batch(a, b, lower, upper), x0[None], lower, upper
+    )
+    # stopped on a tolerance or on the damping, not at the iteration cap
+    assert nfev[0] <= fitting.LM_MAX_ITERATIONS
+    assert np.array_equal(fun[0], x[0] @ a.T - b)
+    return x[0]
+
+
+# A step is accepted only if the float64 cost falls, and the cost 0.5 |r|^2
+# cannot show a gain below eps times itself: the gradient of coordinate j is
+# resolved to about sqrt(eps) |A_j| |r|, and x to sqrt(eps) |r| since
+# A^T A >= I.  The bounds allow 16 times that, plus rounding of r itself.
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_boxed_linear_problems())
+def test_solver_meets_kkt_conditions_of_boxed_linear_least_squares(problem):
+    """At the result the gradient vanishes on free coordinates and points
+    out of the box at each active bound."""
+    x = _solve_linear(*problem)
+    a, b, lower, upper, _ = problem
+    assert ((x >= lower) & (x <= upper)).all()
+    r = a @ x - b
+    grad = a.T @ r
+    tol = 16.0 * (
+        math.sqrt(EPS) * np.linalg.norm(a, axis=0) * np.linalg.norm(r)
+        + EPS * (1.0 + np.abs(a).T @ (np.abs(a) @ np.abs(x) + np.abs(b)))
+    )
+    # A bound closer than the solver's x tolerance, or than a move the
+    # rounded residuals can show, counts as reached.
+    near = fitting.LM_XTOL * (fitting.LM_XTOL + np.linalg.norm(x)) + 16.0 * EPS * (
+        1.0 + np.linalg.norm(np.abs(a) @ np.abs(x) + np.abs(b))
+    ) / np.linalg.norm(a, axis=0)
+    at_lower, at_upper = x - lower <= near, upper - x <= near
+    free = ~(at_lower | at_upper)
+    assert (np.abs(grad[free]) <= tol[free]).all()
+    assert (grad[at_lower] >= -tol[at_lower]).all()
+    assert (grad[at_upper] <= tol[at_upper]).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_boxed_linear_problems(), margin=st.floats(0.01, 5.0))
+def test_solver_equals_lstsq_inside_a_wide_box(problem, margin):
+    a, b, _, _, share = problem
+    expected = np.linalg.lstsq(a, b, rcond=None)[0]
+    x = _solve_linear(a, b, expected - margin, expected + margin, share)
+    tol = 16.0 * (
+        math.sqrt(EPS) * np.linalg.norm(a @ expected - b)
+        + EPS * (1.0 + np.linalg.norm(np.abs(a) @ np.abs(expected) + np.abs(b)))
+    )
+    assert (np.abs(x - expected) <= tol).all()
 
 
 # --- R^2 ---------------------------------------------------------------------
@@ -210,39 +300,34 @@ def test_noisy_fits_reach_the_truths_r2_and_recover_eta_i(kind, sources):
             assert result.rel_se_f > result.rel_se_eta_i
 
 
-def _least_squares_calls(monkeypatch, keep_workers=True):
-    """Record the arguments fit_source hands to scipy's least_squares; with
-    keep_workers False, drop its batched Jacobian map before the call."""
-    import scipy.optimize
-
+def _solver_calls(monkeypatch):
+    """Record the arguments fit_source hands to its solver."""
     calls = []
-    real = scipy.optimize.least_squares
+    real = fitting._lockstep_lm
 
-    def spy(fun, x0, **kwargs):
-        calls.append(dict(kwargs, fun=fun))
-        if not keep_workers:
-            del kwargs["workers"]
-        return real(fun, x0, **kwargs)
+    def spy(batch, x0s, lower, upper):
+        calls.append(dict(batch=batch, x0s=x0s, lower=lower, upper=upper))
+        return real(batch, x0s, lower, upper)
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    monkeypatch.setattr(fitting, "_lockstep_lm", spy)
     return calls
 
 
 @PASSES
 def test_batched_residuals_equal_single_calls(monkeypatch, kind, sources):
-    calls = _least_squares_calls(monkeypatch)
+    calls = _solver_calls(monkeypatch)
     obs = next(_noisy_draws(kind, sources))[1]
     fit_source(obs, kind, FULL_CHAIN, seed=0, n_starts=1)
-    residuals, batch_map = calls[0]["fun"], calls[0]["workers"]
-    lower, upper = calls[0]["bounds"]
+    batch, lower, upper = calls[0]["batch"], calls[0]["lower"], calls[0]["upper"]
+    assert batch.func is fitting._residual_batch
     points = np.random.default_rng(3).uniform(lower, upper, (6, lower.size))
-    singles = [residuals(x) for x in points]
+    singles = [batch(x[None])[0] for x in points]
     # A batch the model accepts takes one model call...
     model_calls = []
     monkeypatch.setattr(
         fitting, "predict_rates", lambda *a: model_calls.append(a) or predict_rates(*a)
     )
-    rows = batch_map(residuals, iter(points))
+    rows = batch(points)
     assert len(model_calls) == 1 and len(rows) == len(points)
     assert all(np.array_equal(r, s) for r, s in zip(rows, singles))
     assert not any((s == FAILED_RESIDUAL).any() for s in singles)
@@ -250,18 +335,38 @@ def test_batched_residuals_equal_single_calls(monkeypatch, kind, sources):
     # that predict no coincidences (eta_s = 0) fails those rows alone.
     points[2, 0] = 1.0
     points[4, 1] = -np.inf
-    rows = batch_map(residuals, iter(points))
+    rows = batch(points)
     for i, (row, x) in enumerate(zip(rows, points)):
-        assert np.array_equal(row, residuals(x))
+        assert np.array_equal(row, batch(x[None])[0])
         assert (row == FAILED_RESIDUAL).all() == (i in (2, 4))
 
 
 @PASSES
-def test_batched_jacobians_leave_fits_unchanged(monkeypatch, kind, sources):
-    draws = [obs for _, obs in _noisy_draws(kind, sources)]
-    batched = [fit_source(obs, kind, FULL_CHAIN, seed=0) for obs in draws]
-    _least_squares_calls(monkeypatch, keep_workers=False)
-    assert [fit_source(obs, kind, FULL_CHAIN, seed=0) for obs in draws] == batched
+def test_fits_match_scipy_trf_from_the_same_starts(monkeypatch, kind, sources):
+    """scipy's trust-region reflective solver, run from every start of each
+    fit on the same residuals, finds no better optimum and the same
+    parameters."""
+    from scipy.optimize import least_squares
+
+    calls = _solver_calls(monkeypatch)
+    for _, obs in _noisy_draws(kind, sources):
+        result = fit_source(obs, kind, FULL_CHAIN, seed=0)
+        call = calls.pop()
+        best = min(
+            (
+                least_squares(
+                    lambda x: call["batch"](x[None])[0], x0, method="trf",
+                    bounds=(call["lower"], call["upper"]), x_scale="jac",
+                )
+                for x0 in call["x0s"]
+            ),
+            key=lambda res: res.cost,
+        )
+        assert result.r2_mean >= 1.0 - 2.0 * best.cost - 1e-12
+        p = result.params
+        fitted = [p.eta_i, p.eta_s, p.p_seed_mw, p.back_reflection_fraction]
+        trf = np.append(np.exp(best.x[:3]), best.x[3:])
+        assert np.allclose(fitted[: trf.size], trf, rtol=1e-5, atol=0.0)
 
 
 def test_noiseless_standard_errors_vanish():

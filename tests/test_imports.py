@@ -1,5 +1,5 @@
-"""The numpy-only path: importing muxsim and running model, car and simulate
-load no scipy module; the fitting commands load scipy.optimize when they run."""
+"""The numpy-only path: importing muxsim and running any command loads no
+scipy module."""
 
 import json
 import subprocess
@@ -36,14 +36,27 @@ def test_model_car_simulate_load_no_scipy(tmp_path):
         assert _scipy_modules(code) == [], command
 
 
-def test_fit_loads_scipy_optimize(tmp_path):
-    """The guard can see scipy: a fit imports it where it runs."""
+def test_fit_and_spectra_load_no_scipy(tmp_path):
     powers = np.linspace(2.0, 25.0, 6)
     lines = ["power_mw,r_trig,r_c,r_a"] + [
         f"{p},{1e4 * p},{30.0 * p},{0.2 * p * p}" for p in powers
     ]
     observations = tmp_path / "observations.csv"
     observations.write_text("\n".join(lines) + "\n")
-    argv = ["fit", "--observations", str(observations), "--out", str(tmp_path / "fit")]
-    code = f"import muxsim.cli\nassert muxsim.cli.main({argv!r}) == 0"
-    assert "scipy.optimize" in _scipy_modules(code)
+    spectra = tmp_path / "spectra"
+    spectra.mkdir()
+    wavelengths = np.linspace(1548.0, 1552.0, 41)
+    for i, center in enumerate((1549.9, 1550.1)):
+        counts = 100.0 * np.exp(-((wavelengths - center) ** 2) / 0.5)
+        rows = ["wavelength_nm,counts"] + [f"{w},{c}" for w, c in zip(wavelengths, counts)]
+        (spectra / f"s{i}.csv").write_text("\n".join(rows) + "\n")
+    commands = (
+        ["fit", "--observations", str(observations), "--out", str(tmp_path / "fit")],
+        ["spectra", "--spectra-dir", str(spectra), "--out", str(tmp_path / "spectra-out")],
+    )
+    code = "import muxsim.cli\n" + "".join(
+        f"assert muxsim.cli.main({argv!r}) == 0\n" for argv in commands
+    )
+    assert _scipy_modules(code) == []
+    # The guard can see scipy when the same child loads it.
+    assert "scipy.optimize" in _scipy_modules(code + "import scipy.optimize")

@@ -88,6 +88,8 @@ def test_degenerate_inputs_rejected():
         fit_gaussian([(1550.0 + i, 5.0) for i in range(10)])  # constant
     with pytest.raises(SpectrumFitError):
         fit_gaussian([(1550.0 + i, -1.0 * i) for i in range(10)])  # negative
+    with pytest.raises(SpectrumFitError):
+        fit_gaussian([(1550.0 + i, math.nan if i == 5 else 1.0 + i) for i in range(10)])
     with pytest.raises(ValueError):
         SpectrumModel(center_nm=1550.0, fwhm_nm=0.0, amplitude=1.0)
 
