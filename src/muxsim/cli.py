@@ -227,32 +227,32 @@ _COLORS = (
 
 def svg_line_chart(
     path: Path,
-    series: Dict[str, List[Tuple[float, float]]],
+    series: Dict[str, Tuple[np.ndarray, np.ndarray]],
     title: str,
     xlabel: str,
     ylabel: str,
     logy: bool = False,
 ) -> None:
+    """One polyline per label through its (x, y) arrays; with logy, points
+    with y <= 0 are left out and y is drawn as log10(y)."""
     width, height, margin = 800, 500, 70
-    points = [p for pts in series.values() for p in pts]
-    if logy:
-        points = [(x, y) for x, y in points if y > 0]
-    if not points:
-        points = [(0.0, 0.0), (1.0, 1.0)]
-    xs = [p[0] for p in points]
-    ys = [math.log10(p[1]) if logy else p[1] for p in points]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    drawn = {}
+    for label, (x, y) in series.items():
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if logy:
+            # math.log10: np.log10 differs from it in the last bit for some y.
+            keep = y > 0
+            x, y = x[keep], np.array([math.log10(v) for v in y[keep].tolist()])
+        drawn[label] = (x, y)
+    xs = np.concatenate([np.empty(0), *(x for x, _ in drawn.values())])
+    ys = np.concatenate([np.empty(0), *(y for _, y in drawn.values())])
+    x_lo, x_hi, y_lo, y_hi = (
+        (xs.min(), xs.max(), ys.min(), ys.max()) if xs.size else (0.0, 1.0, 0.0, 1.0)
+    )
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
-
-    def sx(x: float) -> float:
-        return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
-
-    def sy(y: float) -> float:
-        return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
@@ -268,13 +268,15 @@ def svg_line_chart(
         f'transform="rotate(-90 20 {height / 2})">{ylabel}'
         + ("(log10)" if logy else "") + "</text>",
     ]
-    for i, (label, pts) in enumerate(series.items()):
+    for i, (label, (x, y)) in enumerate(drawn.items()):
         color = _COLORS[i % len(_COLORS)]
-        draw = [(x, y) for x, y in pts if (y > 0 or not logy)]
-        coords = " ".join(
-            f"{sx(x):.2f},{sy(math.log10(y) if logy else y):.2f}" for x, y in draw
-        )
-        if coords:
+        if x.size:
+            points = np.empty((x.size, 2))
+            points[:, 0] = margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
+            points[:, 1] = (
+                height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
+            )
+            coords = " ".join(["%.2f,%.2f"] * x.size) % tuple(points.ravel().tolist())
             lines.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5"/>'
@@ -287,100 +289,99 @@ def svg_line_chart(
     path.write_text("\n".join(lines) + "\n")
 
 
-# --- model evaluation helpers ------------------------------------------------
+# --- model table and CSV output ----------------------------------------------
 
-# Rate columns of a model row: saturated, unsaturated, extrinsic removed.
-_RATE_COLUMNS = (
-    "r_trig_hz", "r_c_hz", "r_a_hz", "car",
-    "r_trig_nosat_hz", "r_c_nosat_hz", "r_a_nosat_hz", "car_nosat",
-    "r_trig_extr_hz", "r_c_extr_hz", "r_a_extr_hz", "car_extr",
-)
+# Suffixes of the rate columns: saturated, unsaturated, extrinsic removed.
+_VARIANTS = ("", "_nosat", "_extr")
+_CSV_BLOCK_ROWS = 256
 
 
-def _model_rows(scenario: Scenario) -> List[dict]:
-    """One row per (power, source) with saturated / unsaturated / extrinsic-
-    removed rate variants."""
+def _model_table(
+    scenario: Scenario,
+) -> Tuple[np.ndarray, List[str], Dict[str, np.ndarray]]:
+    """The sweep's powers, the source labels (MUX8, MUX4, then each bin) and
+    one (n_powers, n_sources) array per rate column, for the saturated,
+    unsaturated and extrinsic-removed variants; CAR is NaN where r_a = 0."""
     topo = scenario.topology
     rep = topo.rep_rate_hz
     powers = scenario.sweep.powers()
-    table = bin_table(topo, powers)
-    extr = bin_table(extrinsic_removed(topo), powers)
     pass1 = [k for k, b in enumerate(topo.bins) if b.pass_id == 1]
-    # (label, probabilities, extrinsic-removed probabilities) over the
-    # powers; a single source is measured without the switch network, so it
-    # has no extrinsic loss to remove.
-    sources = [
-        ("MUX8", priority_nest(table), priority_nest(extr)),
-        ("MUX4", priority_nest(table.take(pass1)), priority_nest(extr.take(pass1))),
-    ]
+    labels = ["MUX8", "MUX4"]
+    labels += [defaults.source_label(b.pass_id, b.delay_id) for b in topo.bins]
+    # A single source is measured without the switch network, so it has no
+    # extrinsic loss to remove.
     solo = bin_table(switchless(topo), powers)
-    sources += [
-        (defaults.source_label(b.pass_id, b.delay_id), solo.take(k), solo.take(k))
-        for k, b in enumerate(topo.bins)
-    ]
 
-    def per_power(probs: SourceProbs, chain: DeadtimeChain) -> List[tuple]:
-        """(r_trig, r_c, r_a, CAR) at each power; CAR is None without
-        accidentals."""
-        r_trig, r_c, r_a = (
-            x.tolist()
-            for x in saturated_rates(probs.p_trig, probs.p_c, probs.p_a, rep, chain)
+    def by_source(table: SourceProbs) -> List[np.ndarray]:
+        """p_trig, p_c and p_a of MUX8, MUX4 and each single source."""
+        mux8, mux4 = priority_nest(table), priority_nest(table.take(pass1))
+        return [np.column_stack(p) for p in zip(mux8[:3], mux4[:3], solo[:3])]
+
+    plain = by_source(bin_table(topo, powers))
+    extr = by_source(bin_table(extrinsic_removed(topo), powers))
+    # The chain's acceptance holds powers x terms floats per call: one source
+    # column at a time keeps that small.
+    saturated = np.empty((3,) + plain[0].shape)
+    for j in range(len(labels)):
+        saturated[:, :, j] = saturated_rates(
+            *(p[:, j] for p in plain), rep, scenario.deadtime_chain
         )
-        car = [c / a if a > 0.0 else None for c, a in zip(r_c, r_a)]
-        return list(zip(r_trig, r_c, r_a, car))
-
-    # Per source, the saturated, unsaturated and extrinsic-removed rates.
     no_chain = DeadtimeChain()
-    variants = [
-        (
-            label,
-            per_power(probs, scenario.deadtime_chain),
-            per_power(probs, no_chain),
-            per_power(extr_probs, no_chain),
+    variants = (
+        saturated, saturated_rates(*plain, rep, no_chain),
+        saturated_rates(*extr, rep, no_chain),
+    )
+    columns = {}
+    for suffix, (r_trig, r_c, r_a) in zip(_VARIANTS, variants):
+        car = np.divide(r_c, r_a, out=np.full_like(r_c, np.nan), where=r_a > 0.0)
+        columns.update(
+            {f"r_trig{suffix}_hz": r_trig, f"r_c{suffix}_hz": r_c,
+             f"r_a{suffix}_hz": r_a, f"car{suffix}": car}
         )
-        for label, probs, extr_probs in sources
-    ]
-    return [
-        {
-            "power_mw": power,
-            "source": label,
-            **dict(zip(_RATE_COLUMNS, sat[i] + unsat[i] + extr_rates[i])),
-        }
-        for i, power in enumerate(powers)
-        for label, sat, unsat, extr_rates in variants
-    ]
+    return powers, labels, columns
 
 
-def _write_csv(path: Path, fieldnames: Sequence[str], rows: Sequence[dict]) -> None:
+def _cells(values) -> Sequence[str]:
+    """CSV cells of a column block: strings as they are, floats as %.10g,
+    NaN as an empty cell."""
+    if not isinstance(values, np.ndarray):
+        return values
+    cells = ["%.10g" % v for v in values.tolist()]
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        cells[i] = ""
+    return cells
+
+
+def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
+    """A CSV of equal-length columns, each a sequence of strings or a float
+    array, written in blocks of _CSV_BLOCK_ROWS rows."""
     import csv
 
+    n_rows = len(columns[0])
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {
-                    k: ("" if v is None else (f"{v:.10g}" if isinstance(v, float) else v))
-                    for k, v in row.items()
-                }
-            )
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            writer.writerows(zip(*(_cells(column[block]) for column in columns)))
 
 
 # --- commands ----------------------------------------------------------------
 
 def cmd_model(scenario: Scenario, out_dir: Path) -> List[Path]:
-    rows = _model_rows(scenario)
+    powers, labels, columns = _model_table(scenario)
     csv_path = out_dir / "rates_vs_power.csv"
-    _write_csv(csv_path, list(rows[0].keys()), rows)
-    series: Dict[str, List[Tuple[float, float]]] = {}
-    for row in rows:
-        series.setdefault(row["source"], []).append(
-            (row["power_mw"], row["r_trig_hz"])
-        )
+    _write_csv(
+        csv_path,
+        ["power_mw", "source", *columns],
+        [np.repeat(powers, len(labels)), labels * powers.size,
+         *(column.ravel() for column in columns.values())],
+    )
+    trig = columns["r_trig_hz"]
     svg_path = out_dir / "rates_vs_power.svg"
     svg_line_chart(
-        svg_path, series, "Trigger rates vs reference power",
-        "reference power (mW)", "trigger rate (Hz)",
+        svg_path, {label: (powers, trig[:, j]) for j, label in enumerate(labels)},
+        "Trigger rates vs reference power", "reference power (mW)", "trigger rate (Hz)",
     )
     return [csv_path, svg_path]
 
@@ -400,20 +401,20 @@ def cmd_simulate(
     analytic = saturated_report(
         probs, scenario.topology.rep_rate_hz, scenario.deadtime_chain
     )
-    rows = []
-    for name in ("r_trig_hz", "r_coincidence_hz", "r_accidental_hz"):
+    names = ["r_trig_hz", "r_coincidence_hz", "r_accidental_hz"]
+    values = []
+    for name in names:
         sim, ana = getattr(report, name), getattr(analytic, name)
         err = getattr(report, name.replace("_hz", "_err_hz"))
         z = (sim - ana) / err if err and err > 0 else None
-        rows.append(
-            {"quantity": name, "simulated": sim, "std_error": err,
-             "analytic": ana, "z_score": z}
-        )
+        values.append((sim, err, ana, math.nan if z is None else z))
         z_text = f"{z:+.2f}" if z is not None else "n/a"
         print(f"{name}: sim={sim:.6g} Hz analytic={ana:.6g} Hz z={z_text}")
     csv_path = out_dir / "simulation_report.csv"
     _write_csv(
-        csv_path, ["quantity", "simulated", "std_error", "analytic", "z_score"], rows
+        csv_path,
+        ["quantity", "simulated", "std_error", "analytic", "z_score"],
+        [names, *np.array(values, dtype=float).T],
     )
     written = [csv_path]
     if export_trace:
@@ -441,30 +442,23 @@ def cmd_fit(
 
 
 def cmd_car(scenario: Scenario, out_dir: Path) -> List[Path]:
-    rows = _model_rows(scenario)
-    car_rows = []
-    for row in rows:
-        if row["car"] is None:
-            continue
-        car_rows.append(
-            {
-                "source": row["source"],
-                "power_mw": row["power_mw"],
-                "car": row["car"],
-                "r_c_hz": row["r_c_hz"],
-                "car_extr": row["car_extr"],
-                "r_c_extr_hz": row["r_c_extr_hz"],
-            }
-        )
+    powers, labels, columns = _model_table(scenario)
+    car, r_c = columns["car"], columns["r_c_hz"]
+    keep = ~np.isnan(car)
+    at_power, of_source = np.nonzero(keep)
+    names = ["car", "r_c_hz", "car_extr", "r_c_extr_hz"]
     csv_path = out_dir / "car_curves.csv"
     _write_csv(
         csv_path,
-        ["source", "power_mw", "car", "r_c_hz", "car_extr", "r_c_extr_hz"],
-        car_rows,
+        ["source", "power_mw", *names],
+        [[labels[j] for j in of_source.tolist()], powers[at_power],
+         *(columns[name][keep] for name in names)],
     )
-    series: Dict[str, List[Tuple[float, float]]] = {}
-    for row in car_rows:
-        series.setdefault(row["source"], []).append((row["car"], row["r_c_hz"]))
+    series = {
+        label: (car[keep[:, j], j], r_c[keep[:, j], j])
+        for j, label in enumerate(labels)
+        if keep[:, j].any()
+    }
     svg_path = out_dir / "car_curves.svg"
     svg_line_chart(
         svg_path, series, "Coincidence rate vs CAR", "CAR",
@@ -492,12 +486,7 @@ def cmd_spectra(spectra_dir: str, out_dir: Path) -> List[Path]:
     else:
         table = indistinguishability_table(models)
     csv_path = out_dir / "gamma_matrix.csv"
-    rows = []
-    for label, row in zip(labels, table):
-        entry = {"source": label}
-        entry.update({l: float(v) for l, v in zip(labels, row)})
-        rows.append(entry)
-    _write_csv(csv_path, ["source"] + labels, rows)
+    _write_csv(csv_path, ["source", *labels], [labels, *table.T])
     return [csv_path]
 
 

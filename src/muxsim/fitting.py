@@ -203,10 +203,11 @@ def _lockstep_lm(
     one batch call for the Jacobians and one for the trial points of the
     starts still running.  A coordinate at a bound whose gradient points out
     of the box, or one the Jacobian does not see, is held for that step, and
-    the trial point is clipped to the box.  A start stops, converged, when an accepted step lowers its cost
-    by at most LM_FTOL relative and the quadratic model predicted no more,
-    or when a solved step, accepted or not, is at most LM_XTOL relative in
-    size; it stops unconverged when its damping exceeds LM_MAX_DAMPING or
+    the trial point is clipped to the box.  A start stops, converged, when a
+    solved step, accepted or not, moves its cost by at most LM_FTOL relative
+    either way and the quadratic model predicted no more gain (MINPACK's
+    ftol test), or when such a step is at most LM_XTOL relative in size; it
+    stops unconverged when its damping exceeds LM_MAX_DAMPING or
     after LM_MAX_ITERATIONS.  Returns (x, residuals, cost, converged, nfev)
     per start, nfev counting residual evaluations without Jacobian points.
     """
@@ -248,11 +249,13 @@ def _lockstep_lm(
         curvature = np.einsum("kij,kj->ki", hess, step)
         predicted = -np.einsum("ki,ki->k", grad + 0.5 * curvature, step)
         better = trial_cost < ci
-        small_gain = (ci - trial_cost <= LM_FTOL * ci) & (predicted <= LM_FTOL * ci)
+        small_gain = (np.abs(ci - trial_cost) <= LM_FTOL * ci) & (
+            predicted <= LM_FTOL * ci
+        )
         small_step = np.linalg.norm(step, axis=1) <= LM_XTOL * (
             LM_XTOL + np.linalg.norm(xi, axis=1)
         )
-        done = (better & small_gain) | small_step
+        done = small_gain | small_step
         moved = idx[better]
         x[moved], fun[moved] = trial[better], trial_fun[better]
         cost[moved] = trial_cost[better]

@@ -60,6 +60,10 @@ class DeadtimeChain:
         is the probability that the first stage passes a herald at cycle t.
         Chains with m >= 3, or with I > MAX_IDLE_BLOCK, raise ValueError; a
         scenario holding one fails with ScenarioError.
+
+        For m = 2 a call holds p.size x (number of terms of E[r]) floats,
+        several times over: 136 terms for the default chain (a = 8, I = 160
+        at 80 MHz); cli._model_table calls it once per source column.
         """
         p = np.asarray(p, dtype=float)
         rising, table = _renewal_law(self, rep_rate_hz)

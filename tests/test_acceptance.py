@@ -32,7 +32,7 @@ from muxsim import (
     simple_mux_single_prob,
     true_from_detected,
 )
-from muxsim.cli import _model_rows, load_scenario, main
+from muxsim.cli import _model_table, load_scenario, main
 from muxsim.defaults import (
     FULL_CHAIN,
     PASS1_SOURCES,
@@ -321,11 +321,16 @@ def test_criterion_08_spectral_overlap_oracle():
     )
 
 
-def _car_rate_curves(rows):
-    by_source = {}
-    for row in rows:
-        by_source.setdefault(row["source"], []).append(row)
-    return by_source
+def _car_rate_curves(table):
+    """Per source, one dict of the model's columns at each power."""
+    powers, labels, columns = table
+    return {
+        label: [
+            {"power_mw": power, **{k: v[i, j] for k, v in columns.items()}}
+            for i, power in enumerate(powers)
+        ]
+        for j, label in enumerate(labels)
+    }
 
 
 def _interp_log(points, car):
@@ -340,8 +345,7 @@ def _interp_log(points, car):
 
 def test_criterion_09_figure_shape_reproduction():
     scenario = load_scenario(None)
-    rows = _model_rows(scenario)
-    by_source = _car_rate_curves(rows)
+    by_source = _car_rate_curves(_model_table(scenario))
     single_labels = [k for k in by_source if k.startswith("P")]
 
     # (a) peak trigger-rate enhancement over the best single source

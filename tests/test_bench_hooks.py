@@ -41,3 +41,20 @@ def test_observation_writer_calls_predict_rates(tmp_path, monkeypatch):
     assert all(math.isfinite(r) and r > 0.0 for rates in clean for r in rates)
     lines = (tmp_path / "obs.csv").read_text().splitlines()
     assert len(lines) == 1 + powers.size
+
+
+def test_model_and_car_draw_through_the_module_binding(tmp_path, monkeypatch):
+    # The benchmark times cli.svg_line_chart by replacing that module attribute.
+    import muxsim.cli as cli
+
+    drawn = []
+    original = cli.svg_line_chart
+
+    def recording(path, *args, **kwargs):
+        drawn.append(path.name)
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "svg_line_chart", recording)
+    for command in ("model", "car"):
+        assert cli.main([command, "--out", str(tmp_path)]) == 0
+    assert drawn == ["rates_vs_power.svg", "car_curves.svg"]

@@ -1,6 +1,7 @@
 """Command-line front end: determinism, outputs, and failure modes."""
 
 import csv
+import itertools
 import json
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from muxsim import evaluate_mux, rates
-from muxsim.cli import _model_rows, main, parse_scenario
+from muxsim.cli import _model_table, main, parse_scenario
 from muxsim.defaults import MEMS_ASYMMETRY, source_label
 from muxsim.mux import bin_pump_power_mw
 from muxsim.spectral import SpectrumModel
@@ -69,10 +70,11 @@ def test_model_rows_match_per_power_evaluations():
             expected[source_label(b.pass_id, b.delay_id), power] = (
                 single.r_trig_hz, single.r_coincidence_hz, single.r_accidental_hz
             )
-    rows = _model_rows(scenario)
-    assert len(rows) == len(expected)
-    for row in rows:
-        r_trig, r_c, r_a_extr = expected[row["source"], row["power_mw"]]
+    powers, labels, columns = _model_table(scenario)
+    assert powers.size * len(labels) == len(expected)
+    for (i, power), (j, label) in itertools.product(enumerate(powers), enumerate(labels)):
+        r_trig, r_c, r_a_extr = expected[label, power]
+        row = {name: column[i, j] for name, column in columns.items()}
         assert row["r_trig_nosat_hz"] == pytest.approx(r_trig, rel=1e-12, abs=0.0)
         assert row["r_c_nosat_hz"] == pytest.approx(r_c, rel=1e-12, abs=0.0)
         assert row["r_a_extr_hz"] == pytest.approx(r_a_extr, rel=1e-12, abs=0.0)

@@ -140,6 +140,19 @@ def test_solver_equals_lstsq_inside_a_wide_box(problem, margin):
     assert (np.abs(x - expected) <= tol).all()
 
 
+def test_solver_converges_at_an_optimum_near_zero():
+    # min |x - (-2, 0)|^2 over [0, 1]^2: the optimum (0, 0) sits on a bound and
+    # at |x| ~ 0, where the x test cannot stop the solver; the cost test must.
+    lower, upper = np.zeros(2), np.ones(2)
+    x, fun, cost, converged, nfev = fitting._lockstep_lm(
+        _linear_batch(np.eye(2), np.array([-2.0, 0.0]), lower, upper),
+        np.full((1, 2), 0.0625), lower, upper,
+    )
+    assert converged[0] and nfev[0] <= 4
+    assert x[0, 0] == 0.0 and abs(x[0, 1]) <= 1e-6
+    assert cost[0] == pytest.approx(2.0, rel=1e-12)
+
+
 # --- R^2 ---------------------------------------------------------------------
 
 def test_r_squared_perfect_prediction():

@@ -1,0 +1,118 @@
+"""The CLI's output files, byte for byte, and the shared CSV writer's edge cases."""
+
+import csv
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from muxsim.cli import main
+from muxsim.spectral import SpectrumModel
+
+# sha256 of each output, recorded from the per-row dict writer that the
+# columnar table and array writer replaced; any byte that moves is a change.
+EXPECTED_SHA256 = {
+    "default/rates_vs_power.csv":
+        "ed1e8e5235a20c86fb2c6e183c07b5f701c4e6ff4bf04ef3da0f7beced0bc352",
+    "default/rates_vs_power.svg":
+        "6e37b5ac93468a3eb52ae8ab97f02500b7154813151e8ac9c71c16ba7eb481e0",
+    "default/car_curves.csv":
+        "8c53d442cc3b296faeb27e641e846c20ae3d6443270b29d52edf0719999e78ab",
+    "default/car_curves.svg":
+        "f27e48744c344b4c1acc6abb66996e301b7f1876333eba059e0828468f090c59",
+    "default/simulation_report.csv":
+        "a158bc0deee332a777c74402ed016f104d15ef5919194669e53f709a09ebe831",
+    "dense/rates_vs_power.csv":
+        "b926e4f7128c5cc3c318d73acdd901e2777ca9388273a76a7e3e46939b066373",
+    "dense/rates_vs_power.svg":
+        "c0e4d97698cfdfe378ad4af1e39543996f146dc05a265c8fcb247262d8b985b1",
+    "dense/car_curves.csv":
+        "88e616b12aec63e82bafcf6690773e1b555d6eb648a7a445706806e608b1bced",
+    "dense/car_curves.svg":
+        "e7322179184c3be9092fabc31fc5d32a4f7786dbbd99a2d1ccd13679c4346adf",
+    "spectra/gamma_matrix.csv":
+        "f789450b23800444c765eee55c38c3e2981e20a7cf18102e345979c21d6476d8",
+}
+
+DENSE_SWEEP = {"power_sweep_mw": {"start": 0.0, "stop": 40.0, "steps": 321}}
+
+# Three Gaussian spectra apart in centre and width (centre, FWHM, amplitude).
+SPECTRA = {
+    "P1D0": (1550.0, 0.9, 100.0),
+    "P1D1": (1550.3, 1.1, 80.0),
+    "P2D0": (1549.6, 0.8, 120.0),
+}
+
+
+def _write_spectrum(path, model, n=61):
+    wl = np.linspace(model.center_nm - 3.0, model.center_nm + 3.0, n)
+    lines = ["wavelength_nm,counts"]
+    lines += [f"{x!r},{y!r}" for x, y in zip(wl.tolist(), model.intensity(wl).tolist())]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("outputs")
+    dense = root / "dense.json"
+    dense.write_text(json.dumps(DENSE_SWEEP))
+    for command in ("model", "car", "simulate"):
+        assert main([command, "--out", str(root / "default")]) == 0
+    for command in ("model", "car"):
+        assert main([command, "--scenario", str(dense), "--out", str(root / "dense")]) == 0
+    spectra = root / "spectra_in"
+    spectra.mkdir()
+    for stem, params in SPECTRA.items():
+        _write_spectrum(spectra / f"{stem}.csv", SpectrumModel(*params))
+    assert main(["spectra", "--spectra-dir", str(spectra), "--out", str(root / "spectra")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_SHA256))
+def test_output_bytes_are_pinned(outputs, name):
+    digest = hashlib.sha256((outputs / name).read_bytes()).hexdigest()
+    assert digest == EXPECTED_SHA256[name]
+
+
+def test_zero_power_rows_have_empty_car_cells(outputs):
+    rows = _read_rows(outputs / "dense" / "rates_vs_power.csv")
+    zero = [r for r in rows if float(r["power_mw"]) == 0.0]
+    assert len(zero) == 10
+    assert all(r["car"] == "" and r["car_extr"] == "" for r in zero)
+    assert all(r["car"] != "" for r in rows if float(r["power_mw"]) > 0.0)
+
+
+def test_car_curves_drop_zero_power(outputs):
+    rows = _read_rows(outputs / "dense" / "car_curves.csv")
+    assert len(rows) == 320 * 10
+    assert all(float(r["power_mw"]) > 0.0 for r in rows)
+
+
+def test_spectrum_stem_with_comma_is_quoted(tmp_path):
+    spectra = tmp_path / "spectra"
+    spectra.mkdir()
+    for stem in ("a,b", "c"):
+        _write_spectrum(spectra / f"{stem}.csv", SpectrumModel(1550.0, 0.9, 100.0))
+    out = tmp_path / "out"
+    assert main(["spectra", "--spectra-dir", str(spectra), "--out", str(out)]) == 0
+    lines = (out / "gamma_matrix.csv").read_text().splitlines()
+    assert lines[0] == 'source,"a,b",c'
+    assert lines[1].startswith('"a,b",')
+
+
+def test_car_on_a_sweep_without_accidentals_writes_empty_curves(tmp_path):
+    scenario = tmp_path / "zero.json"
+    scenario.write_text(json.dumps({"power_sweep_mw": {"start": 0.0, "stop": 0.0, "steps": 1}}))
+    out = tmp_path / "out"
+    assert main(["car", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert (out / "car_curves.csv").read_text() == (
+        "source,power_mw,car,r_c_hz,car_extr,r_c_extr_hz\n"
+    )
+    svg = (out / "car_curves.svg").read_text()
+    assert "<polyline" not in svg and svg.endswith("</svg>\n")
