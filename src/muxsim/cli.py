@@ -23,7 +23,8 @@ from .hsps import SourceParams, SourceProbs
 from .mux import (
     MuxBin,
     MuxTopology,
-    bin_table,
+    bin_probs,
+    bin_xi,
     evaluate_mux,
     extrinsic_removed,
     priority_nest,
@@ -308,27 +309,23 @@ def _model_table(
     pass1 = [k for k, b in enumerate(topo.bins) if b.pass_id == 1]
     labels = ["MUX8", "MUX4"]
     labels += [defaults.source_label(b.pass_id, b.delay_id) for b in topo.bins]
-    # A single source is measured without the switch network, so it has no
-    # extrinsic loss to remove.
-    solo = bin_table(switchless(topo), powers)
+    # The three topologies differ only in eta_sw, so they share one squeezing
+    # table.  A single source is measured without the switch network, so it
+    # has no extrinsic loss to remove.
+    xi = bin_xi(topo, powers)
+    solo = bin_probs(switchless(topo), xi)
 
     def by_source(table: SourceProbs) -> List[np.ndarray]:
         """p_trig, p_c and p_a of MUX8, MUX4 and each single source."""
         mux8, mux4 = priority_nest(table), priority_nest(table.take(pass1))
         return [np.column_stack(p) for p in zip(mux8[:3], mux4[:3], solo[:3])]
 
-    plain = by_source(bin_table(topo, powers))
-    extr = by_source(bin_table(extrinsic_removed(topo), powers))
-    # The chain's acceptance holds powers x terms floats per call: one source
-    # column at a time keeps that small.
-    saturated = np.empty((3,) + plain[0].shape)
-    for j in range(len(labels)):
-        saturated[:, :, j] = saturated_rates(
-            *(p[:, j] for p in plain), rep, scenario.deadtime_chain
-        )
+    plain = by_source(bin_probs(topo, xi))
+    extr = by_source(bin_probs(extrinsic_removed(topo), xi))
     no_chain = DeadtimeChain()
     variants = (
-        saturated, saturated_rates(*plain, rep, no_chain),
+        saturated_rates(*plain, rep, scenario.deadtime_chain),
+        saturated_rates(*plain, rep, no_chain),
         saturated_rates(*extr, rep, no_chain),
     )
     columns = {}

@@ -4,9 +4,10 @@ The objective is the mean coefficient of determination across the
 trigger, coincidence and accidental channels, compared in log space when
 all observations are positive so that decades are balanced.  Maximizing it
 is a weighted least-squares problem.  A box-bounded Levenberg-Marquardt
-solver in numpy advances all starts together, so each call of the rate
-model covers every start still running; the Jacobian at the optimum gives
-each parameter a standard error.
+solver in numpy advances all starts together, one call of the rate model
+per iteration: the trial points of every start still running and their
+finite-difference points.  The Jacobian at the optimum gives each
+parameter a standard error.
 """
 
 import csv
@@ -118,8 +119,12 @@ def predict_rates(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Model (trigger, coincidence, accidental) rates over a power sweep,
     saturated by the deadtime chain.  The four parameters may be (k, 1)
-    columns, giving (k, n_powers) rates for k parameter points at once."""
-    xi = xi_from_power(calibrate_coupling(p_seed_mw), np.asarray(powers_mw, float))
+    columns, giving (k, n_powers) rates for k parameter points at once;
+    points that share p_seed_mw share one squeezing row."""
+    powers = np.asarray(powers_mw, float)
+    coupling, row = np.unique(calibrate_coupling(p_seed_mw), return_inverse=True)
+    shape = np.broadcast_shapes(np.shape(p_seed_mw), powers.shape)
+    xi = xi_from_power(coupling[:, None], powers)[row.reshape(-1)].reshape(shape)
     p = source_probs(xi, eta_i, eta_s, f)
     return saturated_rates(p.p_trig, p.p_c, p.p_a, rep_rate_hz, chain)
 
@@ -173,19 +178,21 @@ def _residual_batch(
 def _forward_jacobian(
     batch: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
-    fun: np.ndarray,
     upper: np.ndarray,
-) -> np.ndarray:
-    """(k, m, n) forward-difference Jacobians at the k rows of x, whose
-    residuals are fun, from one batch call.  Coordinate j steps by
-    sqrt(eps) max(1, |x_j|), away from the upper bound."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(k, m) residuals and (k, m, n) forward-difference Jacobians at the k
+    rows of x, from one batch call of the rows and their k n difference
+    points.  Coordinate j steps by sqrt(eps) max(1, |x_j|), away from the
+    upper bound."""
     k, n = x.shape
     h = _FD_STEP * np.maximum(1.0, np.abs(x))
     h = np.where(x + h > upper, -h, h)
     points = x[:, None, :] + np.eye(n) * h[:, None, :]
     h = np.diagonal(points, axis1=1, axis2=2) - x  # the step as represented
-    diff = batch(points.reshape(k * n, n)).reshape(k, n, -1) - fun[:, None, :]
-    return np.swapaxes(diff / h[:, :, None], 1, 2)
+    rows = batch(np.concatenate([x, points.reshape(k * n, n)]))
+    fun = rows[:k]
+    diff = rows[k:].reshape(k, n, -1) - fun[:, None, :]
+    return fun, np.swapaxes(diff / h[:, :, None], 1, 2)
 
 
 def _lockstep_lm(
@@ -199,33 +206,33 @@ def _lockstep_lm(
     1978); batch maps (k, n) points to their (k, m) residual rows.
 
     Each start keeps its own damping, scaled by diag(J^T J), and its own
-    Jacobian, recomputed only after an accepted step; each iteration makes
-    one batch call for the Jacobians and one for the trial points of the
-    starts still running.  A coordinate at a bound whose gradient points out
-    of the box, or one the Jacobian does not see, is held for that step, and
-    the trial point is clipped to the box.  A start stops, converged, when a
+    Jacobian.  Each iteration makes one batch call: the trial points of the
+    starts still running together with their finite-difference points, a
+    speculative Jacobian kept when the step is accepted and dropped when it
+    is rejected.  A coordinate at a bound whose gradient points out of the
+    box, or one the Jacobian does not see, is held for that step, and the
+    trial point is clipped to the box.  A start stops, converged, when a
     solved step, accepted or not, moves its cost by at most LM_FTOL relative
     either way and the quadratic model predicted no more gain (MINPACK's
     ftol test), or when such a step is at most LM_XTOL relative in size; it
-    stops unconverged when its damping exceeds LM_MAX_DAMPING or
-    after LM_MAX_ITERATIONS.  Returns (x, residuals, cost, converged, nfev)
-    per start, nfev counting residual evaluations without Jacobian points.
+    stops unconverged when its damping exceeds LM_MAX_DAMPING or after
+    LM_MAX_ITERATIONS.  A last batch call gives the residuals at the
+    returned points.  Returns (x, residuals, cost, converged, nfev) per
+    start, nfev counting residual evaluations without Jacobian points.
     """
     x = np.array(x0s, dtype=float)
     k, n = x.shape
-    fun = batch(x)
+    fun, first = _forward_jacobian(batch, x, upper)
     cost = 0.5 * np.einsum("km,km->k", fun, fun)
+    # C order, whatever the layout of the difference quotients: einsum's
+    # summation order, and so the last bits of every step, depend on it.
     jac = np.empty((k, fun.shape[1], n))
+    jac[...] = first
     damping = np.full(k, LM_DAMPING)
     nfev = np.ones(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
     running = np.ones(k, dtype=bool)
-    stale = np.ones(k, dtype=bool)  # the Jacobian predates the last accepted step
     for _ in range(LM_MAX_ITERATIONS):
-        renew = np.flatnonzero(running & stale)
-        if renew.size:
-            jac[renew] = _forward_jacobian(batch, x[renew], fun[renew], upper)
-            stale[renew] = False
         idx = np.flatnonzero(running)
         xi, ji, ci = x[idx], jac[idx], cost[idx]
         grad = np.einsum("kmi,km->ki", ji, fun[idx])
@@ -240,7 +247,7 @@ def _lockstep_lm(
         system[:, np.arange(n), np.arange(n)] += diag
         step = np.linalg.solve(system, -np.where(free, grad, 0.0)[..., None])[..., 0]
         trial = np.clip(xi + step, lower, upper)
-        trial_fun = batch(trial)
+        trial_fun, trial_jac = _forward_jacobian(batch, trial, upper)
         trial_cost = 0.5 * np.einsum("km,km->k", trial_fun, trial_fun)
         nfev[idx] += 1
 
@@ -258,14 +265,16 @@ def _lockstep_lm(
         done = small_gain | small_step
         moved = idx[better]
         x[moved], fun[moved] = trial[better], trial_fun[better]
-        cost[moved] = trial_cost[better]
-        stale[moved] = True
+        jac[moved], cost[moved] = trial_jac[better], trial_cost[better]
         damping[idx] *= np.where(better, LM_ACCEPT, LM_REJECT)
         converged[idx[done]] = True
         running[idx[done | (damping[idx] > LM_MAX_DAMPING)]] = False
         if not running.any():
             break
-    return x, fun, cost, converged, nfev
+    # A batch's rows need not be independent of the rows beside them, so
+    # the residuals returned are those of x alone.
+    fun = batch(x)
+    return x, fun, 0.5 * np.einsum("km,km->k", fun, fun), converged, nfev
 
 
 def _latin_hypercube(n: int, bounds: np.ndarray, seed: int) -> np.ndarray:
@@ -370,7 +379,7 @@ def fit_source(
 
     r2 = 1.0 - 3.0 * np.sum(fun[best].reshape(3, -1) ** 2, axis=1)
     eta_i, eta_s, p_seed, f = _params(x[best])
-    jac = _forward_jacobian(batch, x[best : best + 1], fun[best : best + 1], bounds[1])
+    _, jac = _forward_jacobian(batch, x[best : best + 1], bounds[1])
     se = _standard_errors(jac[0], cost[best])
     return FitResult(
         params=SourceParams(float(eta_i), float(eta_s), float(p_seed), float(f)),

@@ -7,9 +7,11 @@ loss enters as a per-bin factor eta_sw multiplying the signal
 transmission.
 
 One table holds every bin's per-pulse probabilities at every reference
-power (``bin_table``); the nesting is the exclusive cumulative product of
-1 - p_trig along its bin axis (``priority_nest``).  MUX8, MUX4, single
-sources and the emission trade-off are slices or reductions of such tables.
+power (``bin_table``), built from a squeezing table (``bin_xi``) that
+topologies differing only in eta_sw share; the nesting is the exclusive
+cumulative product of 1 - p_trig along its bin axis (``priority_nest``).
+MUX8, MUX4, single sources and the emission trade-off are slices or
+reductions of such tables.
 """
 
 from dataclasses import dataclass, replace
@@ -129,26 +131,37 @@ def bin_squeezing(bin_: MuxBin, reference_power_mw: float) -> float:
     return squeezing_from_power(c, bin_pump_power_mw(bin_, reference_power_mw)).xi
 
 
-def bin_table(topology: MuxTopology, powers: Sequence[float]) -> SourceProbs:
-    """Per-pulse probabilities of every bin at every reference power, as
-    (n_powers, n_bins) arrays; a bin's signal transmission is eta_s * eta_sw."""
-    bins = topology.bins
+def bin_xi(topology: MuxTopology, powers: Sequence[float]) -> np.ndarray:
+    """Squeezing amplitude of every bin at every reference power, as an
+    (n_powers, n_bins) array; topologies that differ only in eta_sw share it."""
     p_mw = np.asarray(powers, dtype=float)
-    xi = np.stack(
+    return np.stack(
         [
             xi_from_power(
                 calibrate_coupling(b.source.p_seed_mw), bin_pump_power_mw(b, p_mw)
             )
-            for b in bins
+            for b in topology.bins
         ],
         axis=-1,
     )
+
+
+def bin_probs(topology: MuxTopology, xi: np.ndarray) -> SourceProbs:
+    """Per-pulse probabilities of every bin from its squeezing table xi; a
+    bin's signal transmission is eta_s * eta_sw."""
+    bins = topology.bins
     return source_probs(
         xi,
         np.array([b.source.eta_i for b in bins]),
         np.array([b.source.eta_s * b.eta_sw for b in bins]),
         np.array([b.source.back_reflection_fraction for b in bins]),
     )
+
+
+def bin_table(topology: MuxTopology, powers: Sequence[float]) -> SourceProbs:
+    """Per-pulse probabilities of every bin at every reference power, as
+    (n_powers, n_bins) arrays."""
+    return bin_probs(topology, bin_xi(topology, powers))
 
 
 def priority_nest(table: SourceProbs) -> SourceProbs:
@@ -259,8 +272,9 @@ def emission_tradeoff_curve(
                 for b in topology.bins
             ),
         )
-    mux = priority_nest(bin_table(topology, power_grid))
-    solo = bin_table(switchless(topology), power_grid)
+    xi = bin_xi(topology, power_grid)
+    mux = priority_nest(bin_probs(topology, xi))
+    solo = bin_probs(switchless(topology), xi)
     rows = np.arange(solo.p_single.shape[0])
     best = np.argmax(solo.p_single, axis=-1)
     return (

@@ -20,6 +20,8 @@ from numpy.typing import ArrayLike
 
 # Longest idle block, in cycles, of the renewal sum (it has fewer terms).
 MAX_IDLE_BLOCK = 1 << 17
+# Most (pair count, point) terms of the renewal sum held at once.
+BLOCK_TERMS = 1 << 15
 
 
 class SaturationError(ValueError):
@@ -61,22 +63,60 @@ class DeadtimeChain:
         Chains with m >= 3, or with I > MAX_IDLE_BLOCK, raise ValueError; a
         scenario holding one fails with ScenarioError.
 
-        For m = 2 a call holds p.size x (number of terms of E[r]) floats,
-        several times over: 136 terms for the default chain (a = 8, I = 160
-        at 80 MHz); cli._model_table calls it once per source column.
+        Grouped by the pair count k, E[r] = sum_{k=1..K} p^k q^n_k V_k(q),
+        q = 1 - p, K = I // (a + 1), where n_k is the least exponent of q
+        among the k-pair terms and V_k, of degree < a, holds their weights.
+        A point costs K exponentials: K = 17 for the default chain (a = 8,
+        I = 160 at 80 MHz).  Points go through in blocks of at most
+        BLOCK_TERMS // K, so a call holds two arrays of at most BLOCK_TERMS
+        floats whatever the size of p.  Each p is evaluated alone, so its
+        acceptance does not depend on the shape of the array it comes in.
         """
         p = np.asarray(p, dtype=float)
-        rising, table = _renewal_law(self, rep_rate_hz)
-        if table is None:  # at most one stage can block
+        rising, law = _renewal_law(self, rep_rate_hz)
+        if law is None:  # at most one stage can block
             return 1.0 / (1.0 + sum(rising) * p)
-        log_weight, powers = table
-        logs = np.empty(p.shape + (2,))
-        with np.errstate(divide="ignore"):
-            np.log(p, out=logs[..., 0])
-            np.log1p(-p, out=logs[..., 1])
-        # A floor in place of log(0) keeps 0 * log(0) at 0 in the product.
-        terms = np.exp(log_weight + np.maximum(logs, -1e300, out=logs) @ powers)
-        return 1.0 / (1.0 + p * (rising[1] + terms.sum(-1)))
+        flat = p.reshape(-1)
+        mean_residual = np.empty(flat.size)
+        width = max(1, BLOCK_TERMS // law[0].size)
+        for start in range(0, flat.size, width):
+            block = slice(start, start + width)
+            mean_residual[block] = _mean_residual(flat[block], *law)
+        return 1.0 / (1.0 + p * (rising[1] + mean_residual.reshape(p.shape)))
+
+
+def _mean_residual(
+    p: np.ndarray,
+    log_scale: np.ndarray,
+    exponents: np.ndarray,
+    coefficients: np.ndarray,
+) -> np.ndarray:
+    """E[r] at each point of the 1-d array p, from the pair-count groups of
+    _renewal_law."""
+    # Pair counts along the first axis, points along the second.
+    row = p[None]
+    with np.errstate(divide="ignore"):
+        log_p, log_q = np.log(row), np.log1p(-row)
+    # A floor in place of log(0) keeps 0 * log(0) at 0 in the exponents.
+    np.maximum(log_p, -1e300, out=log_p)
+    np.maximum(log_q, -1e300, out=log_q)
+    terms = np.multiply(exponents[0], log_p)
+    poly = np.multiply(exponents[1], log_q)
+    terms += poly
+    terms += log_scale
+    np.exp(terms, out=terms)
+    # V_k(q) by Horner's rule, highest degree first.
+    q = 1.0 - row
+    poly[...] = coefficients[-1]
+    for c in coefficients[-2::-1]:
+        poly *= q
+        poly += c
+    terms *= poly
+    # Summed in order of k: numpy sums the first axis in order for two or
+    # more points, but a single point's column pairwise.
+    if terms.shape[1] == 1:
+        return np.add.accumulate(terms[:, 0])[-1:]
+    return terms.sum(axis=0)
 
 
 # Default electronics: two pulse amplifiers, then the 2 us (500 kHz) idle window.
@@ -87,8 +127,12 @@ FULL_CHAIN = DeadtimeChain((AMPLIFIER_DEADTIME_S, AMPLIFIER_DEADTIME_S, IDLE_TIM
 
 @functools.lru_cache(maxsize=64)
 def _renewal_law(chain: DeadtimeChain, rep_rate_hz: float) -> tuple:
-    """The rising blocks of a chain and, for two, the terms of E[r]: their
-    log(j C(t - k a - 1, k - 1)) and the exponents (k, t - k (a + 1))."""
+    """The rising blocks of a chain and, for two, E[r] grouped by the pair
+    count k, as (K, 1) columns: log s_k, the exponents (k, n_k) and the a
+    coefficients of V_k(q) / s_k, lowest degree first.  The term of offset
+    j and pair count k, of weight j C(t - k a - 1, k - 1) with t = I - a + j,
+    has q's exponent n = t - k (a + 1), degree n - n_k in V_k; s_k is the
+    largest weight of V_k, so that no weight overflows."""
     blocks = chain.blocks(rep_rate_hz)
     rising = [b for i, b in enumerate(blocks) if b > max(blocks[:i], default=0)]
     if len(rising) > 2 or max(rising[1:], default=0) > MAX_IDLE_BLOCK:
@@ -99,17 +143,21 @@ def _renewal_law(chain: DeadtimeChain, rep_rate_hz: float) -> tuple:
     if len(rising) < 2:
         return tuple(rising), None
     a, idle = rising
-    terms = [
-        (j, t, k, t - k * (a + 1))
-        for j, t in enumerate(range(idle - a + 1, idle + 1), start=1)
-        for k in range(1, t // (a + 1) + 1)
-    ]
-    log_weight = [
-        math.log(j) + math.lgamma(t - k * a) - math.lgamma(k) - math.lgamma(n + 1)
-        for j, t, k, n in terms
-    ]
-    powers = np.array([(k, n) for _, _, k, n in terms], dtype=float).T
-    return tuple(rising), (np.array(log_weight), powers)
+    pairs = np.arange(1, idle // (a + 1) + 1)
+    least = np.maximum(idle - a + 1 - pairs * (a + 1), 0)
+    log_weight = np.full((a, pairs.size), -np.inf)
+    for j, t in enumerate(range(idle - a + 1, idle + 1), start=1):
+        for k in range(1, t // (a + 1) + 1):
+            n = t - k * (a + 1)
+            log_weight[n - least[k - 1], k - 1] = (
+                math.log(j) + math.lgamma(t - k * a)
+                - math.lgamma(k) - math.lgamma(n + 1)
+            )
+    log_scale = log_weight.max(axis=0)
+    # Columns, to broadcast against a row of points.
+    exponents = np.array([pairs, least], dtype=float)[..., None]
+    coefficients = np.exp(log_weight - log_scale)[..., None]
+    return tuple(rising), (log_scale[:, None], exponents, coefficients)
 
 
 def detected_from_true(true_rate_hz: ArrayLike, chain: DeadtimeChain) -> ArrayLike:

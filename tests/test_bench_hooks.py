@@ -58,3 +58,35 @@ def test_model_and_car_draw_through_the_module_binding(tmp_path, monkeypatch):
     for command in ("model", "car"):
         assert cli.main([command, "--out", str(tmp_path)]) == 0
     assert drawn == ["rates_vs_power.svg", "car_curves.svg"]
+
+
+def test_fit_draws_one_model_call_per_solver_batch(tmp_path, monkeypatch):
+    # The benchmark's fitting.predict_rates.calls_per_fit counts calls of that
+    # module attribute; each of the solver's batch calls must make one.
+    monkeypatch.syspath_prepend(str(BENCH))
+    inputs = _load_bench_module("inputs")
+    import muxsim.cli as cli
+    from muxsim import fitting
+
+    obs = tmp_path / "obs.csv"
+    rng = np.random.default_rng(5)
+    inputs._observations(
+        obs, {"P2D0": inputs.PASS2_SOURCES[0]}, "pass2", np.linspace(2.0, 25.0, 12), rng
+    )
+    calls = {"batch": 0, "predict": 0}
+    batch, predict = fitting._residual_batch, fitting.predict_rates
+
+    def counting_batch(*args, **kwargs):
+        calls["batch"] += 1
+        return batch(*args, **kwargs)
+
+    def counting_predict(*args):
+        calls["predict"] += 1
+        return predict(*args)
+
+    monkeypatch.setattr(fitting, "_residual_batch", counting_batch)
+    monkeypatch.setattr(fitting, "predict_rates", counting_predict)
+    argv = ["fit", "--observations", str(obs), "--model-kind", "pass2"]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert calls["batch"] > 3
+    assert calls["predict"] == calls["batch"]

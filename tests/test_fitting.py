@@ -153,6 +153,34 @@ def test_solver_converges_at_an_optimum_near_zero():
     assert cost[0] == pytest.approx(2.0, rel=1e-12)
 
 
+def _counting_rosenbrock(calls):
+    """Residual rows (10 (x1 - x0^2), 1 - x0) of the Rosenbrock problem,
+    each row from its own point alone; calls records every batch size."""
+
+    def batch(xs):
+        calls.append(len(xs))
+        return np.column_stack([10.0 * (xs[:, 1] - xs[:, 0] ** 2), 1.0 - xs[:, 0]])
+
+    return batch
+
+
+def test_solver_makes_one_batch_call_per_iteration():
+    calls = []
+    batch = _counting_rosenbrock(calls)
+    lower, upper = np.array([-2.0, -1.0]), np.array([2.0, 3.0])
+    x0s = np.array([[-1.2, 1.0], [0.5, -0.5], [1.9, 2.9]])
+    x, fun, cost, converged, nfev = fitting._lockstep_lm(batch, x0s, lower, upper)
+    assert converged.all() and np.allclose(x, 1.0, atol=1e-6)
+    # The starts and their Jacobian points, one call per iteration for the
+    # trial points and theirs, and one for the returned points.
+    iterations = nfev.max() - 1
+    assert len(calls) == iterations + 2
+    assert calls[0] == calls[1] == 3 * 3 and calls[-1] == 3
+    assert all(size % 3 == 0 for size in calls[1:-1])
+    assert np.array_equal(fun, batch(x))
+    assert np.array_equal(cost, 0.5 * np.einsum("km,km->k", fun, fun))
+
+
 # --- R^2 ---------------------------------------------------------------------
 
 def test_r_squared_perfect_prediction():
@@ -352,6 +380,31 @@ def test_batched_residuals_equal_single_calls(monkeypatch, kind, sources):
     for i, (row, x) in enumerate(zip(rows, points)):
         assert np.array_equal(row, batch(x[None])[0])
         assert (row == FAILED_RESIDUAL).all() == (i in (2, 4))
+
+
+@PASSES
+def test_jacobians_of_a_fused_call_equal_those_taken_alone(monkeypatch, kind, sources):
+    """The points of one fused call, several starts' points and their
+    difference points together, give each start the residuals and Jacobian
+    it gets alone and from residuals and difference points evaluated apart."""
+    calls = _solver_calls(monkeypatch)
+    obs = next(_noisy_draws(kind, sources))[1]
+    fit_source(obs, kind, FULL_CHAIN, seed=0, n_starts=1)
+    batch, lower, upper = calls[0]["batch"], calls[0]["lower"], calls[0]["upper"]
+    points = np.random.default_rng(4).uniform(lower, upper, (6, lower.size))
+    points[0] = upper  # every difference step taken downward
+    fun, jac = fitting._forward_jacobian(batch, points, upper)
+    assert jac.shape == (6, fun.shape[1], lower.size)
+    for x, row, jac_row in zip(points, fun, jac):
+        alone, jac_alone = fitting._forward_jacobian(batch, x[None], upper)
+        assert np.array_equal(row, alone[0]) and np.array_equal(jac_row, jac_alone[0])
+        assert np.array_equal(row, batch(x[None])[0])
+        for j in range(x.size):
+            h = fitting._FD_STEP * max(1.0, abs(x[j]))
+            stepped = x.copy()
+            stepped[j] += -h if x[j] + h > upper[j] else h
+            column = (batch(stepped[None])[0] - row) / (stepped[j] - x[j])
+            assert np.array_equal(jac_row[:, j], column)
 
 
 @PASSES

@@ -1,6 +1,6 @@
 """Deadtime chains: the exact renewal acceptance against a transfer-matrix
-oracle and the simulator's rule, and the Poisson rate corrections' exactness,
-round-trips and MC oracle."""
+oracle, the term-by-term sum and the simulator's rule, and the Poisson rate
+corrections' exactness, round-trips and MC oracle."""
 
 import math
 
@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from muxsim import DeadtimeChain, detected_from_true, true_from_detected
+from muxsim.defaults import FULL_CHAIN, default_topology
 from muxsim.eventsim import _accept_heralds
-from muxsim.saturation import SaturationError
+from muxsim.mux import bin_table, priority_nest
+from muxsim.saturation import MAX_IDLE_BLOCK, SaturationError
 
 
 def _refractory_sim(rate_hz, stages, t_total_s, seed):
@@ -186,3 +188,76 @@ def test_chains_beyond_the_exact_acceptance_are_rejected():
         DeadtimeChain((1e-7, 1.0)).acceptance(0.01, 80e6)
     # One stage needs no table, however long it is.
     assert DeadtimeChain((1.0,)).acceptance(0.5, 80e6) == 1.0 / (1.0 + 4e7)
+
+
+# --- the sum grouped by pair count against the term-by-term sum -----------------------
+
+def _term_by_term_acceptance(a, idle, p):
+    """p -> 1 / (1 + p (idle + E[r])) with E[r] summed term by term in log
+    space: one exponential for each of the (j, k) terms of u_t."""
+    terms = [
+        (j, t, k, t - k * (a + 1))
+        for j, t in enumerate(range(idle - a + 1, idle + 1), start=1)
+        for k in range(1, t // (a + 1) + 1)
+    ]
+    log_weight = np.array([
+        math.log(j) + math.lgamma(t - k * a) - math.lgamma(k) - math.lgamma(n + 1)
+        for j, t, k, n in terms
+    ])
+    powers = np.array([(k, n) for _, _, k, n in terms], dtype=float).T
+    logs = np.empty(p.shape + (2,))
+    with np.errstate(divide="ignore"):
+        np.log(p, out=logs[..., 0])
+        np.log1p(-p, out=logs[..., 1])
+    terms = np.exp(log_weight + np.maximum(logs, -1e300, out=logs) @ powers)
+    return 1.0 / (1.0 + p * (idle + terms.sum(-1)))
+
+
+def test_grouped_acceptance_matches_the_term_by_term_sum():
+    rng = np.random.default_rng(64)
+    for _ in range(150):
+        a = int(rng.integers(1, 20))
+        idle = int(rng.integers(a + 1, 301))
+        p = np.concatenate(
+            [[0.0, 1e-300, 1.0], rng.random(20), 10 ** rng.uniform(-12, 0, 20)]
+        )
+        chain = DeadtimeChain((float(a), float(idle)))
+        np.testing.assert_allclose(
+            chain.acceptance(p, 1.0), _term_by_term_acceptance(a, idle, p),
+            rtol=1e-13, atol=0.0,
+        )
+
+
+def test_acceptance_of_a_point_does_not_depend_on_the_array_it_comes_in():
+    # The herald probabilities of the model table: MUX8, MUX4 and each bin
+    # of the default apparatus over a 321-step sweep.
+    topo = default_topology()
+    table = bin_table(topo, np.linspace(0.0, 40.0, 321))
+    pass1 = [k for k, b in enumerate(topo.bins) if b.pass_id == 1]
+    mux8, mux4 = priority_nest(table), priority_nest(table.take(pass1))
+    p = np.column_stack([mux8.p_trig, mux4.p_trig, table.p_trig])
+    assert p.shape == (321, 10)
+    whole = FULL_CHAIN.acceptance(p, 80e6).reshape(-1)
+    flat = p.reshape(-1)
+    assert np.array_equal(FULL_CHAIN.acceptance(flat, 80e6), whole)
+    assert np.array_equal(FULL_CHAIN.acceptance(flat[:, None], 80e6)[:, 0], whole)
+    for k in (1, 2, 17, 85):
+        rows = FULL_CHAIN.acceptance(flat[: 12 * k].reshape(k, 12), 80e6)
+        assert np.array_equal(rows.reshape(-1), whole[: 12 * k])
+    for i in np.random.default_rng(65).integers(0, flat.size, 50):
+        assert FULL_CHAIN.acceptance(flat[i], 80e6) == whole[i]
+        assert FULL_CHAIN.acceptance(flat[i : i + 1], 80e6)[0] == whole[i]
+
+
+def test_longest_window_after_a_one_cycle_stage_stays_finite():
+    # a = 1 and I = MAX_IDLE_BLOCK: the weights C(t - k - 1, k - 1) reach
+    # about 2^(0.7 I), far beyond a float, and only their per-k scale keeps
+    # them in range.
+    chain = DeadtimeChain((1.0, float(MAX_IDLE_BLOCK)))
+    p = np.array([0.0, 1e-300, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-12, 1.0])
+    accepted = chain.acceptance(p, 1.0)
+    assert np.isfinite(accepted).all()
+    assert ((accepted >= 0.0) & (accepted <= 1.0)).all()
+    assert accepted[0] == 1.0
+    # At p = 1 every cycle holds a herald: the window, then one blocked cycle.
+    assert accepted[-1] == pytest.approx(1.0 / (MAX_IDLE_BLOCK + 2), rel=1e-12)
