@@ -338,11 +338,25 @@ def _model_table(
     return powers, labels, columns
 
 
+def _quoted(cell: str) -> str:
+    """A string cell as csv.writer writes it beside other cells: a cell
+    without a comma, a quote or a line break as it is, any other through
+    the csv module, whose quoting rules vary between Python versions."""
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
+        import csv
+        import io
+
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([cell, ""])
+        return buf.getvalue()[: -len(",\n")]
+    return cell
+
+
 def _cells(values) -> Sequence[str]:
-    """CSV cells of a column block: strings as they are, floats as %.10g,
-    NaN as an empty cell."""
+    """CSV cells of a column block: strings quoted where they need it,
+    floats as %.10g, NaN as an empty cell."""
     if not isinstance(values, np.ndarray):
-        return values
+        return [_quoted(cell) for cell in values]
     cells = ["%.10g" % v for v in values.tolist()]
     for i in np.flatnonzero(np.isnan(values)).tolist():
         cells[i] = ""
@@ -350,17 +364,16 @@ def _cells(values) -> Sequence[str]:
 
 
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
-    """A CSV of equal-length columns, each a sequence of strings or a float
-    array, written in blocks of _CSV_BLOCK_ROWS rows."""
-    import csv
-
+    """A CSV of two or more equal-length columns, each a sequence of strings
+    or a float array, written in blocks of _CSV_BLOCK_ROWS rows.  Formatted
+    numbers never need quoting, so the cells are joined directly."""
     n_rows = len(columns[0])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(_cells(header)) + "\n")
         for start in range(0, n_rows, _CSV_BLOCK_ROWS):
             block = slice(start, start + _CSV_BLOCK_ROWS)
-            writer.writerows(zip(*(_cells(column[block]) for column in columns)))
+            rows = zip(*(_cells(column[block]) for column in columns))
+            fh.writelines([",".join(row) + "\n" for row in rows])
 
 
 # --- commands ----------------------------------------------------------------

@@ -6,7 +6,10 @@ all observations are positive so that decades are balanced.  Maximizing it
 is a weighted least-squares problem.  A box-bounded Levenberg-Marquardt
 solver in numpy advances all starts together, one call of the rate model
 per iteration: the trial points of every start still running and their
-finite-difference points.  The Jacobian at the optimum gives each
+finite-difference points.  Sources that share a model kind, a power
+column and a residual space are solved together, their starts in one
+solver run, each start on its own source's residuals; every source still
+gets the fit it gets alone.  The Jacobian at the optimum gives each
 parameter a standard error.
 """
 
@@ -149,6 +152,7 @@ def _params(x: np.ndarray) -> Tuple[np.ndarray, ...]:
 
 def _residual_batch(
     xs: np.ndarray,
+    starts: np.ndarray,
     powers: np.ndarray,
     target: np.ndarray,
     weight: np.ndarray,
@@ -157,53 +161,67 @@ def _residual_batch(
     chain: DeadtimeChain,
 ) -> np.ndarray:
     """Residuals (g(pred) - target) * weight of the k fit points in the rows
-    of xs, as (k, 3 n) rows, from one model call; a batch the model rejects
-    is evaluated row by row, so only its bad points get FAILED_RESIDUAL."""
+    of xs, as (k, 3 n) rows, from one model call; target and weight hold a
+    (3, n) block per start and starts gives each point's.  A batch the model
+    rejects is split in halves until its bad points stand alone, so only
+    they get FAILED_RESIDUAL, at O(log k) model calls per bad point."""
+    m = target[0].size
     try:
         pred = np.stack(
             predict_rates(*_params(xs[:, None]), powers, rep_rate_hz, chain), axis=1
         )
     except (ValueError, ArithmeticError):
         if len(xs) == 1:
-            return np.full((1, target.size), FAILED_RESIDUAL)
+            return np.full((1, m), FAILED_RESIDUAL)
+        half = len(xs) // 2
         problem = (powers, target, weight, log_space, rep_rate_hz, chain)
-        return np.concatenate([_residual_batch(x[None], *problem) for x in xs])
-    out = np.full((len(xs), target.size), FAILED_RESIDUAL)
+        return np.concatenate([
+            _residual_batch(xs[:half], starts[:half], *problem),
+            _residual_batch(xs[half:], starts[half:], *problem),
+        ])
+    out = np.full((len(xs), m), FAILED_RESIDUAL)
     ok = ~np.any(pred <= 0.0, axis=(1, 2)) if log_space else slice(None)
     fitted = np.log(pred[ok]) if log_space else pred
-    out[ok] = ((fitted - target) * weight).reshape(-1, target.size)
+    own = starts[ok]  # each point's start picks its target and weight block
+    out[ok] = ((fitted - target[own]) * weight[own]).reshape(-1, m)
     return out
 
 
 def _forward_jacobian(
-    batch: Callable[[np.ndarray], np.ndarray],
+    batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x: np.ndarray,
     upper: np.ndarray,
+    starts: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(k, m) residuals and (k, m, n) forward-difference Jacobians at the k
-    rows of x, from one batch call of the rows and their k n difference
-    points.  Coordinate j steps by sqrt(eps) max(1, |x_j|), away from the
-    upper bound."""
+    rows of x, the points of the given starts, from one batch call of the
+    rows and their k n difference points.  Coordinate j steps by sqrt(eps)
+    max(1, |x_j|), away from the upper bound."""
     k, n = x.shape
     h = _FD_STEP * np.maximum(1.0, np.abs(x))
     h = np.where(x + h > upper, -h, h)
     points = x[:, None, :] + np.eye(n) * h[:, None, :]
     h = np.diagonal(points, axis1=1, axis2=2) - x  # the step as represented
-    rows = batch(np.concatenate([x, points.reshape(k * n, n)]))
+    rows = batch(
+        np.concatenate([x, points.reshape(k * n, n)]),
+        np.concatenate([starts, np.repeat(starts, n)]),
+    )
     fun = rows[:k]
     diff = rows[k:].reshape(k, n, -1) - fun[:, None, :]
     return fun, np.swapaxes(diff / h[:, :, None], 1, 2)
 
 
 def _lockstep_lm(
-    batch: Callable[[np.ndarray], np.ndarray],
+    batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x0s: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> Tuple[np.ndarray, ...]:
     """Minimize 0.5 |r(x)|^2 within lower <= x <= upper from every row of
     x0s at once by Levenberg-Marquardt (More, Lecture Notes in Math. 630,
-    1978); batch maps (k, n) points to their (k, m) residual rows.
+    1978); batch(xs, starts) maps (k, n) points to their (k, m) residual
+    rows, starts giving the row of x0s each point belongs to, so that the
+    starts may minimize different residuals.
 
     Each start keeps its own damping, scaled by diag(J^T J), and its own
     Jacobian.  Each iteration makes one batch call: the trial points of the
@@ -217,12 +235,13 @@ def _lockstep_lm(
     ftol test), or when such a step is at most LM_XTOL relative in size; it
     stops unconverged when its damping exceeds LM_MAX_DAMPING or after
     LM_MAX_ITERATIONS.  A last batch call gives the residuals at the
-    returned points.  Returns (x, residuals, cost, converged, nfev) per
-    start, nfev counting residual evaluations without Jacobian points.
+    returned points.  Returns (x, residuals, cost, converged, nfev, jac) per
+    start, nfev counting residual evaluations without Jacobian points and
+    jac the (m, n) forward-difference Jacobian at x that the solver holds.
     """
     x = np.array(x0s, dtype=float)
     k, n = x.shape
-    fun, first = _forward_jacobian(batch, x, upper)
+    fun, first = _forward_jacobian(batch, x, upper, np.arange(k))
     cost = 0.5 * np.einsum("km,km->k", fun, fun)
     # C order, whatever the layout of the difference quotients: einsum's
     # summation order, and so the last bits of every step, depend on it.
@@ -247,7 +266,7 @@ def _lockstep_lm(
         system[:, np.arange(n), np.arange(n)] += diag
         step = np.linalg.solve(system, -np.where(free, grad, 0.0)[..., None])[..., 0]
         trial = np.clip(xi + step, lower, upper)
-        trial_fun, trial_jac = _forward_jacobian(batch, trial, upper)
+        trial_fun, trial_jac = _forward_jacobian(batch, trial, upper, idx)
         trial_cost = 0.5 * np.einsum("km,km->k", trial_fun, trial_fun)
         nfev[idx] += 1
 
@@ -273,8 +292,8 @@ def _lockstep_lm(
             break
     # A batch's rows need not be independent of the rows beside them, so
     # the residuals returned are those of x alone.
-    fun = batch(x)
-    return x, fun, 0.5 * np.einsum("km,km->k", fun, fun), converged, nfev
+    fun = batch(x, np.arange(k))
+    return x, fun, 0.5 * np.einsum("km,km->k", fun, fun), converged, nfev, jac
 
 
 def _latin_hypercube(n: int, bounds: np.ndarray, seed: int) -> np.ndarray:
@@ -324,6 +343,116 @@ def _heuristic_start(
     return np.append(start, 0.2) if with_f else start
 
 
+@dataclass(frozen=True)
+class _Problem:
+    """One source's checked observations in fit form: the residual target,
+    (3, n), its per-channel weights, (3, 1), and the moment-based start."""
+
+    powers: np.ndarray
+    target: np.ndarray
+    weight: np.ndarray
+    log_space: bool
+    start: np.ndarray
+
+
+def _problem(
+    observations: Sequence[Observation],
+    model_kind: str,
+    deadtime_chain: DeadtimeChain,
+    rep_rate_hz: float,
+) -> _Problem:
+    """Check one source's observations, as ValueError naming what is wrong,
+    and put them in fit form."""
+    if model_kind not in ("pass1", "pass2"):
+        raise ValueError(f"model_kind must be 'pass1' or 'pass2', got {model_kind!r}")
+    if len(observations) < 4:
+        raise ValueError("need at least 4 observations")
+    powers = np.array([o.reference_power_mw for o in observations])
+    if np.unique(powers).size < 3:
+        raise ValueError("need at least 3 distinct powers")
+    observed = np.array([[o.r_trig_hz, o.r_c_hz, o.r_a_hz] for o in observations]).T
+    log_space = bool((observed > 0.0).all())
+    target = np.log(observed) if log_space else observed
+    ss_tot = np.sum((target - target.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    if np.any(ss_tot == 0.0):
+        raise ValueError("observed values are all identical; R^2 undefined")
+    weight = 1.0 / np.sqrt(3.0 * ss_tot)[:, None]
+    # ValueError now, not a diverged fit, for a chain the model cannot cover.
+    deadtime_chain.acceptance(0.0, rep_rate_hz)
+    start = _heuristic_start(
+        powers, *observed, rep_rate_hz, deadtime_chain, model_kind == "pass2"
+    )
+    return _Problem(powers, target, weight, log_space, start)
+
+
+def _fit_group(
+    problems: Sequence[_Problem],
+    with_f: bool,
+    deadtime_chain: DeadtimeChain,
+    rep_rate_hz: float,
+    seed: int,
+    n_starts: int,
+) -> List[object]:
+    """Fit sources that share a model kind, a power column and a residual
+    space in one solver run over all their starts; one FitResult or
+    FitError per source, each from its own starts alone."""
+    bounds = np.log([ETA_BOUNDS, ETA_BOUNDS, P_SEED_BOUNDS]).T
+    if with_f:
+        bounds = np.column_stack([bounds, F_BOUNDS])
+    # Latin-hypercube starts drawn with numpy alone (log-spaced for the scale
+    # parameters) plus each source's moment-based start.
+    lhs = _latin_hypercube(n_starts, bounds, seed)
+    starts = np.vstack([block for p in problems for block in (lhs, p.start)])
+    per_source = n_starts + 1
+    batch = functools.partial(
+        _residual_batch,
+        powers=problems[0].powers,
+        target=np.repeat([p.target for p in problems], per_source, axis=0),
+        weight=np.repeat([p.weight for p in problems], per_source, axis=0),
+        log_space=problems[0].log_space,
+        rep_rate_hz=rep_rate_hz,
+        chain=deadtime_chain,
+    )
+    x, fun, cost, converged, nfev, jac = _lockstep_lm(batch, starts, *bounds)
+
+    results: List[object] = []
+    for first in range(0, len(starts), per_source):
+        best = first + int(np.argmin(cost[first : first + per_source]))
+        if not cost[best] < 0.5 * fun.shape[1] * FAILED_RESIDUAL**2:
+            results.append(FitError("all starts diverged; no finite objective found"))
+            continue
+        r2 = 1.0 - 3.0 * np.sum(fun[best].reshape(3, -1) ** 2, axis=1)
+        eta_i, eta_s, p_seed, f = _params(x[best])
+        se = _standard_errors(jac[best], cost[best])
+        results.append(FitResult(
+            params=SourceParams(float(eta_i), float(eta_s), float(p_seed), float(f)),
+            r2_trig=float(r2[0]),
+            r2_c=float(r2[1]),
+            r2_a=float(r2[2]),
+            r2_mean=float(1.0 - 2.0 * cost[best]),
+            converged=bool(converged[best]),
+            iterations=int(nfev[best]),
+            # an error in log(x) is, to first order, the relative error in x
+            rel_se_eta_i=float(se[0]),
+            rel_se_eta_s=float(se[1]),
+            rel_se_p_seed=float(se[2]),
+            rel_se_f=float(se[3] / f if f > 0.0 else math.inf) if with_f else None,
+        ))
+    return results
+
+
+def _fit_each(problems: Sequence[_Problem], *args) -> List[object]:
+    """_fit_group(problems, *args), or, where its run raises ValueError as a
+    whole (a seed the generator rejects, a singular step), each source's
+    run alone, so that each gets the exception it raises alone."""
+    try:
+        return _fit_group(problems, *args)
+    except ValueError as exc:
+        if len(problems) == 1:
+            return [exc]
+        return [r for p in problems for r in _fit_each([p], *args)]
+
+
 def fit_source(
     observations: Sequence[Observation],
     model_kind: str,
@@ -339,62 +468,15 @@ def fit_source(
     have 1 - sum r^2 = mean R^2.  They are minimized over (log eta_i,
     log eta_s, log p_seed[, f]) within the search bounds from
     Latin-hypercube starts plus a moment-based one; the best start wins.
+    This is fit_all's solver run for a group of one source.
     """
-    if model_kind not in ("pass1", "pass2"):
-        raise ValueError(f"model_kind must be 'pass1' or 'pass2', got {model_kind!r}")
-    if len(observations) < 4:
-        raise ValueError("need at least 4 observations")
-    powers = np.array([o.reference_power_mw for o in observations])
-    if np.unique(powers).size < 3:
-        raise ValueError("need at least 3 distinct powers")
-    observed = np.array([[o.r_trig_hz, o.r_c_hz, o.r_a_hz] for o in observations]).T
-    with_f = model_kind == "pass2"
-    log_space = bool((observed > 0.0).all())
-    target = np.log(observed) if log_space else observed
-    ss_tot = np.sum((target - target.mean(axis=1, keepdims=True)) ** 2, axis=1)
-    if np.any(ss_tot == 0.0):
-        raise ValueError("observed values are all identical; R^2 undefined")
-    weight = 1.0 / np.sqrt(3.0 * ss_tot)[:, None]
-    # ValueError now, not a diverged fit, for a chain the model cannot cover.
-    deadtime_chain.acceptance(0.0, rep_rate_hz)
-
-    bounds = np.log([ETA_BOUNDS, ETA_BOUNDS, P_SEED_BOUNDS]).T
-    if with_f:
-        bounds = np.column_stack([bounds, F_BOUNDS])
-
-    # Latin-hypercube starts drawn with numpy alone (log-spaced for the scale
-    # parameters) plus a moment-based heuristic start.
-    starts = np.vstack([
-        _latin_hypercube(n_starts, bounds, seed),
-        _heuristic_start(powers, *observed, rep_rate_hz, deadtime_chain, with_f),
-    ])
-    batch = functools.partial(
-        _residual_batch, powers=powers, target=target, weight=weight,
-        log_space=log_space, rep_rate_hz=rep_rate_hz, chain=deadtime_chain,
+    problem = _problem(observations, model_kind, deadtime_chain, rep_rate_hz)
+    (result,) = _fit_group(
+        [problem], model_kind == "pass2", deadtime_chain, rep_rate_hz, seed, n_starts
     )
-    x, fun, cost, converged, nfev = _lockstep_lm(batch, starts, *bounds)
-    best = int(np.argmin(cost))
-    if not cost[best] < 0.5 * target.size * FAILED_RESIDUAL**2:
-        raise FitError("all starts diverged; no finite objective found")
-
-    r2 = 1.0 - 3.0 * np.sum(fun[best].reshape(3, -1) ** 2, axis=1)
-    eta_i, eta_s, p_seed, f = _params(x[best])
-    _, jac = _forward_jacobian(batch, x[best : best + 1], bounds[1])
-    se = _standard_errors(jac[0], cost[best])
-    return FitResult(
-        params=SourceParams(float(eta_i), float(eta_s), float(p_seed), float(f)),
-        r2_trig=float(r2[0]),
-        r2_c=float(r2[1]),
-        r2_a=float(r2[2]),
-        r2_mean=float(1.0 - 2.0 * cost[best]),
-        converged=bool(converged[best]),
-        iterations=int(nfev[best]),
-        # an error in log(x) is, to first order, the relative error in x
-        rel_se_eta_i=float(se[0]),
-        rel_se_eta_s=float(se[1]),
-        rel_se_p_seed=float(se[2]),
-        rel_se_f=float(se[3] / f if f > 0.0 else math.inf) if with_f else None,
-    )
+    if isinstance(result, FitError):
+        raise result
+    return result
 
 
 def fit_all(
@@ -404,16 +486,29 @@ def fit_all(
     rep_rate_hz: float = 80e6,
     seed: int = 0,
 ) -> Dict[str, object]:
-    """Independent fits per source; failures are recorded, not raised."""
+    """Fit every source as fit_source does alone, with the same result or
+    exception, recorded against its source, not raised.  The sources that
+    pass fit_source's checks are grouped by (model kind, power column in
+    file order, log space or not), and each group is solved in one solver
+    run over all its members' starts."""
     results: Dict[str, object] = {}
+    groups: Dict[tuple, List[Tuple[str, _Problem]]] = {}
     for label, obs in observations_by_source.items():
         kind = model_kind_by_source.get(label, "pass1")
         try:
-            results[label] = fit_source(
-                obs, kind, deadtime_chain, rep_rate_hz, seed=seed
-            )
-        except (FitError, ValueError) as exc:
+            problem = _problem(obs, kind, deadtime_chain, rep_rate_hz)
+        except ValueError as exc:
             results[label] = exc
+            continue
+        results[label] = None  # placeholder that keeps the input order
+        key = (kind, problem.powers.tobytes(), problem.log_space)
+        groups.setdefault(key, []).append((label, problem))
+    for (kind, _, _), members in groups.items():
+        labels, problems = zip(*members)
+        fitted = _fit_each(
+            problems, kind == "pass2", deadtime_chain, rep_rate_hz, seed, N_STARTS
+        )
+        results.update(zip(labels, fitted))
     return results
 
 

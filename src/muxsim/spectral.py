@@ -84,7 +84,7 @@ def fit_gaussian(
 
     center0, sigma0, amp0 = _initial_guess(wl, counts)
 
-    def batch(xs: np.ndarray) -> np.ndarray:
+    def batch(xs: np.ndarray, _starts: np.ndarray) -> np.ndarray:
         center, log_sigma, log_amp = xs.T[..., None]
         sigma = np.exp(log_sigma)
         model = np.exp(log_amp) * np.exp(-((wl - center) ** 2) / (2.0 * sigma * sigma))
@@ -92,7 +92,7 @@ def fit_gaussian(
 
     x0 = np.array([center0, math.log(sigma0), math.log(max(amp0, 1e-300))])
     unbounded = np.full(3, np.inf)
-    x, _, cost, _, _ = _lockstep_lm(batch, x0[None], -unbounded, unbounded)
+    x, _, cost, *_ = _lockstep_lm(batch, x0[None], -unbounded, unbounded)
     center, log_sigma, log_amp = x[0]
     model = SpectrumModel(
         center_nm=float(center),

@@ -1,6 +1,7 @@
 """Parameter recovery: the solver, objective definition, round-trips, and CSV
 plumbing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from muxsim.fitting import (
     ETA_BOUNDS,
     F_BOUNDS,
     FAILED_RESIDUAL,
+    FitError,
     P_SEED_BOUNDS,
     ObservationsParseError,
     _latin_hypercube,
@@ -76,7 +78,7 @@ def _boxed_linear_problems(draw):
 def _linear_batch(a, b, lower, upper):
     """Residual rows of A x - b; every point must lie in the box."""
 
-    def batch(xs):
+    def batch(xs, starts):
         assert ((xs >= lower) & (xs <= upper)).all(), "evaluated outside the box"
         return xs @ a.T - b
 
@@ -85,7 +87,7 @@ def _linear_batch(a, b, lower, upper):
 
 def _solve_linear(a, b, lower, upper, share):
     x0 = np.clip(lower + share * (upper - lower), lower, upper)
-    x, fun, cost, converged, nfev = fitting._lockstep_lm(
+    x, fun, cost, converged, nfev, _ = fitting._lockstep_lm(
         _linear_batch(a, b, lower, upper), x0[None], lower, upper
     )
     # stopped on a tolerance or on the damping, not at the iteration cap
@@ -144,7 +146,7 @@ def test_solver_converges_at_an_optimum_near_zero():
     # min |x - (-2, 0)|^2 over [0, 1]^2: the optimum (0, 0) sits on a bound and
     # at |x| ~ 0, where the x test cannot stop the solver; the cost test must.
     lower, upper = np.zeros(2), np.ones(2)
-    x, fun, cost, converged, nfev = fitting._lockstep_lm(
+    x, fun, cost, converged, nfev, _ = fitting._lockstep_lm(
         _linear_batch(np.eye(2), np.array([-2.0, 0.0]), lower, upper),
         np.full((1, 2), 0.0625), lower, upper,
     )
@@ -157,7 +159,7 @@ def _counting_rosenbrock(calls):
     """Residual rows (10 (x1 - x0^2), 1 - x0) of the Rosenbrock problem,
     each row from its own point alone; calls records every batch size."""
 
-    def batch(xs):
+    def batch(xs, starts):
         calls.append(len(xs))
         return np.column_stack([10.0 * (xs[:, 1] - xs[:, 0] ** 2), 1.0 - xs[:, 0]])
 
@@ -169,7 +171,7 @@ def test_solver_makes_one_batch_call_per_iteration():
     batch = _counting_rosenbrock(calls)
     lower, upper = np.array([-2.0, -1.0]), np.array([2.0, 3.0])
     x0s = np.array([[-1.2, 1.0], [0.5, -0.5], [1.9, 2.9]])
-    x, fun, cost, converged, nfev = fitting._lockstep_lm(batch, x0s, lower, upper)
+    x, fun, cost, converged, nfev, _ = fitting._lockstep_lm(batch, x0s, lower, upper)
     assert converged.all() and np.allclose(x, 1.0, atol=1e-6)
     # The starts and their Jacobian points, one call per iteration for the
     # trial points and theirs, and one for the returned points.
@@ -177,8 +179,29 @@ def test_solver_makes_one_batch_call_per_iteration():
     assert len(calls) == iterations + 2
     assert calls[0] == calls[1] == 3 * 3 and calls[-1] == 3
     assert all(size % 3 == 0 for size in calls[1:-1])
-    assert np.array_equal(fun, batch(x))
+    assert np.array_equal(fun, batch(x, np.arange(3)))
     assert np.array_equal(cost, 0.5 * np.einsum("km,km->k", fun, fun))
+
+
+def test_starts_with_their_own_residuals_run_as_they_run_alone():
+    """Each start may minimize its own residuals, picked by its start index:
+    run together, every start takes the trajectory it takes alone."""
+    shifts = np.array([0.5, -1.5, 1.0, 0.25])
+
+    def batch(xs, starts):
+        a = shifts[starts]
+        return np.column_stack([10.0 * (xs[:, 1] - xs[:, 0] ** 2), a - xs[:, 0]])
+
+    lower, upper = np.array([-2.0, -1.0]), np.array([2.0, 3.0])
+    x0s = np.array([[-1.2, 1.0], [0.5, -0.5], [1.9, 2.9], [-1.2, 1.0]])
+    together = fitting._lockstep_lm(batch, x0s, lower, upper)
+    assert np.allclose(together[0], np.column_stack([shifts, shifts**2]), atol=1e-6)
+    for i, x0 in enumerate(x0s):
+        alone = fitting._lockstep_lm(
+            lambda xs, starts: batch(xs, np.full(len(xs), i)), x0[None], lower, upper
+        )
+        for got, expected in zip(together, alone):
+            assert np.array_equal(got[i : i + 1], expected)
 
 
 # --- R^2 ---------------------------------------------------------------------
@@ -341,6 +364,11 @@ def test_noisy_fits_reach_the_truths_r2_and_recover_eta_i(kind, sources):
             assert result.rel_se_f > result.rel_se_eta_i
 
 
+def _at(batch, points, start=0):
+    """Residual rows of points that all belong to one start."""
+    return batch(points, np.full(len(points), start))
+
+
 def _solver_calls(monkeypatch):
     """Record the arguments fit_source hands to its solver."""
     calls = []
@@ -362,13 +390,13 @@ def test_batched_residuals_equal_single_calls(monkeypatch, kind, sources):
     batch, lower, upper = calls[0]["batch"], calls[0]["lower"], calls[0]["upper"]
     assert batch.func is fitting._residual_batch
     points = np.random.default_rng(3).uniform(lower, upper, (6, lower.size))
-    singles = [batch(x[None])[0] for x in points]
+    singles = [_at(batch, x[None])[0] for x in points]
     # A batch the model accepts takes one model call...
     model_calls = []
     monkeypatch.setattr(
         fitting, "predict_rates", lambda *a: model_calls.append(a) or predict_rates(*a)
     )
-    rows = batch(points)
+    rows = _at(batch, points)
     assert len(model_calls) == 1 and len(rows) == len(points)
     assert all(np.array_equal(r, s) for r, s in zip(rows, singles))
     assert not any((s == FAILED_RESIDUAL).any() for s in singles)
@@ -376,10 +404,21 @@ def test_batched_residuals_equal_single_calls(monkeypatch, kind, sources):
     # that predict no coincidences (eta_s = 0) fails those rows alone.
     points[2, 0] = 1.0
     points[4, 1] = -np.inf
-    rows = batch(points)
+    rows = _at(batch, points)
     for i, (row, x) in enumerate(zip(rows, points)):
-        assert np.array_equal(row, batch(x[None])[0])
+        assert np.array_equal(row, _at(batch, x[None])[0])
         assert (row == FAILED_RESIDUAL).all() == (i in (2, 4))
+    # One rejected point among 64 costs a model call per halving, not one
+    # per row: the batch, then both halves at each of log2(64) levels.
+    points = np.random.default_rng(5).uniform(lower, upper, (64, lower.size))
+    points[37, 0] = 1.0
+    model_calls.clear()
+    rows = _at(batch, points)
+    assert len(model_calls) <= 1 + 2 * 6
+    for i, (row, x) in enumerate(zip(rows, points)):
+        assert (row == FAILED_RESIDUAL).all() == (i == 37)
+        if i != 37:
+            assert np.array_equal(row, _at(batch, x[None])[0])
 
 
 @PASSES
@@ -393,17 +432,18 @@ def test_jacobians_of_a_fused_call_equal_those_taken_alone(monkeypatch, kind, so
     batch, lower, upper = calls[0]["batch"], calls[0]["lower"], calls[0]["upper"]
     points = np.random.default_rng(4).uniform(lower, upper, (6, lower.size))
     points[0] = upper  # every difference step taken downward
-    fun, jac = fitting._forward_jacobian(batch, points, upper)
+    starts = np.arange(6) % 2  # n_starts=1 gives a fit two starts
+    fun, jac = fitting._forward_jacobian(batch, points, upper, starts)
     assert jac.shape == (6, fun.shape[1], lower.size)
-    for x, row, jac_row in zip(points, fun, jac):
-        alone, jac_alone = fitting._forward_jacobian(batch, x[None], upper)
+    for x, start, row, jac_row in zip(points, starts, fun, jac):
+        alone, jac_alone = fitting._forward_jacobian(batch, x[None], upper, np.array([start]))
         assert np.array_equal(row, alone[0]) and np.array_equal(jac_row, jac_alone[0])
-        assert np.array_equal(row, batch(x[None])[0])
+        assert np.array_equal(row, _at(batch, x[None], start)[0])
         for j in range(x.size):
             h = fitting._FD_STEP * max(1.0, abs(x[j]))
             stepped = x.copy()
             stepped[j] += -h if x[j] + h > upper[j] else h
-            column = (batch(stepped[None])[0] - row) / (stepped[j] - x[j])
+            column = (_at(batch, stepped[None], start)[0] - row) / (stepped[j] - x[j])
             assert np.array_equal(jac_row[:, j], column)
 
 
@@ -421,7 +461,7 @@ def test_fits_match_scipy_trf_from_the_same_starts(monkeypatch, kind, sources):
         best = min(
             (
                 least_squares(
-                    lambda x: call["batch"](x[None])[0], x0, method="trf",
+                    lambda x: _at(call["batch"], x[None])[0], x0, method="trf",
                     bounds=(call["lower"], call["upper"]), x_scale="jac",
                 )
                 for x0 in call["x0s"]
@@ -480,6 +520,74 @@ def test_fit_all_records_failures_without_aborting():
     results = fit_all({"good": good, "bad": bad}, {"good": "pass1", "bad": "pass1"}, NO_CHAIN)
     assert isinstance(results["good"], FitResult)
     assert isinstance(results["bad"], ValueError)
+
+
+def _outcome(result):
+    """A fit's result, or the type and message of its exception."""
+    return (type(result), str(result)) if isinstance(result, Exception) else result
+
+
+def test_fit_all_gives_every_source_the_fit_it_gets_alone():
+    """One file holding two power grids, both kinds, both residual spaces
+    and a source too short to fit: fusing the solver runs changes nothing."""
+    rng = np.random.default_rng(21)
+    table = {f"P2D{i}": _noisy(_truth(PASS2_SOURCES[i]), rng) for i in range(4)}
+    kinds = dict.fromkeys(table, "pass2")
+    table["P1"] = _synthetic(_truth(PASS1_SOURCES[0]), np.linspace(2.0, 25.0, 8), FULL_CHAIN)
+    kinds["P1"] = "pass1"
+    no_accidental = _noisy(_truth(PASS2_SOURCES[1]), rng)
+    no_accidental[3] = Observation(*dataclasses.astuple(no_accidental[3])[:3], 0.0)
+    table["zero_r_a"], kinds["zero_r_a"] = no_accidental, "pass2"
+    table["short"], kinds["short"] = table["P2D0"][:3], "pass2"
+    results = fit_all(table, kinds, FULL_CHAIN, seed=2)
+    assert list(results) == list(table)
+    for label, obs in table.items():
+        try:
+            alone = fit_source(obs, kinds[label], FULL_CHAIN, seed=2)
+        except (FitError, ValueError) as exc:
+            alone = exc
+        assert _outcome(results[label]) == _outcome(alone), label
+    assert isinstance(results["short"], ValueError)
+    assert sum(isinstance(r, FitResult) for r in results.values()) == 6
+
+
+def test_fit_all_records_a_failed_run_against_each_of_its_sources():
+    """A group's run that raises as a whole, here on a seed the generator
+    rejects, leaves each source the exception it raises alone."""
+    rng = np.random.default_rng(23)
+    table = {f"P2D{i}": _noisy(_truth(PASS2_SOURCES[i]), rng) for i in range(2)}
+    results = fit_all(table, dict.fromkeys(table, "pass2"), FULL_CHAIN, seed=-1)
+    for label, obs in table.items():
+        with pytest.raises(ValueError) as alone:
+            fit_source(obs, "pass2", FULL_CHAIN, seed=-1)
+        assert _outcome(results[label]) == _outcome(alone.value)
+
+
+def test_fit_all_solves_a_shared_grid_in_one_run(monkeypatch):
+    """Four sources of one kind on one grid take one solver run: a model
+    call for the starts, one per iteration of the slowest start and one
+    for the returned points, and none after the solver returns."""
+    runs, model_calls = [], []
+    real_solver = fitting._lockstep_lm
+
+    def solver(*args):
+        out = real_solver(*args)
+        runs.append((out, len(model_calls)))
+        return out
+
+    monkeypatch.setattr(fitting, "_lockstep_lm", solver)
+    monkeypatch.setattr(
+        fitting, "predict_rates", lambda *a: model_calls.append(a) or predict_rates(*a)
+    )
+    rng = np.random.default_rng(22)
+    table = {f"P2D{i}": _noisy(_truth(PASS2_SOURCES[i]), rng) for i in range(4)}
+    results = fit_all(table, dict.fromkeys(table, "pass2"), FULL_CHAIN)
+    assert all(isinstance(r, FitResult) for r in results.values())
+    assert len(runs) == 1
+    (x, fun, cost, converged, nfev, jac), calls_at_return = runs[0]
+    assert len(x) == 4 * (fitting.N_STARTS + 1)
+    iterations = nfev.max() - 1
+    assert len(model_calls) == calls_at_return == iterations + 2
 
 
 # --- CSV interfaces ------------------------------------------------------------------

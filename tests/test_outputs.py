@@ -2,12 +2,14 @@
 
 import csv
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from muxsim.cli import main
+from muxsim.cli import _cells, main
 from muxsim.defaults import FULL_CHAIN
 from muxsim.fitting import predict_rates
 from muxsim.spectral import SpectrumModel
@@ -149,6 +151,15 @@ def test_spectrum_stem_with_comma_is_quoted(tmp_path):
     lines = (out / "gamma_matrix.csv").read_text().splitlines()
     assert lines[0] == 'source,"a,b",c'
     assert lines[1].startswith('"a,b",')
+
+
+@given(rows=st.lists(st.lists(st.text(), min_size=2, max_size=4), min_size=1, max_size=4))
+def test_string_cells_are_quoted_as_csv_writer_quotes_them(rows):
+    """Rows of two or more cells, as every CSV the CLI writes has: csv.writer
+    writes a row of one empty cell as '""' so that it is not a blank line."""
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(rows)
+    assert "".join(",".join(_cells(row)) + "\n" for row in rows) == expected.getvalue()
 
 
 def test_car_on_a_sweep_without_accidentals_writes_empty_curves(tmp_path):
