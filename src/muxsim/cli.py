@@ -24,6 +24,7 @@ from .mux import (
     MuxBin,
     MuxTopology,
     bin_probs,
+    bin_table,
     bin_xi,
     evaluate_mux,
     extrinsic_removed,
@@ -77,6 +78,10 @@ class Scenario:
             raise ScenarioError("topology needs at least one pass-1 bin (MUX4)")
         # ValueError unless the model's exact acceptance covers the chain.
         self.deadtime_chain.acceptance(0.0, self.topology.rep_rate_hz)
+        # ValueError unless f * p_trig <= 1 in every bin at every power the
+        # commands evaluate; p_trig rises with power, so the highest decides.
+        top = max(self.sweep.powers()[-1], self.reference_power_mw)
+        bin_table(self.topology, [top])
 
 
 def _reject_unknown(obj: dict, allowed: Sequence[str], where: str) -> None:

@@ -35,7 +35,7 @@ The bins are merged in priority order, and the deadtime rule runs on the
 merged candidates.  The trace keeps only these sparse records and builds
 per-cycle arrays on demand.  Since p_k comes from hsps.p_trig_idler, this
 sampler does not check that closed form; the dense sampler kept with the
-tests and the source oracle of acceptance criterion 1 do.
+tests and the per-pulse source oracles of the tests do.
 
 The generator is counter-based (Philox), so a fixed seed gives a
 bit-identical trace.
@@ -49,7 +49,7 @@ from typing import Tuple
 import numpy as np
 
 from .hsps import p_trig_idler
-from .mux import MuxTopology, bin_squeezing
+from .mux import MuxTopology, bin_xi
 from .report import RateReport
 from .saturation import FULL_CHAIN, DeadtimeChain
 
@@ -355,11 +355,11 @@ def run_pulse_train(config: PulseTrainConfig) -> Tuple[EventTrace, RateReport]:
     slots = max(b.delay_id for b in bins) + 1
     rng = np.random.Generator(np.random.Philox(config.rng_seed))
 
-    xis = [bin_squeezing(b, config.reference_power_mw) for b in bins]
-    eta_i = [b.source.eta_i for b in bins]
-    p_idler = np.array([p_trig_idler(xi, eta) for xi, eta in zip(xis, eta_i)])
+    xi = bin_xi(topo, [config.reference_power_mw])[0]
+    eta_i = np.array([b.source.eta_i for b in bins])
+    p_idler = p_trig_idler(xi, eta_i)
     # Success probability of the geometric law of idler photons lost.
-    keep = np.array([1.0 - xi * xi * (1.0 - eta) for xi, eta in zip(xis, eta_i)])
+    keep = 1.0 - xi * xi * (1.0 - eta_i)
     eta_path = np.array([b.source.eta_s * b.eta_sw for b in bins])
     loop_masks = np.array(
         [

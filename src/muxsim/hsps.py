@@ -14,12 +14,10 @@ the heralded signal statistics; every rate model reads its five columns.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike
-
-from .report import RateReport
 
 # Reference single-pair generation probability used to calibrate the
 # pump-power -> squeezing coupling constant.
@@ -32,30 +30,6 @@ NEGATIVE_TOL = 1e-12
 
 class FormulaError(ArithmeticError):
     """A closed form evaluated to an impossible (negative) probability."""
-
-
-@dataclass(frozen=True)
-class SqueezingPoint:
-    """Squeezing amplitude xi with its pump-power provenance.
-
-    When power and coupling are both given, xi = tanh(c * sqrt(P)) must
-    hold to 1e-12.
-    """
-
-    xi: float
-    power_mw: Optional[float] = None
-    coupling_c: Optional[float] = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.xi < 1.0:
-            raise ValueError(f"xi must be in [0, 1), got {self.xi}")
-        if self.power_mw is not None and self.coupling_c is not None:
-            expected = math.tanh(self.coupling_c * math.sqrt(self.power_mw))
-            if abs(expected - self.xi) > 1e-12:
-                raise ValueError(
-                    "inconsistent squeezing point: "
-                    f"tanh(c*sqrt(P)) = {expected} but xi = {self.xi}"
-                )
 
 
 @dataclass(frozen=True)
@@ -78,29 +52,6 @@ class SourceParams:
             raise ValueError("back_reflection_fraction must be >= 0")
 
 
-@dataclass(frozen=True)
-class EmissionProbs:
-    """Per-pulse trigger and heralded-emission probabilities."""
-
-    p_trig_idler: float
-    p_single_signal: float
-    p_multi_signal: float
-    p_trig_signal: float
-
-    def __post_init__(self):
-        for name in (
-            "p_trig_idler",
-            "p_single_signal",
-            "p_multi_signal",
-            "p_trig_signal",
-        ):
-            v = getattr(self, name)
-            if not -NEGATIVE_TOL <= v <= 1.0 + NEGATIVE_TOL:
-                raise ValueError(f"{name} = {v} outside [0, 1]")
-        if self.p_single_signal + self.p_multi_signal > 1.0 + NEGATIVE_TOL:
-            raise ValueError("p_single + p_multi exceeds 1")
-
-
 def seed_squeezing() -> float:
     """Squeezing amplitude at which the single-pair probability is 0.1.
 
@@ -118,15 +69,6 @@ def calibrate_coupling(p_seed_mw: ArrayLike) -> ArrayLike:
     if np.count_nonzero(p_seed_mw <= 0.0):
         raise ValueError(f"p_seed_mw must be > 0, got {p_seed_mw}")
     return math.atanh(seed_squeezing()) / np.sqrt(p_seed_mw)
-
-
-def squeezing_from_power(c: float, p_mw: float) -> SqueezingPoint:
-    """Squeezing amplitude xi = tanh(c * sqrt(P)) for pump power P in mW."""
-    if c <= 0.0:
-        raise ValueError(f"coupling constant must be > 0, got {c}")
-    return SqueezingPoint(
-        xi=float(xi_from_power(c, p_mw)), power_mw=p_mw, coupling_c=c
-    )
 
 
 def xi_from_power(c: ArrayLike, p_mw: ArrayLike) -> np.ndarray:
@@ -148,9 +90,9 @@ def _check_domain(xi: ArrayLike, *etas: ArrayLike) -> None:
             raise ValueError(f"transmission must be in [0, 1], got {eta}")
 
 
-# Each closed form below takes floats or arrays that broadcast together.  The
-# public functions check their domain; _click and _heralded_forms hold the
-# formulas, for callers that have checked already.
+# Each closed form below takes floats or arrays that broadcast together.
+# p_trig_idler and source_probs check their domain; _click and
+# _heralded_forms hold the formulas and check nothing.
 
 def p_trig_idler(xi: ArrayLike, eta_i: ArrayLike) -> ArrayLike:
     """Probability that the idler (herald) arm clicks in one pulse."""
@@ -162,42 +104,9 @@ def _click(s, eta):
     return s * eta / (1.0 - s * (1.0 - eta))
 
 
-def p_trig_signal(xi: ArrayLike, eta_s: ArrayLike) -> ArrayLike:
-    """Unconditional signal-arm click probability (same form as the idler)."""
-    return p_trig_idler(xi, eta_s)
-
-
-def p_single_signal(xi: ArrayLike, eta_i: ArrayLike, eta_s: ArrayLike) -> ArrayLike:
-    """P(exactly one signal photon is delivered | herald clicked)."""
-    _check_domain(xi, eta_i, eta_s)
-    return _heralded_forms(xi * xi, eta_i, eta_s).p_single
-
-
-def p_both_click(xi: ArrayLike, eta_i: ArrayLike, eta_s: ArrayLike) -> ArrayLike:
-    """Joint probability that idler and signal arms both click in one pulse."""
-    _check_domain(xi, eta_i, eta_s)
-    return _heralded_forms(xi * xi, eta_i, eta_s).p_both
-
-
-def p_multi_signal(xi: ArrayLike, eta_i: ArrayLike, eta_s: ArrayLike) -> ArrayLike:
-    """P(two or more signal photons are delivered | herald clicked)."""
-    _check_domain(xi, eta_i, eta_s)
-    return _heralded_forms(xi * xi, eta_i, eta_s).p_multi
-
-
-def p_signal_given_no_pair_trigger(
-    xi: ArrayLike, eta_i: ArrayLike, eta_s: ArrayLike
-) -> Tuple[ArrayLike, ArrayLike]:
-    """(p_single, p_multi) on the signal arm given the herald did NOT click."""
-    _check_domain(xi, eta_i, eta_s)
-    forms = _heralded_forms(xi * xi, eta_i, eta_s)
-    return forms.p_single_nt, forms.p_multi_nt
-
-
 class _HeraldedForms(NamedTuple):
     p_trig: ArrayLike  # p_trig_idler
     p_single: ArrayLike
-    p_both: ArrayLike
     p_multi: ArrayLike
     p_single_nt: ArrayLike
     p_multi_nt: ArrayLike
@@ -230,9 +139,8 @@ def _heralded_forms(s, eta_i, eta_s) -> _HeraldedForms:
     # division by p_trig, so it holds down to eta_i = 0 and keeps full
     # precision however small eta_i or eta_s are.
     total = eta_s * (1.0 - s * sa * b) / (one_sb * one_sab)
-    p_both = p_trig * total
     p_multi = _clamp_probability(
-        np.where(s == 0.0, 0.0, total - p_single), "p_multi_signal"
+        np.where(s == 0.0, 0.0, total - p_single), "p_multi given a trigger"
     )
 
     p_single_nt = one_sa * eta_s * a * s / one_sab_2
@@ -240,49 +148,13 @@ def _heralded_forms(s, eta_i, eta_s) -> _HeraldedForms:
     p_multi_nt = _clamp_probability(
         total_nt - p_single_nt, "p_multi given no trigger"
     )
-    return _HeraldedForms(p_trig, p_single, p_both, p_multi, p_single_nt, p_multi_nt)
+    return _HeraldedForms(p_trig, p_single, p_multi, p_single_nt, p_multi_nt)
 
 
 def _clamp_probability(value: ArrayLike, what: str) -> ArrayLike:
     if np.count_nonzero(value < -NEGATIVE_TOL):
         raise FormulaError(f"{what} evaluated to {value} < 0")
     return np.maximum(value, 0.0)
-
-
-def emission_probs(xi: float, eta_i: float, eta_s: float) -> EmissionProbs:
-    """Bundle the four per-pulse probabilities for one source."""
-    return EmissionProbs(
-        p_trig_idler=p_trig_idler(xi, eta_i),
-        p_single_signal=p_single_signal(xi, eta_i, eta_s),
-        p_multi_signal=p_multi_signal(xi, eta_i, eta_s),
-        p_trig_signal=p_trig_signal(xi, eta_s),
-    )
-
-
-def pass2_trigger_split(
-    xi: ArrayLike, eta_i: ArrayLike, f: ArrayLike
-) -> Tuple[ArrayLike, ArrayLike, ArrayLike]:
-    """(p_correct, p_incorrect, p_total) herald probabilities with
-    back-reflection fraction f.
-
-    The "correct" branch collapses algebraically to the true trigger
-    probability; the "incorrect" branch is an unpaired back-reflection
-    click with no true pair click.
-    """
-    return _split_trigger(p_trig_idler(xi, eta_i), f)
-
-
-def _split_trigger(p_true, f):
-    if np.count_nonzero(f < 0.0):
-        raise ValueError(f"back-reflection fraction must be >= 0, got {f}")
-    p_back = f * p_true
-    if np.count_nonzero(p_back > 1.0):
-        raise ValueError(
-            f"f * p_trig = {p_back} exceeds 1; not a valid probability"
-        )
-    p_correct = p_true
-    p_incorrect = p_back * (1.0 - p_true)
-    return p_correct, p_incorrect, p_correct + p_incorrect
 
 
 class SourceProbs(NamedTuple):
@@ -311,12 +183,22 @@ def source_probs(
     A herald is either a true idler click, followed by the heralded signal
     statistics, or an unpaired back-reflection click with no idler click,
     followed by the signal statistics given no trigger; with f = 0 only the
-    first branch remains.
+    first branch remains.  A back-reflection clicks with probability f times
+    the true trigger probability p, so the branches weigh p and f p (1 - p).
     """
     _check_domain(xi, eta_i, eta_s)
     s = xi * xi
     forms = _heralded_forms(s, eta_i, eta_s)
-    p_correct, p_incorrect, p_trig = _split_trigger(forms.p_trig, f)
+    if np.count_nonzero(f < 0.0):
+        raise ValueError(f"back-reflection fraction must be >= 0, got {f}")
+    p_correct = forms.p_trig
+    p_back = f * p_correct
+    if np.count_nonzero(p_back > 1.0):
+        raise ValueError(
+            f"f * p_trig reaches {np.max(p_back)} > 1; not a valid probability"
+        )
+    p_incorrect = p_back * (1.0 - p_correct)
+    p_trig = p_correct + p_incorrect
     single, multi = forms.p_single, forms.p_multi
     single_nt, multi_nt = forms.p_single_nt, forms.p_multi_nt
     return SourceProbs(
@@ -325,40 +207,4 @@ def source_probs(
         p_a=p_trig * _click(s, eta_s),
         p_single=p_correct * single + p_incorrect * single_nt,
         p_multi=p_correct * multi + p_incorrect * multi_nt,
-    )
-
-
-def back_reflection_from_contamination(
-    contamination: float, p_true: float
-) -> float:
-    """Fraction f that produces the given share of unpaired herald counts.
-
-    ``contamination`` is p_incorrect / p_total of the idler counts.
-    """
-    if not 0.0 <= contamination < 1.0:
-        raise ValueError("contamination must be in [0, 1)")
-    if not 0.0 < p_true < 1.0:
-        raise ValueError("p_true must be in (0, 1)")
-    # contamination = f(1-p) / (1 + f(1-p))  =>  f(1-p) = c / (1-c)
-    return contamination / ((1.0 - contamination) * (1.0 - p_true))
-
-
-def rates(
-    source: SourceParams, p_mw: float, rep_rate_hz: float
-) -> RateReport:
-    """Trigger, coincidence and accidental rates of one source at power p_mw."""
-    if rep_rate_hz <= 0.0:
-        raise ValueError(f"rep_rate_hz must be > 0, got {rep_rate_hz}")
-    c = calibrate_coupling(source.p_seed_mw)
-    xi = squeezing_from_power(c, p_mw).xi
-    p = source_probs(
-        xi, source.eta_i, source.eta_s, source.back_reflection_fraction
-    )
-    r_c = rep_rate_hz * p.p_c
-    r_a = rep_rate_hz * p.p_a
-    return RateReport(
-        r_trig_hz=rep_rate_hz * p.p_trig,
-        r_coincidence_hz=r_c,
-        r_accidental_hz=r_a,
-        car=(r_c / r_a) if r_a > 0.0 else None,
     )

@@ -10,13 +10,11 @@ One table holds every bin's per-pulse probabilities at every reference
 power (``bin_table``), built from a squeezing table (``bin_xi``) that
 topologies differing only in eta_sw share; the nesting is the exclusive
 cumulative product of 1 - p_trig along its bin axis (``priority_nest``).
-MUX8, MUX4, single sources and the emission trade-off are slices or
-reductions of such tables.
+MUX8, MUX4 and the single sources are slices or reductions of such tables.
 """
 
 from dataclasses import dataclass, replace
-from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -26,7 +24,6 @@ from .hsps import (
     SourceProbs,
     calibrate_coupling,
     source_probs,
-    squeezing_from_power,
     xi_from_power,
 )
 from .report import RateReport
@@ -38,14 +35,6 @@ PASS2_POWER_FACTOR = 0.5
 # Extra measurement loss on the multiplexed channel, part of every switch
 # path's eta_sw; it is what the extrinsic-removed variants take out.
 MEMS_ASYMMETRY = 0.96
-
-
-class LossMask(Enum):
-    """Which loss factors are zeroed out when extracting emission curves."""
-
-    NONE = "none"
-    EXTRINSIC_REMOVED = "extrinsic_removed"
-    ALL_EXCEPT_SWITCH = "all_except_switch"
 
 
 @dataclass(frozen=True)
@@ -123,12 +112,6 @@ def bin_pump_power_mw(bin_: MuxBin, reference_power_mw: float) -> float:
     if bin_.pass_id == 2:
         power *= PASS2_POWER_FACTOR
     return power
-
-
-def bin_squeezing(bin_: MuxBin, reference_power_mw: float) -> float:
-    """Squeezing amplitude of one bin at the given reference power."""
-    c = calibrate_coupling(bin_.source.p_seed_mw)
-    return squeezing_from_power(c, bin_pump_power_mw(bin_, reference_power_mw)).xi
 
 
 def bin_xi(topology: MuxTopology, powers: Sequence[float]) -> np.ndarray:
@@ -249,40 +232,3 @@ def simple_mux_single_prob(
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     return (1.0 - (1.0 - p_trig) ** n_bins) * p_single
-
-
-def emission_tradeoff_curve(
-    topology: MuxTopology,
-    loss_mask: LossMask,
-    power_grid: Sequence[float],
-) -> Tuple[List[Tuple[float, float]], List[Tuple[float, float]]]:
-    """Sweep reference power and extract (p_single, p_multi) per clock cycle.
-
-    Returns (mux_curve, best_single_curve); the best single source is the
-    constituent bin with the highest single-photon emission at each power,
-    evaluated without the switching network.
-    """
-    if loss_mask is LossMask.EXTRINSIC_REMOVED:
-        topology = extrinsic_removed(topology)
-    elif loss_mask is LossMask.ALL_EXCEPT_SWITCH:
-        topology = replace(
-            topology,
-            bins=tuple(
-                replace(b, source=replace(b.source, eta_i=1.0, eta_s=1.0))
-                for b in topology.bins
-            ),
-        )
-    xi = bin_xi(topology, power_grid)
-    mux = priority_nest(bin_probs(topology, xi))
-    solo = bin_probs(switchless(topology), xi)
-    rows = np.arange(solo.p_single.shape[0])
-    best = np.argmax(solo.p_single, axis=-1)
-    return (
-        list(zip(mux.p_single.tolist(), mux.p_multi.tolist())),
-        list(
-            zip(
-                solo.p_single[rows, best].tolist(),
-                solo.p_multi[rows, best].tolist(),
-            )
-        ),
-    )

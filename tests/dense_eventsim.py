@@ -15,7 +15,7 @@ import numpy as np
 
 from muxsim.eventsim import PulseTrainConfig, route_bin
 from muxsim.hsps import p_trig_idler
-from muxsim.mux import bin_squeezing
+from muxsim.mux import bin_xi
 from muxsim.saturation import DeadtimeChain
 
 
@@ -94,9 +94,7 @@ def run_dense_pulse_train(config: PulseTrainConfig) -> DenseTrace:
     slots = max(b.delay_id for b in bins) + 1
     rng = np.random.Generator(np.random.Philox(config.rng_seed))
 
-    xis = np.array(
-        [bin_squeezing(b, config.reference_power_mw) for b in bins]
-    )
+    xis = bin_xi(topo, [config.reference_power_mw])[0]
     eta_path = np.array([b.source.eta_s * b.eta_sw for b in bins])
 
     # Pair numbers per cycle and bin; signal photon number equals idler

@@ -8,9 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from muxsim import evaluate_mux, rates
+from muxsim import calibrate_coupling, evaluate_mux, p_trig_idler
 from muxsim.cli import _model_table, main, parse_scenario
 from muxsim.defaults import MEMS_ASYMMETRY, source_label
+from muxsim.hsps import source_probs, xi_from_power
 from muxsim.mux import bin_pump_power_mw
 from muxsim.spectral import SpectrumModel
 
@@ -66,9 +67,16 @@ def test_model_rows_match_per_power_evaluations():
                 rep * probs.p_trig, rep * probs.p_coincidence, rep * probs_extr.p_accidental
             )
         for b in topo.bins:
-            single = rates(b.source, bin_pump_power_mw(b, power), rep)
+            source = b.source
+            c = calibrate_coupling(source.p_seed_mw)
+            single = source_probs(
+                xi_from_power(c, bin_pump_power_mw(b, power)),
+                source.eta_i,
+                source.eta_s,
+                source.back_reflection_fraction,
+            )
             expected[source_label(b.pass_id, b.delay_id), power] = (
-                single.r_trig_hz, single.r_coincidence_hz, single.r_accidental_hz
+                rep * single.p_trig, rep * single.p_c, rep * single.p_a
             )
     powers, labels, columns = _model_table(scenario)
     assert powers.size * len(labels) == len(expected)
@@ -398,6 +406,25 @@ def test_out_of_domain_scenario_values_rejected(tmp_path, capsys, text):
     test_non_finite_or_mistyped_scenario_values_rejected(
         tmp_path, capsys, "model", text
     )
+
+
+def test_back_reflection_beyond_a_probability_rejected(tmp_path, capsys):
+    # f * p_trig > 1 fails every command at parse time, with the largest
+    # value: at the 25 mW top of the default sweep, 12.5 mW on this bin.
+    bin_ = {**_PASS2_BIN, "pass": 1, "back_reflection_fraction": 5000.0}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"topology": {"bins": [bin_]}}))
+    xi = xi_from_power(calibrate_coupling(5.0), 12.5)
+    largest = 5000.0 * p_trig_idler(xi, 0.1)
+    for command in ("model", "car", "simulate"):
+        assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ScenarioError"
+        prefix = "f * p_trig reaches "
+        assert error["detail"].startswith(prefix)
+        value = float(error["detail"][len(prefix):].split()[0])
+        assert value == pytest.approx(largest, rel=1e-12)
+    assert not (tmp_path / "o").exists()
 
 
 def test_decreasing_sweep_rejected(tmp_path, capsys):

@@ -15,13 +15,14 @@ from muxsim import (
     MuxTopology,
     PulseTrainConfig,
     SourceParams,
+    calibrate_coupling,
     evaluate_mux,
-    rates,
     route_bin,
     run_pulse_train,
 )
 from muxsim.defaults import FULL_CHAIN, IDLE_TIME_S, default_topology
 from muxsim.eventsim import ConfigurationError, EventTrace, RoutingError, _accept_heralds
+from muxsim.hsps import source_probs, xi_from_power
 
 import dense_eventsim
 
@@ -157,12 +158,13 @@ def test_single_bin_matches_closed_forms():
         topo, 8.0, 1_000_000, deadtime_chain=NO_DEADTIME, rng_seed=42
     )
     trace, _ = run_pulse_train(config)
-    analytic = rates(SourceParams(eta_i, eta_s, p_seed), 8.0 * 0.9, 80e6)
+    xi = xi_from_power(calibrate_coupling(p_seed), 8.0 * 0.9)
+    probs = source_probs(xi, eta_i, eta_s, 0.0)
     n = config.n_clock_cycles
     checks = (
-        (trace.accepted.sum(), analytic.r_trig_hz),
-        (trace.signal_click.sum(), analytic.r_coincidence_hz),
-        (trace.accidental_click.sum(), analytic.r_accidental_hz),
+        (trace.accepted.sum(), 80e6 * probs.p_trig),
+        (trace.signal_click.sum(), 80e6 * probs.p_c),
+        (trace.accidental_click.sum(), 80e6 * probs.p_a),
     )
     for count, rate_hz in checks:
         assert abs(_z(count, rate_hz / 80e6 * n)) < 3.0

@@ -8,24 +8,27 @@ import pytest
 from muxsim import (
     RateReport,
     SourceParams,
-    SqueezingPoint,
     calibrate_coupling,
-    emission_probs,
-    p_multi_signal,
-    p_signal_given_no_pair_trigger,
-    p_single_signal,
     p_trig_idler,
-    p_trig_signal,
-    pass2_trigger_split,
-    rates,
     seed_squeezing,
-    squeezing_from_power,
 )
-from muxsim.hsps import back_reflection_from_contamination, p_both_click, source_probs
+from muxsim.hsps import _heralded_forms, source_probs, xi_from_power
 
 from conftest import mc_no_trigger_probs, mc_source_probs
 
 XI_SEED_FROZEN = 0.33571068701972884  # root of (1 - x^2) x^2 = 0.1
+
+
+def _forms(xi, eta_i, eta_s):
+    """The signal-arm statistics given a herald and given none, at xi."""
+    return _heralded_forms(xi * xi, eta_i, eta_s)
+
+
+def _rates(source, p_mw, rep_rate_hz):
+    """(r_trig, r_c, r_a) in Hz of one source at pump power p_mw."""
+    xi = xi_from_power(calibrate_coupling(source.p_seed_mw), p_mw)
+    p = source_probs(xi, source.eta_i, source.eta_s, source.back_reflection_fraction)
+    return rep_rate_hz * p.p_trig, rep_rate_hz * p.p_c, rep_rate_hz * p.p_a
 
 
 # --- calibration --------------------------------------------------------------
@@ -60,7 +63,7 @@ def test_calibrate_coupling_sqrt_scaling():
 def test_calibrate_coupling_round_trip_pair_probability():
     for p_seed in (0.7, 1.0, 5.2, 25.0):
         c = calibrate_coupling(p_seed)
-        xi = squeezing_from_power(c, p_seed).xi
+        xi = float(xi_from_power(c, p_seed))
         assert (1.0 - xi * xi) * xi * xi == pytest.approx(0.1, abs=1e-9)
 
 
@@ -73,34 +76,23 @@ def test_calibrate_coupling_rejects_nonpositive_power():
 
 def test_squeezing_from_power_zero_and_monotone():
     c = calibrate_coupling(5.0)
-    assert squeezing_from_power(c, 0.0).xi == 0.0
+    assert xi_from_power(c, 0.0) == 0.0
     powers = np.linspace(0.1, 30.0, 40)
-    xis = [squeezing_from_power(c, p).xi for p in powers]
+    xis = xi_from_power(c, powers).tolist()
     assert all(0.0 < x < 1.0 for x in xis)
     assert all(b > a for a, b in zip(xis, xis[1:]))
 
 
 def test_squeezing_from_power_value():
-    assert squeezing_from_power(0.349, 1.0).xi == pytest.approx(
-        math.tanh(0.349), abs=1e-12
-    )
-    assert squeezing_from_power(0.349, 1.0).xi == pytest.approx(0.3356, abs=5e-4)
+    assert xi_from_power(0.349, 1.0) == pytest.approx(math.tanh(0.349), abs=1e-12)
+    assert xi_from_power(0.349, 1.0) == pytest.approx(0.3356, abs=5e-4)
 
 
 def test_squeezing_from_power_domain_errors():
     with pytest.raises(ValueError):
-        squeezing_from_power(0.349, -0.1)
+        xi_from_power(0.349, -0.1)
     with pytest.raises(ValueError):
-        squeezing_from_power(0.0, 1.0)
-
-
-def test_squeezing_point_consistency_invariant():
-    c = 0.3
-    SqueezingPoint(xi=math.tanh(c * 2.0), power_mw=4.0, coupling_c=c)
-    with pytest.raises(ValueError):
-        SqueezingPoint(xi=0.5, power_mw=4.0, coupling_c=c)
-    with pytest.raises(ValueError):
-        SqueezingPoint(xi=1.0)
+        xi_from_power(0.349, np.array([1.0, -0.1]))
 
 
 # --- trigger probability ------------------------------------------------------
@@ -128,8 +120,10 @@ def test_p_trig_monotone_in_xi_and_eta():
 
 
 def test_signal_and_idler_trigger_share_one_form():
+    # An accidental is a herald times an independent signal click.
     for xi, eta in ((0.1, 0.9), (0.33, 0.015), (0.6, 0.4)):
-        assert p_trig_signal(xi, eta) == p_trig_idler(xi, eta)
+        p_a = source_probs(xi, 0.5, eta, 0.0).p_a
+        assert p_a == p_trig_idler(xi, 0.5) * p_trig_idler(xi, eta)
 
 
 def test_p_trig_low_power_expansion():
@@ -143,32 +137,24 @@ def test_p_trig_low_power_expansion():
 # --- heralded emission --------------------------------------------------------
 
 def test_p_single_low_squeezing_limit_is_eta_s():
-    assert p_single_signal(1e-6, 0.5, 0.37) == pytest.approx(0.37, rel=1e-9)
+    assert _forms(1e-6, 0.5, 0.37).p_single == pytest.approx(0.37, rel=1e-9)
 
 
 def test_p_single_zero_signal_transmission():
-    assert p_single_signal(0.4, 0.5, 0.0) == 0.0
+    assert _forms(0.4, 0.5, 0.0).p_single == 0.0
 
 
 def test_p_multi_zero_squeezing():
-    assert p_multi_signal(0.0, 0.5, 0.5) == 0.0
+    assert _forms(0.0, 0.5, 0.5).p_multi == 0.0
 
 
 def test_p_multi_lossless_identity():
     # With eta_i = eta_s = 1 the joint click probability collapses to xi^2,
     # so p_multi = 1 - p_single.
     xi = 0.45
-    assert p_both_click(xi, 1.0, 1.0) == pytest.approx(xi * xi, abs=1e-15)
-    assert p_multi_signal(xi, 1.0, 1.0) == pytest.approx(
-        1.0 - p_single_signal(xi, 1.0, 1.0), abs=1e-12
-    )
-
-
-def test_emission_probs_bundle_consistency():
-    probs = emission_probs(0.3357, 0.015, 0.0019)
-    assert probs.p_trig_idler == p_trig_idler(0.3357, 0.015)
-    assert probs.p_single_signal + probs.p_multi_signal <= 1.0
-    assert probs.p_trig_signal == p_trig_signal(0.3357, 0.0019)
+    assert source_probs(xi, 1.0, 1.0, 0.0).p_c == pytest.approx(xi * xi, abs=1e-15)
+    forms = _forms(xi, 1.0, 1.0)
+    assert forms.p_multi == pytest.approx(1.0 - forms.p_single, abs=1e-12)
 
 
 def test_probabilities_stay_in_unit_interval_on_grid():
@@ -177,19 +163,20 @@ def test_probabilities_stay_in_unit_interval_on_grid():
         xi = rng.uniform(0.0, 0.95)
         eta_i = rng.uniform(0.0, 1.0)
         eta_s = rng.uniform(0.0, 1.0)
-        probs = emission_probs(xi, eta_i, eta_s)  # validates [0, 1] on build
-        single_nt, multi_nt = p_signal_given_no_pair_trigger(xi, eta_i, eta_s)
-        assert 0.0 <= single_nt <= 1.0
-        assert 0.0 <= multi_nt <= 1.0
-        assert probs.p_single_signal + probs.p_multi_signal <= 1.0 + 1e-12
+        forms = _forms(xi, eta_i, eta_s)
+        joint = source_probs(xi, eta_i, eta_s, 0.0)
+        assert all(-1e-12 <= p <= 1.0 + 1e-12 for p in (*forms, *joint))
+        assert 0.0 <= forms.p_single_nt <= 1.0
+        assert 0.0 <= forms.p_multi_nt <= 1.0
+        assert forms.p_single + forms.p_multi <= 1.0 + 1e-12
 
 
 def test_emission_against_mc_oracle():
     xi, eta_i, eta_s = XI_SEED_FROZEN, 0.015, 0.0019
     est = mc_source_probs(xi, eta_i, eta_s, 2_000_000, seed=101)
     assert abs(est["p_trig"].z_against(p_trig_idler(xi, eta_i))) < 3.0
-    single = p_single_signal(xi, eta_i, eta_s)
-    multi = p_multi_signal(xi, eta_i, eta_s)
+    forms = _forms(xi, eta_i, eta_s)
+    single, multi = forms.p_single, forms.p_multi
     n_trig = est["p_single"].n
     assert n_trig > 1000
     se = math.sqrt(single * (1.0 - single) / n_trig)
@@ -202,7 +189,8 @@ def test_emission_against_mc_oracle():
 
 def test_no_trigger_conditionals_against_mc_oracle():
     xi, eta_i, eta_s = 0.38, 0.3, 0.2
-    single_nt, multi_nt = p_signal_given_no_pair_trigger(xi, eta_i, eta_s)
+    forms = _forms(xi, eta_i, eta_s)
+    single_nt, multi_nt = forms.p_single_nt, forms.p_multi_nt
     p_quiet = 1.0 - p_trig_idler(xi, eta_i)
     est_single, est_multi = mc_no_trigger_probs(xi, eta_i, eta_s, 2_000_000, seed=77)
     assert abs(est_single.z_against(p_quiet * single_nt)) < 3.0
@@ -210,21 +198,28 @@ def test_no_trigger_conditionals_against_mc_oracle():
 
 
 def test_no_trigger_conditionals_limits():
-    assert p_signal_given_no_pair_trigger(0.4, 1.0, 0.3) == (0.0, 0.0)
-    assert p_signal_given_no_pair_trigger(0.0, 0.2, 0.3) == (0.0, 0.0)
+    for xi, eta_i in ((0.4, 1.0), (0.0, 0.2)):
+        forms = _forms(xi, eta_i, 0.3)
+        assert (forms.p_single_nt, forms.p_multi_nt) == (0.0, 0.0)
 
 
 # --- second-pass back-reflection ----------------------------------------------
 
 def test_pass2_split_reduces_to_first_pass_without_reflection():
     p_true = p_trig_idler(0.3, 0.2)
-    assert pass2_trigger_split(0.3, 0.2, 0.0) == (p_true, 0.0, p_true)
+    forms = _forms(0.3, 0.2, 0.5)
+    probs = source_probs(0.3, 0.2, 0.5, 0.0)
+    assert probs.p_trig == p_true
+    assert probs.p_single == p_true * forms.p_single
+    assert probs.p_multi == p_true * forms.p_multi
 
 
 def test_pass2_split_direct_substitution():
     # p_true = 0.5 with a lossless idler at xi^2 = 0.5
     xi = math.sqrt(0.5)
-    p_correct, p_incorrect, p_total = pass2_trigger_split(xi, 1.0, 1.0)
+    p_correct = p_trig_idler(xi, 1.0)
+    p_total = source_probs(xi, 1.0, 0.5, 1.0).p_trig
+    p_incorrect = p_total - p_correct
     assert p_correct == pytest.approx(0.5, abs=1e-12)
     assert p_incorrect == pytest.approx(0.25, abs=1e-12)
     assert p_total == pytest.approx(0.75, abs=1e-12)
@@ -232,30 +227,32 @@ def test_pass2_split_direct_substitution():
 
 def test_pass2_correct_branch_matches_unsimplified_form():
     # The two-event decomposition p(1 - fp) + fp * p collapses to p; the
-    # simplified implementation must agree with the explicit sum.
+    # simplified herald probability must agree with the explicit sum over
+    # idler only, idler and back-reflection, and back-reflection only.
     for xi, eta_i, f in ((0.3, 0.2, 0.4), (0.5, 0.8, 1.2), (0.1, 0.015, 0.25)):
         p = p_trig_idler(xi, eta_i)
-        unsimplified = p * (1.0 - f * p) + (f * p) * p
-        p_correct, _, _ = pass2_trigger_split(xi, eta_i, f)
-        assert p_correct == pytest.approx(unsimplified, abs=1e-15)
+        unsimplified = p * (1.0 - f * p) + (f * p) * p + (1.0 - p) * (f * p)
+        p_total = source_probs(xi, eta_i, 0.5, f).p_trig
+        assert p_total == pytest.approx(unsimplified, abs=1e-15)
 
 
 def test_back_reflection_from_contamination():
     # 20% contaminated idler counts at a small trigger probability gives
-    # f close to 0.25.
+    # f close to 0.25: the share is c = f (1 - p) / (1 + f (1 - p)).
     p_true = p_trig_idler(XI_SEED_FROZEN, 0.015)
-    f = back_reflection_from_contamination(0.2, p_true)
+    contamination = 0.2
+    f = contamination / ((1.0 - contamination) * (1.0 - p_true))
     assert f == pytest.approx(0.25, rel=2e-3)
-    _, p_inc, p_tot = pass2_trigger_split(XI_SEED_FROZEN, 0.015, f)
-    assert p_inc / p_tot == pytest.approx(0.2, abs=1e-12)
+    p_tot = source_probs(XI_SEED_FROZEN, 0.015, 0.0019, f).p_trig
+    assert (p_tot - p_true) / p_tot == pytest.approx(0.2, abs=1e-12)
 
 
 def test_pass2_coincidence_reduces_without_reflection():
     clean = SourceParams(0.015, 0.0019, 5.2)
     xi = 0.3
+    forms = _forms(xi, clean.eta_i, clean.eta_s)
     expected = p_trig_idler(xi, clean.eta_i) * (
-        p_single_signal(xi, clean.eta_i, clean.eta_s)
-        + p_multi_signal(xi, clean.eta_i, clean.eta_s)
+        forms.p_single + forms.p_multi
     ) / p_trig_idler(xi, clean.eta_i)
     # with f = 0 the coincidence is p_correct * (heralded click probability)
     p_c = source_probs(xi, clean.eta_i, clean.eta_s, 0.0).p_c
@@ -284,14 +281,14 @@ def test_pass2_coincidence_against_mc_oracle():
 def test_degrading_reflection_hurts_car():
     lo = SourceParams(0.015, 0.0019, 5.2, 0.0)
     hi = SourceParams(0.015, 0.0019, 5.2, 1.0)
-    rep_lo = rates(lo, 5.2, 80e6)
-    rep_hi = rates(hi, 5.2, 80e6)
-    assert rep_hi.car < rep_lo.car
+    _, r_c_lo, r_a_lo = _rates(lo, 5.2, 80e6)
+    _, r_c_hi, r_a_hi = _rates(hi, 5.2, 80e6)
+    assert r_c_hi / r_a_hi < r_c_lo / r_a_lo
 
 
 def test_closed_forms_broadcast_elementwise():
     # Array arguments give the scalar value at every element, including the
-    # xi = 0 and eta_i = 0 branches of p_multi_signal.
+    # xi = 0 and eta_i = 0 branches of the heralded p_multi.
     rng = np.random.default_rng(19)
     xi = np.concatenate([[0.0, 0.0, 0.3], rng.uniform(0.0, 0.95, 40)])
     eta_i = np.concatenate([[0.0, 0.4, 0.0], rng.uniform(0.0, 1.0, 40)])
@@ -299,11 +296,7 @@ def test_closed_forms_broadcast_elementwise():
     f = np.concatenate([[0.0, 0.3, 0.3], rng.uniform(0.0, 1.0, 40)])
     forms = (
         lambda x, i, s, _: p_trig_idler(x, i),
-        lambda x, i, s, _: p_single_signal(x, i, s),
-        lambda x, i, s, _: p_multi_signal(x, i, s),
-        lambda x, i, s, _: p_both_click(x, i, s),
-        lambda x, i, s, _: p_signal_given_no_pair_trigger(x, i, s),
-        lambda x, i, s, g: pass2_trigger_split(x, i, g),
+        lambda x, i, s, _: _forms(x, i, s),
         source_probs,
     )
     for form in forms:
@@ -318,7 +311,7 @@ def test_closed_forms_reject_any_bad_element():
     with pytest.raises(ValueError):
         p_trig_idler(np.array([0.2, 1.0]), 0.5)
     with pytest.raises(ValueError):
-        p_single_signal(0.2, np.array([0.5, np.nan]), 0.5)
+        source_probs(0.2, np.array([0.5, np.nan]), 0.5, 0.0)
     with pytest.raises(ValueError):
         source_probs(np.array([0.2, 0.3]), 0.5, 0.5, np.array([0.1, -0.1]))
 
@@ -326,24 +319,16 @@ def test_closed_forms_reject_any_bad_element():
 # --- rate reports ---------------------------------------------------------------
 
 def test_rates_zero_power():
-    report = rates(SourceParams(0.015, 0.0019, 5.2), 0.0, 80e6)
-    assert report.r_trig_hz == 0.0
-    assert report.r_coincidence_hz == 0.0
-    assert report.r_accidental_hz == 0.0
-    assert report.car is None
-
-
-def test_car_invariant_under_rep_rate():
-    source = SourceParams(0.015, 0.0019, 5.2)
-    a = rates(source, 8.0, 80e6)
-    b = rates(source, 8.0, 10e6)
-    assert a.car == pytest.approx(b.car, rel=1e-12)
-    assert a.r_trig_hz == pytest.approx(8.0 * b.r_trig_hz, rel=1e-12)
+    r_trig, r_c, r_a = _rates(SourceParams(0.015, 0.0019, 5.2), 0.0, 80e6)
+    assert r_trig == 0.0
+    assert r_c == 0.0
+    assert r_a == 0.0
 
 
 def test_car_monotone_decreasing_in_power():
     source = SourceParams(0.015, 0.0019, 5.2)
-    cars = [rates(source, p, 80e6).car for p in np.linspace(0.5, 25.0, 30)]
+    _, r_c, r_a = _rates(source, np.linspace(0.5, 25.0, 30), 80e6)
+    cars = (r_c / r_a).tolist()
     assert all(b < a for a, b in zip(cars, cars[1:]))
 
 

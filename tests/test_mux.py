@@ -4,27 +4,25 @@ import numpy as np
 import pytest
 
 from muxsim import (
-    LossMask,
     MuxBin,
     MuxTopology,
     SourceParams,
-    emission_tradeoff_curve,
+    calibrate_coupling,
     evaluate_mux,
     p_trig_idler,
-    p_trig_signal,
-    pass2_trigger_split,
     saturated_report,
     simple_mux_single_prob,
 )
 from muxsim.defaults import default_topology
-from muxsim.hsps import source_probs
+from muxsim.hsps import source_probs, xi_from_power
 from muxsim.mux import (
     PASS2_POWER_FACTOR,
     bin_pump_power_mw,
-    bin_squeezing,
     bin_table,
+    bin_xi,
     extrinsic_removed,
     priority_nest,
+    switchless,
 )
 from muxsim.saturation import DeadtimeChain
 
@@ -39,21 +37,21 @@ def _make_bin(eta_i, eta_s, p_seed, fraction, eta_sw, pass_id=1, delay_id=0, f=0
     )
 
 
-def _bin_probs(bin_, reference_power_mw):
-    """(p_trig_total, p_coincidence, p_signal_click) for one bin."""
-    xi = bin_squeezing(bin_, reference_power_mw)
-    source = bin_.source
-    eta_s = source.eta_s * bin_.eta_sw
-    f = source.back_reflection_fraction
-    _, _, p_total = pass2_trigger_split(xi, source.eta_i, f)
-    p_c = source_probs(xi, source.eta_i, eta_s, f).p_c
-    p_s = p_trig_signal(xi, eta_s)
-    return p_total, p_c, p_s
+def _bin_probs(bins, reference_power_mw):
+    """(p_trig_total, p_coincidence, p_signal_click) for each bin."""
+    xis = bin_xi(MuxTopology(tuple(bins)), [reference_power_mw])[0]
+    per_bin = []
+    for xi, bin_ in zip(xis.tolist(), bins):
+        source = bin_.source
+        eta_s = source.eta_s * bin_.eta_sw
+        probs = source_probs(xi, source.eta_i, eta_s, source.back_reflection_fraction)
+        per_bin.append((probs.p_trig, probs.p_c, p_trig_idler(xi, eta_s)))
+    return per_bin
 
 
 def _enumerate_mux(bins, reference_power_mw):
     """Sum over all 2^N herald patterns; first heralding bin wins the cycle."""
-    per_bin = [_bin_probs(b, reference_power_mw) for b in bins]
+    per_bin = _bin_probs(bins, reference_power_mw)
     p_trig = p_c = p_a = 0.0
     n = len(bins)
     for pattern in range(1, 2**n):
@@ -77,7 +75,7 @@ def test_single_bin_identities():
     bin_ = _make_bin(0.2, 0.05, 5.0, 0.8, 0.7, f=0.3, pass_id=2)
     topo = MuxTopology((bin_,))
     power = 6.0
-    p_trig, p_c, p_s = _bin_probs(bin_, power)
+    (p_trig, p_c, p_s), = _bin_probs([bin_], power)
     probs = evaluate_mux(topo, power)
     assert probs.p_trig == pytest.approx(p_trig, rel=1e-12)
     assert probs.p_coincidence == pytest.approx(p_c, rel=1e-12)
@@ -99,7 +97,7 @@ def test_four_equal_bins_trigger_expansion():
     )
     topo = MuxTopology(bins)
     power = 4.0 * 5.2  # each bin then runs at its seed power
-    p = p_trig_idler(bin_squeezing(bins[0], power), 0.015)
+    p = p_trig_idler(bin_xi(topo, [power])[0, 0], 0.015)
     assert p == pytest.approx(1.902e-3, rel=1e-3)
     p_mux = evaluate_mux(topo, power).p_trig
     assert p_mux == pytest.approx(1.0 - (1.0 - p) ** 4, rel=1e-12)
@@ -160,7 +158,7 @@ def test_duplicated_low_priority_term_is_a_different_quantity():
     # the second-pass delay-1 term in place of the delay-2 and delay-3 terms.
     topo = default_topology()
     power = 10.0
-    per_bin = [_bin_probs(b, power) for b in topo.bins]
+    per_bin = _bin_probs(topo.bins, power)
 
     def nested(seq):
         total, miss = 0.0, 1.0
@@ -193,7 +191,7 @@ def test_trigger_probability_bounds():
         )
         topo = MuxTopology(bins)
         power = rng.uniform(1.0, 30.0)
-        ps = [_bin_probs(b, power)[0] for b in bins]
+        ps = [p_trig for p_trig, _, _ in _bin_probs(bins, power)]
         mux = evaluate_mux(topo, power).p_trig
         assert max(ps) <= mux + 1e-15
         assert mux <= min(sum(ps), 1.0) + 1e-15
@@ -292,8 +290,9 @@ def test_bin_table_rows_match_scalar_path():
         for i, power in enumerate(powers):
             for k, bin_ in enumerate(topo.bins):
                 source = bin_.source
+                c = calibrate_coupling(source.p_seed_mw)
                 scalar = source_probs(
-                    bin_squeezing(bin_, power),
+                    float(xi_from_power(c, bin_pump_power_mw(bin_, power))),
                     source.eta_i,
                     source.eta_s * bin_.eta_sw,
                     source.back_reflection_fraction,
@@ -361,64 +360,27 @@ def test_simple_mux_single_prob_validation():
 
 def test_lossless_single_source_respects_heralding_bound():
     bin_ = _make_bin(1.0, 1.0, 5.0, 1.0, 1.0)
-    topo = MuxTopology((bin_,))
-    mux_curve, single_curve = emission_tradeoff_curve(
-        topo, LossMask.NONE, np.linspace(0.1, 60.0, 80)
-    )
-    assert all(p_single <= 0.25 + 1e-12 for p_single, _ in mux_curve)
-    assert all(p_single <= 0.25 + 1e-12 for p_single, _ in single_curve)
+    table = bin_table(MuxTopology((bin_,)), np.linspace(0.1, 60.0, 80))
+    assert np.all(priority_nest(table).p_single <= 0.25 + 1e-12)
+    assert np.all(table.p_single <= 0.25 + 1e-12)
 
 
 def test_mux_dominates_best_single_under_lossless_switching():
     bins = tuple(
         _make_bin(0.3, 0.2, 5.0, 0.25, 1.0, delay_id=d) for d in range(4)
     )
-    topo = MuxTopology(bins)
-    powers = np.linspace(1.0, 40.0, 20)
-    mux_curve, single_curve = emission_tradeoff_curve(topo, LossMask.NONE, powers)
-    for (mux_s, _), (one_s, _) in zip(mux_curve, single_curve):
-        assert mux_s > one_s
-
-
-def test_best_single_source_is_measured_without_the_switch():
-    bins = (
-        _make_bin(0.1, 0.05, 5.0, 0.3, 0.5, delay_id=0),
-        _make_bin(0.2, 0.02, 4.0, 0.3, 0.9, delay_id=1),
-    )
-    powers = [2.0, 10.0, 30.0]
-    _, single_curve = emission_tradeoff_curve(MuxTopology(bins), LossMask.NONE, powers)
-    for power, (p_single, p_multi) in zip(powers, single_curve):
-        solo = [
-            source_probs(bin_squeezing(b, power), b.source.eta_i, b.source.eta_s, 0.0)
-            for b in bins
-        ]
-        best = max(solo, key=lambda p: p.p_single)
-        assert p_single == pytest.approx(best.p_single, rel=1e-12)
-        assert p_multi == pytest.approx(best.p_multi, rel=1e-12)
-
-
-def test_loss_mask_all_except_switch_removes_arm_losses():
-    bins = tuple(
-        _make_bin(0.1, 0.01, 5.0, 0.25, 0.6, delay_id=d) for d in range(4)
-    )
-    topo = MuxTopology(bins)
-    lossy, _ = emission_tradeoff_curve(topo, LossMask.NONE, [10.0])
-    masked, _ = emission_tradeoff_curve(topo, LossMask.ALL_EXCEPT_SWITCH, [10.0])
-    assert masked[0][0] > lossy[0][0]
+    table = bin_table(MuxTopology(bins), np.linspace(1.0, 40.0, 20))
+    assert np.all(priority_nest(table).p_single > table.p_single.max(axis=-1))
 
 
 def test_extrinsic_removed_curve_takes_the_mems_loss_out():
     topo = default_topology()
     powers = np.linspace(1.0, 40.0, 12)
-    lossy, lossy_single = emission_tradeoff_curve(topo, LossMask.NONE, powers)
-    removed, removed_single = emission_tradeoff_curve(
-        topo, LossMask.EXTRINSIC_REMOVED, powers
-    )
-    expected = priority_nest(bin_table(extrinsic_removed(topo), powers))
-    assert removed == list(zip(expected.p_single.tolist(), expected.p_multi.tolist()))
-    assert all(r[0] > l[0] for r, l in zip(removed, lossy))
-    # the best single source is measured without the switch either way
-    assert removed_single == lossy_single
+    lossy = priority_nest(bin_table(topo, powers))
+    removed = priority_nest(bin_table(extrinsic_removed(topo), powers))
+    assert np.all(removed.p_single > lossy.p_single)
+    # a single source is measured without the switch either way
+    assert switchless(extrinsic_removed(topo)) == switchless(topo)
 
 
 # --- validation -------------------------------------------------------------------------

@@ -18,7 +18,9 @@ from muxsim.spectral import SpectrumModel
 # columnar table and array writer replaced, and the fits' from the solver
 # with separate Jacobian and trial calls.  The pass-2 fit's was re-recorded
 # when the renewal acceptance was regrouped by pair count: two standard
-# errors moved in their sixth digit.  Any byte that moves is a change.
+# errors moved in their sixth digit.  The traced run's two files were
+# recorded before the simulator's per-bin set-up became array calls.  Any
+# byte that moves is a change.
 EXPECTED_SHA256 = {
     "default/rates_vs_power.csv":
         "ed1e8e5235a20c86fb2c6e183c07b5f701c4e6ff4bf04ef3da0f7beced0bc352",
@@ -38,6 +40,10 @@ EXPECTED_SHA256 = {
         "88e616b12aec63e82bafcf6690773e1b555d6eb648a7a445706806e608b1bced",
     "dense/car_curves.svg":
         "e7322179184c3be9092fabc31fc5d32a4f7786dbbd99a2d1ccd13679c4346adf",
+    "trace/trace.csv":
+        "a00af2a5ca86281a5f8196e29aaf97bd3d94cd040b3b15ac89b3484cb467b821",
+    "trace/simulation_report.csv":
+        "0c7b45cbfc3bee83e17c85331e109568e34bfade907d686e085bbcbe58e313c2",
     "spectra/gamma_matrix.csv":
         "f789450b23800444c765eee55c38c3e2981e20a7cf18102e345979c21d6476d8",
     "fit_pass1/fit_results.csv":
@@ -108,6 +114,8 @@ def outputs(tmp_path_factory):
         assert main([command, "--out", str(root / "default")]) == 0
     for command in ("model", "car"):
         assert main([command, "--scenario", str(dense), "--out", str(root / "dense")]) == 0
+    traced = ["simulate", "--trace", "--cycles", "300000", "--seed", "7"]
+    assert main(traced + ["--out", str(root / "trace")]) == 0
     spectra = root / "spectra_in"
     spectra.mkdir()
     for stem, params in SPECTRA.items():
