@@ -41,7 +41,6 @@ The generator is counter-based (Philox), so a fixed seed gives a
 bit-identical trace.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -97,13 +96,13 @@ class PulseTrainConfig:
 # Most geometric gaps drawn per block when skipping ahead to candidate cycles.
 _GAP_BLOCK = 1 << 16
 _CSV_HEADER = (
-    "cycle,herald_bin,accepted,back_reflection,loop_mask,"
-    "photons_out,signal_click,accidental_click\n"
+    b"cycle,herald_bin,accepted,back_reflection,loop_mask,"
+    b"photons_out,signal_click,accidental_click\n"
 )
-_QUIET_TAIL = ",-1,0,0,-1,0,0,0\n"  # every column after the cycle number
-_CANDIDATE_ROW = "{},{},{},{},{},{},{},{}\n".format
-# Last three digits of the cycle numbers in one thousand-block.
-_SUFFIXES = [f"{i:03d}" for i in range(1000)]
+_QUIET_TAIL = b",-1,0,0,-1,0,0,0\n"  # every column after the cycle number
+_CANDIDATE_ROW = b"%d,%d,%d,%d,%d,%d,%d,%d\n"
+# Most trailing digits a block of trace rows spans: 10^4 rows, ~250 KB.
+_BLOCK_DIGITS = 4
 
 
 @dataclass(frozen=True)
@@ -172,59 +171,72 @@ class EventTrace:
         return self._per_cycle(self.accepted_accidental, False, bool)
 
     def to_csv(self, path) -> None:
-        """One row per clock cycle.
+        """One row per clock cycle, written one block of cycles at a time.
 
-        Candidate cycles are formatted one by one.  The quiet rows between
-        them differ only in the cycle number, so from cycle 1000 on they are
-        cut from the text of their thousand-block (cycles 1000 k to
-        1000 k + 999), built by one join of str(k) over the suffixes "000"
-        to "999".  Every row of a block has the same width, so a run of
-        quiet cycles inside it is one slice of that text.
+        A block holds the cycles 10^m j to 10^m j + 10^m - 1, whose numbers
+        have the same digit count d, with m = min(d - 1, 4).  Its quiet rows
+        differ only in the d - m leading digits, so one uint8 matrix per
+        digit count, built with numpy digit arithmetic, holds the m trailing
+        digits and the quiet columns of all 10^m rows, and each block fills
+        in its leading digits.  The block's candidate rows are formatted one
+        by one, and the block goes out in one write: the join of the slices
+        of the matrix between them.  At most one block (~250 KB) is held,
+        never the whole file.
         """
-        # Columns after herald_bin, one entry per candidate cycle.
-        cols = np.zeros((6, self.candidate_cycles.size), dtype=np.int64)
-        cols[2] = -1
+        # One row per candidate cycle: every column of its CSV row.
+        cols = np.zeros((8, self.candidate_cycles.size), dtype=np.int64)
+        cols[0] = self.candidate_cycles
+        cols[1] = self.candidate_bin
+        cols[4] = -1
         acc = self.accepted_index
-        cols[0, acc] = 1
-        cols[1, acc] = self.accepted_back
-        cols[2, acc] = self.accepted_loop_mask
-        cols[3, acc] = self.accepted_photons
-        cols[4, acc] = self.accepted_photons >= 1
-        cols[5, acc] = self.accepted_accidental
-        with open(path, "w", newline="") as fh:
+        cols[2, acc] = 1
+        cols[3, acc] = self.accepted_back
+        cols[4, acc] = self.accepted_loop_mask
+        cols[5, acc] = self.accepted_photons
+        cols[6, acc] = self.accepted_photons >= 1
+        cols[7, acc] = self.accepted_accidental
+        with open(path, "wb") as fh:
             fh.write(_CSV_HEADER)
-            start = 0
-            for row in zip(
-                self.candidate_cycles.tolist(),
-                self.candidate_bin.tolist(),
-                *cols.tolist(),
-            ):
-                _write_quiet_rows(fh, start, row[0])
-                fh.write(_CANDIDATE_ROW(*row))
-                start = row[0] + 1
-            _write_quiet_rows(fh, start, self.n_cycles)
+            for digits in range(1, len(str(self.n_cycles - 1)) + 1):
+                lo = 10 ** (digits - 1) if digits > 1 else 0
+                hi = min(10 ** digits, self.n_cycles)
+                _write_rows(fh, cols, lo, hi, digits)
 
 
-def _write_quiet_rows(fh, start: int, stop: int) -> None:
-    """Rows of the cycles in [start, stop), none of which holds a candidate."""
-    if start < min(stop, 1000):  # rows of cycles 0-999 differ in width
-        head = range(start, min(stop, 1000))
-        fh.write(_QUIET_TAIL.join(map(str, head)) + _QUIET_TAIL)
-        start = head.stop
-    while start < stop:
-        block, first = divmod(start, 1000)
-        last = min(stop - 1000 * block, 1000)
-        text = _quiet_block(block)
-        width = len(text) // 1000
-        fh.write(text[first * width:last * width])
-        start += last - first
+def _write_rows(fh, cols: np.ndarray, lo: int, hi: int, digits: int) -> None:
+    """Rows of the cycles in [lo, hi), whose numbers have `digits` digits,
+    given every candidate's row in the columns of `cols`."""
+    lead = digits - min(digits - 1, _BLOCK_DIGITS)
+    rows = _quiet_rows(digits, lead)
+    width = rows.shape[1]
+    text = memoryview(rows.reshape(-1))
+    size = rows.shape[0]
+    first = int(np.searchsorted(cols[0], lo))
+    for start in range(lo, hi, size):
+        for col, digit in enumerate(b"%d" % (start // size)):
+            rows[:, col] = digit  # a scalar per column beats a (size, lead) broadcast
+        stop = min(start + size, hi)
+        last = int(np.searchsorted(cols[0], stop))
+        pieces, at = [], 0
+        for row in zip(*cols[:, first:last].tolist()):
+            pieces += (text[at * width : (row[0] - start) * width], _CANDIDATE_ROW % row)
+            at = row[0] - start + 1
+        pieces.append(text[at * width : (stop - start) * width])
+        fh.write(b"".join(pieces))
+        first = last
 
 
-@functools.lru_cache(maxsize=1)
-def _quiet_block(block: int) -> str:
-    """Quiet rows of the cycles 1000 block to 1000 block + 999, block >= 1."""
-    prefix = str(block)
-    return prefix + (_QUIET_TAIL + prefix).join(_SUFFIXES) + _QUIET_TAIL
+def _quiet_rows(digits: int, lead: int) -> np.ndarray:
+    """Quiet rows of the 10^(digits - lead) cycles of one block, as a uint8
+    matrix with one row per cycle: the `lead` leading digits are left for the
+    block to fill, the trailing ones count up from 0."""
+    count = np.arange(10 ** (digits - lead), dtype=np.int32)
+    rows = np.empty((count.size, digits + len(_QUIET_TAIL)), dtype=np.uint8)
+    rows[:, digits:] = np.frombuffer(_QUIET_TAIL, np.uint8)
+    for col in range(digits - 1, lead - 1, -1):
+        count, rows[:, col] = np.divmod(count, 10)
+        rows[:, col] += ord("0")
+    return rows
 
 
 def route_bin(herald_bin: int, n_output_bins: int) -> Tuple[Tuple[int, ...], int]:
@@ -358,6 +370,12 @@ def run_pulse_train(config: PulseTrainConfig) -> Tuple[EventTrace, RateReport]:
     xi = bin_xi(topo, [config.reference_power_mw])[0]
     eta_i = np.array([b.source.eta_i for b in bins])
     p_idler = p_trig_idler(xi, eta_i)
+    f = np.array([b.source.back_reflection_fraction for b in bins])
+    p_back = f * p_idler
+    if np.count_nonzero(p_back > 1.0):
+        raise ConfigurationError(
+            f"f * p_trig reaches {np.max(p_back)} > 1; not a valid probability"
+        )
     # Success probability of the geometric law of idler photons lost.
     keep = 1.0 - xi * xi * (1.0 - eta_i)
     eta_path = np.array([b.source.eta_s * b.eta_sw for b in bins])
@@ -370,10 +388,7 @@ def run_pulse_train(config: PulseTrainConfig) -> Tuple[EventTrace, RateReport]:
     )
 
     cyc, own, idl = _merge_bins(
-        [
-            _bin_candidates(p_idler[k], b.source.back_reflection_fraction, n, rng)
-            for k, b in enumerate(bins)
-        ]
+        [_bin_candidates(p_idler[k], f[k], n, rng) for k in range(n_bins)]
     )
     heads = np.flatnonzero(np.diff(cyc, prepend=-1))
     candidate_cycles, candidate_bin = cyc[heads], own[heads]

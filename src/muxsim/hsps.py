@@ -79,7 +79,8 @@ def xi_from_power(c: ArrayLike, p_mw: ArrayLike) -> np.ndarray:
     arg = c * np.sqrt(p_mw)
     # math.tanh rather than np.tanh, which differs from it in the last bit
     # for about a third of the arguments: the simulator draws with these xi.
-    return np.array([math.tanh(v) for v in arg.flat]).reshape(arg.shape)
+    tanh = np.fromiter(map(math.tanh, arg.ravel().tolist()), float, arg.size)
+    return tanh.reshape(arg.shape)
 
 
 def _check_domain(xi: ArrayLike, *etas: ArrayLike) -> None:

@@ -4,6 +4,8 @@ agreement with the analytic models."""
 import csv
 import dataclasses
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +84,18 @@ def test_config_rejects_unroutable_delay():
     )
     with pytest.raises(RoutingError):
         PulseTrainConfig(topo, 5.0, 1000)
+
+
+def test_back_reflection_beyond_a_probability_rejected():
+    # f * p_trig > 1 is no probability: the simulator names the largest
+    # value, as the closed forms do, instead of failing inside numpy.
+    topo = _single_bin_topology(0.1, 0.01, 5.0, f=5000.0)
+    with pytest.raises(ValueError) as model:
+        evaluate_mux(topo, 25.0)
+    with pytest.raises(ConfigurationError) as simulated:
+        run_pulse_train(PulseTrainConfig(topo, 25.0, 1000))
+    assert str(simulated.value).startswith("f * p_trig reaches ")
+    assert str(simulated.value) == str(model.value)
 
 
 # --- structural invariants ---------------------------------------------------------
@@ -439,11 +453,17 @@ def _assert_plain(tmp_path, trace):
         (12_000, [5, 9998, 10_001]),
         (101_000, [99_000, 100_500]),
         (250_000, [0, 1, 2, 999, 1000, 2999, 3000, 249_999]),
+        (110_000, [109_999]),
+        (110_001, [109_999, 110_000]),
+        (120_000, []),
+        (50_000, [10_001, 19_999, 40_000]),
     ],
 )
 def test_trace_csv_edges_match_plain_writer(tmp_path, n_cycles, cycles):
-    # Quiet runs that start, end or cross at 0, at the ends of the trace, and
-    # at the widths' steps 999/1000, 9999/10000 and 99 999/100 000.
+    # Quiet runs that start, end or cross at 0, at the ends of the trace, at
+    # the widths' steps 999/1000, 9999/10000 and 99 999/100 000, and at the
+    # edges of the 10^4-row blocks: a trace ending on one, candidates on
+    # both sides of one, and blocks (20 000-39 999) holding no candidate.
     _assert_plain(tmp_path, _built_trace(n_cycles, cycles))
 
 
@@ -460,3 +480,27 @@ def test_trace_csv_matches_plain_writer_for_drawn_candidates(
 ):
     cycles = data.draw(st.sets(st.integers(0, n_cycles - 1), max_size=60))
     _assert_plain(tmp_path_factory.mktemp("trace"), _built_trace(n_cycles, cycles))
+
+
+@settings(deadline=None, max_examples=8)
+@given(data=st.data(), n_cycles=st.integers(1, 150_000))
+def test_trace_csv_across_row_blocks_matches_plain_writer(
+    tmp_path_factory, data, n_cycles
+):
+    # Long enough to cross several 10^4-row blocks; few examples, since the
+    # plain writer formats every row in Python.
+    cycles = data.draw(st.sets(st.integers(0, n_cycles - 1), max_size=60))
+    _assert_plain(tmp_path_factory.mktemp("trace"), _built_trace(n_cycles, cycles))
+
+
+def test_trace_csv_holds_one_block_of_rows_at_a_time():
+    config = PulseTrainConfig(default_topology(), 5.0, 1_000_000, rng_seed=5)
+    trace, _ = run_pulse_train(config)
+    tracemalloc.start()
+    try:
+        trace.to_csv(os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The 23 MB file is never held: a block of 10^4 rows is ~250 KB.
+    assert peak <= 1_000_000

@@ -88,6 +88,28 @@ def test_squeezing_from_power_value():
     assert xi_from_power(0.349, 1.0) == pytest.approx(0.3356, abs=5e-4)
 
 
+@pytest.mark.parametrize(
+    "c, p_mw",
+    [
+        (0.349, 5.0),
+        (0.349, np.linspace(0.0, 40.0, 17)),
+        (np.linspace(0.1, 0.4, 5)[:, None], 12.5),
+        (np.linspace(0.1, 0.4, 12), np.linspace(0.0, 40.0, 136)[:, None]),
+    ],
+    ids=["scalar", "row", "column", "grid"],
+)
+def test_xi_from_power_is_math_tanh_elementwise(c, p_mw):
+    # Bit for bit: the simulator draws with these xi.
+    xi = xi_from_power(c, p_mw)
+    c_b, p_b = np.broadcast_arrays(c, p_mw)
+    assert xi.shape == c_b.shape
+    expected = [
+        math.tanh(ci * math.sqrt(pi))
+        for ci, pi in zip(c_b.ravel().tolist(), p_b.ravel().tolist())
+    ]
+    assert xi.ravel().tolist() == expected
+
+
 def test_squeezing_from_power_domain_errors():
     with pytest.raises(ValueError):
         xi_from_power(0.349, -0.1)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -168,6 +169,18 @@ def test_string_cells_are_quoted_as_csv_writer_quotes_them(rows):
     expected = io.StringIO()
     csv.writer(expected, lineterminator="\n").writerows(rows)
     assert "".join(",".join(_cells(row)) + "\n" for row in rows) == expected.getvalue()
+
+
+_EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+     -1e300, 1e-300, math.inf, -math.inf, math.nan]
+)
+
+
+@given(values=st.lists(st.floats() | _EDGE_FLOATS, max_size=300))
+def test_float_cells_match_per_value_formatting(values):
+    expected = ["" if math.isnan(v) else "%.10g" % v for v in values]
+    assert _cells(np.array(values, dtype=float)) == expected
 
 
 def test_car_on_a_sweep_without_accidentals_writes_empty_curves(tmp_path):
