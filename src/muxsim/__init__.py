@@ -31,6 +31,7 @@ from .saturation import (
 from .spectral import (
     SpectrumModel,
     fit_gaussian,
+    fit_gaussians,
     indistinguishability_table,
     overlap_gamma,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "evaluate_mux",
     "fit_all",
     "fit_gaussian",
+    "fit_gaussians",
     "fit_source",
     "indistinguishability_table",
     "overlap_gamma",

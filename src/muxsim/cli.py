@@ -36,7 +36,7 @@ from .mux import (
 from .saturation import DeadtimeChain
 from .spectral import (
     SpectrumFitError,
-    fit_gaussian,
+    fit_gaussians,
     indistinguishability_table,
     load_spectrum_csv,
 )
@@ -358,10 +358,11 @@ def _quoted(cell: str) -> str:
 
 
 def _cells(values) -> Sequence[str]:
-    """CSV cells of a column block: strings quoted where they need it,
-    floats as %.10g, NaN as an empty cell."""
+    """CSV cells of a column block: strings quoted where they need it, each
+    distinct string once, floats as %.10g, NaN as an empty cell."""
     if not isinstance(values, np.ndarray):
-        return [_quoted(cell) for cell in values]
+        quoted = {cell: _quoted(cell) for cell in set(values)}
+        return [quoted[cell] for cell in values]
     # One % over the whole block: the same bytes as "%.10g" % v per cell.
     cells = (("%.10g\n" * values.size) % tuple(values.tolist())).split("\n")[:-1]
     for i in np.flatnonzero(np.isnan(values)).tolist():
@@ -484,23 +485,25 @@ def cmd_car(scenario: Scenario, out_dir: Path) -> List[Path]:
 
 
 def cmd_spectra(spectra_dir: str, out_dir: Path) -> List[Path]:
-    directory = Path(spectra_dir)
-    files = sorted(directory.glob("*.csv"))
+    files = sorted(Path(spectra_dir).glob("*.csv"))
     if not files:
         raise FileNotFoundError(f"no spectra CSV files in {spectra_dir}")
-    labels, models = [], []
+    spectra, unreadable = [], None
     for file in files:
-        samples = load_spectrum_csv(file)
         try:
-            model, _ = fit_gaussian(samples)
-        except SpectrumFitError as exc:
-            raise SpectrumFitError(f"{file}: {exc}") from exc
-        labels.append(file.stem)
-        models.append(model)
-    if len(models) == 1:
-        table = np.ones((1, 1))
-    else:
-        table = indistinguishability_table(models)
+            spectra.append(load_spectrum_csv(file))
+        except (OSError, ValueError) as exc:  # raised once the files before it pass
+            unreadable = exc
+            break
+    try:
+        fitted = fit_gaussians(spectra)
+    except SpectrumFitError as exc:
+        raise SpectrumFitError(f"{files[exc.index]}: {exc}") from exc
+    if unreadable is not None:
+        raise unreadable
+    labels = [file.stem for file in files]
+    models = [model for model, _ in fitted]
+    table = np.ones((1, 1)) if len(models) == 1 else indistinguishability_table(models)
     csv_path = out_dir / "gamma_matrix.csv"
     _write_csv(csv_path, ["source", *labels], [labels, *table.T])
     return [csv_path]

@@ -4,13 +4,17 @@ Measured spectra are intensity spectra; the spectral amplitude is taken
 as the square root of the fitted Gaussian intensity, so the pairwise
 overlap gamma is an upper bound on indistinguishability.  A Gaussian is
 fitted by Levenberg-Marquardt least squares (More, Lecture Notes in
-Math. 630, 1978) from a log-parabola start.
+Math. 630, 1978) from a log-parabola start.  Spectra of one sample count
+are fitted in one lockstep solver run, each start on its own spectrum's
+residuals; a residual row depends on its own spectrum alone, so every
+spectrum gets the fit it gets alone, bit for bit.
 """
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +24,10 @@ FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
 class SpectrumFitError(ValueError):
-    """The spectrum cannot support a Gaussian fit."""
+    """The spectrum cannot support a Gaussian fit.  fit_gaussians sets
+    ``index`` to the position of the spectrum at fault."""
+
+    index: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -60,15 +67,9 @@ def _initial_guess(wl: np.ndarray, counts: np.ndarray) -> Tuple[float, float, fl
     return center, sigma, amp
 
 
-def fit_gaussian(
-    samples: Sequence[Tuple[float, float]]
-) -> Tuple[SpectrumModel, float]:
-    """Least-squares Gaussian fit of (wavelength_nm, counts) samples.
-
-    Returns the fitted model and the residual norm.  The linearized
-    initial guess is refined by Levenberg-Marquardt over (center,
-    log sigma, log amplitude).
-    """
+def _checked(samples: Sequence[Tuple[float, float]]) -> Tuple[np.ndarray, ...]:
+    """The wavelengths, counts and (center, log sigma, log amplitude) start
+    of one spectrum, or SpectrumFitError naming what is wrong with it."""
     data = np.asarray(samples, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
         raise SpectrumFitError("samples must be (wavelength_nm, counts) pairs")
@@ -81,43 +82,94 @@ def fit_gaussian(
         raise SpectrumFitError("counts must be >= 0")
     if np.allclose(counts, counts[0]):
         raise SpectrumFitError("constant counts; nothing to fit")
-
     center0, sigma0, amp0 = _initial_guess(wl, counts)
+    return wl, counts, np.array([center0, math.log(sigma0), math.log(max(amp0, 1e-300))])
 
-    def batch(xs: np.ndarray, _starts: np.ndarray) -> np.ndarray:
-        center, log_sigma, log_amp = xs.T[..., None]
-        sigma = np.exp(log_sigma)
-        model = np.exp(log_amp) * np.exp(-((wl - center) ** 2) / (2.0 * sigma * sigma))
-        return model - counts
 
-    x0 = np.array([center0, math.log(sigma0), math.log(max(amp0, 1e-300))])
+def _gaussian_residuals(
+    xs: np.ndarray, starts: np.ndarray, wl: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Model minus counts at the (center, log sigma, log amplitude) rows of
+    xs, each on the wavelengths and counts of its start's spectrum."""
+    center, log_sigma, log_amp = xs.T[..., None]
+    sigma = np.exp(log_sigma)
+    model = np.exp(log_amp) * np.exp(-((wl[starts] - center) ** 2) / (2.0 * sigma * sigma))
+    return model - counts[starts]
+
+
+def fit_gaussians(
+    spectra: Sequence[Sequence[Tuple[float, float]]]
+) -> List[Tuple[SpectrumModel, float]]:
+    """Least-squares Gaussian fits of (wavelength_nm, counts) spectra.
+
+    Returns the fitted model and the residual norm of each spectrum, in
+    order.  Each linearized initial guess is refined by Levenberg-Marquardt
+    over (center, log sigma, log amplitude); spectra of one sample count
+    share one solver run, and each gets the fit it gets alone.  Every
+    spectrum is checked before any is solved: the first that fails raises
+    its SpectrumFitError with ``index`` set to its position.
+    """
+    checked = []
+    for index, samples in enumerate(spectra):
+        try:
+            checked.append(_checked(samples))
+        except SpectrumFitError as exc:
+            exc.index = index
+            raise
+    groups: Dict[int, List[int]] = {}
+    for index, (wl, _, _) in enumerate(checked):
+        groups.setdefault(wl.size, []).append(index)
+    fitted = [None] * len(checked)
     unbounded = np.full(3, np.inf)
-    x, _, cost, *_ = _lockstep_lm(batch, x0[None], -unbounded, unbounded)
-    center, log_sigma, log_amp = x[0]
-    model = SpectrumModel(
-        center_nm=float(center),
-        fwhm_nm=float(math.exp(log_sigma) / FWHM_TO_SIGMA),
-        amplitude=float(math.exp(log_amp)),
-    )
-    return model, math.sqrt(2.0 * cost[0])
+    for members in groups.values():
+        rows = [checked[index] for index in members]
+        wl, counts, x0 = (np.array(column) for column in zip(*rows))
+        batch = functools.partial(_gaussian_residuals, wl=wl, counts=counts)
+        x, _, cost, *_ = _lockstep_lm(batch, x0, -unbounded, unbounded)
+        for index, (center, log_sigma, log_amp), c in zip(members, x, cost):
+            model = SpectrumModel(
+                center_nm=float(center),
+                fwhm_nm=float(math.exp(log_sigma) / FWHM_TO_SIGMA),
+                amplitude=float(math.exp(log_amp)),
+            )
+            fitted[index] = (model, math.sqrt(2.0 * c))
+    return fitted
+
+
+def fit_gaussian(
+    samples: Sequence[Tuple[float, float]]
+) -> Tuple[SpectrumModel, float]:
+    """Least-squares Gaussian fit of (wavelength_nm, counts) samples: the
+    fitted model and the residual norm.  This is fit_gaussians for one
+    spectrum."""
+    (fitted,) = fit_gaussians([samples])
+    return fitted
 
 
 def load_spectrum_csv(path) -> List[Tuple[float, float]]:
     """Read the (wavelength_nm, counts) rows of a spectrum CSV; a missing
     column, an unparsable or non-finite value or a negative count raises
-    SpectrumFitError naming the file and line."""
+    SpectrumFitError naming the file and line.  As with csv.DictReader,
+    blank lines are skipped, the last of repeated column names wins and a
+    short row's missing cells read None."""
     samples = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise SpectrumFitError(f"{path}: empty file (line 1)")
+        column = {name: i for i, name in enumerate(header)}
         required = ("wavelength_nm", "counts")
-        missing = [c for c in required if c not in reader.fieldnames]
+        missing = [c for c in required if c not in column]
         if missing:
             raise SpectrumFitError(f"{path}: missing columns {missing} (line 1)")
+        at_wl, at_counts = column["wavelength_nm"], column["counts"]
         for row in reader:
+            if not row:
+                continue
             try:
-                wavelength, counts = float(row["wavelength_nm"]), float(row["counts"])
+                wavelength = float(row[at_wl] if at_wl < len(row) else None)
+                counts = float(row[at_counts] if at_counts < len(row) else None)
             except (TypeError, ValueError) as exc:
                 raise SpectrumFitError(f"{path}: line {reader.line_num}: {exc}") from exc
             if not (math.isfinite(wavelength) and math.isfinite(counts) and counts >= 0.0):

@@ -13,7 +13,12 @@ from muxsim.cli import _model_table, main, parse_scenario
 from muxsim.defaults import MEMS_ASYMMETRY, source_label
 from muxsim.hsps import source_probs, xi_from_power
 from muxsim.mux import bin_pump_power_mw
-from muxsim.spectral import SpectrumModel
+from muxsim.spectral import (
+    SpectrumModel,
+    fit_gaussian,
+    indistinguishability_table,
+    load_spectrum_csv,
+)
 
 
 def _scenario(tmp_path, **overrides):
@@ -334,6 +339,54 @@ def test_spectra_rejects_bad_files(tmp_path, capsys, lines, where):
     assert err["error"] == "SpectrumFitError"
     assert str(spectra / "bad.csv") in err["detail"] and where in err["detail"]
     assert not (out / "gamma_matrix.csv").exists()
+
+
+def test_spectra_of_two_sample_counts_match_lone_fits(tmp_path):
+    spectra = tmp_path / "spectra"
+    spectra.mkdir()
+    for i, (n, params) in enumerate(
+        [(61, (1550.0, 0.9, 100.0)), (41, (1550.2, 0.8, 90.0)),
+         (61, (1549.9, 1.0, 120.0)), (41, (1550.1, 0.95, 80.0))]
+    ):
+        _write_spectrum(spectra / f"s{i}.csv", SpectrumModel(*params), n=n)
+    out = tmp_path / "out"
+    assert main(["spectra", "--spectra-dir", str(spectra), "--out", str(out)]) == 0
+    files = sorted(spectra.glob("*.csv"))
+    lone = [fit_gaussian(load_spectrum_csv(f))[0] for f in files]
+    table = indistinguishability_table(lone)
+    rows = _read_rows(out / "gamma_matrix.csv")
+    assert [row["source"] for row in rows] == [f.stem for f in files]
+    for row, expected in zip(rows, table):
+        assert [row[f.stem] for f in files] == ["%.10g" % g for g in expected]
+
+
+_CONSTANT = ["wavelength_nm,counts"] + [f"{1550 + i},5.0" for i in range(10)]
+_UNPARSABLE = _replace_line(_spectrum_lines(), 7, "1550.0000,oops")
+
+
+@pytest.mark.parametrize(
+    "first, second, where",
+    [
+        (_CONSTANT, _UNPARSABLE, "constant counts"),
+        (_UNPARSABLE, _CONSTANT, "line 7"),
+        (_CONSTANT, _CONSTANT, "constant counts"),
+        (_UNPARSABLE, _UNPARSABLE, "line 7"),
+    ],
+    ids=["unfittable-then-unparsable", "unparsable-then-unfittable", "two-unfittable",
+         "two-unparsable"],
+)
+def test_spectra_names_the_first_bad_file(tmp_path, capsys, first, second, where):
+    spectra = tmp_path / "spectra"
+    spectra.mkdir()
+    _write_spectrum(spectra / "a.csv", SpectrumModel(1550.0, 0.9, 100.0))
+    (spectra / "b.csv").write_text("\n".join(first) + "\n")
+    (spectra / "c.csv").write_text("\n".join(second) + "\n")
+    out = tmp_path / "out"
+    assert main(["spectra", "--spectra-dir", str(spectra), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SpectrumFitError"
+    assert err["detail"].startswith(f"{spectra / 'b.csv'}: ") and where in err["detail"]
+    assert str(spectra / "c.csv") not in err["detail"]
 
 
 def test_spectra_missing_directory_fails(tmp_path, capsys):

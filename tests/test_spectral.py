@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from muxsim import (
@@ -12,7 +13,8 @@ from muxsim import (
     indistinguishability_table,
     overlap_gamma,
 )
-from muxsim.spectral import FWHM_TO_SIGMA, SpectrumFitError, _initial_guess
+from muxsim import spectral
+from muxsim.spectral import FWHM_TO_SIGMA, SpectrumFitError, _initial_guess, fit_gaussians
 
 
 def _quadrature_gamma(a: SpectrumModel, b: SpectrumModel) -> float:
@@ -92,6 +94,60 @@ def test_degenerate_inputs_rejected():
         fit_gaussian([(1550.0 + i, math.nan if i == 5 else 1.0 + i) for i in range(10)])
     with pytest.raises(ValueError):
         SpectrumModel(center_nm=1550.0, fwhm_nm=0.0, amplitude=1.0)
+
+
+def _poisson_spectrum(rng, n):
+    """n (wavelength_nm, counts) samples over 10 nm around 1550 nm of a
+    Poisson spectrum with a 2000-count peak."""
+    shift = float(rng.uniform(-0.5, 0.5))
+    wl = np.linspace(1545.0 + shift, 1555.0 + shift, n)
+    truth = SpectrumModel(
+        center_nm=float(rng.uniform(1549.0, 1551.0)),
+        fwhm_nm=float(rng.uniform(0.6, 1.2)),
+        amplitude=2000.0,
+    )
+    return list(zip(wl, rng.poisson(truth.intensity(wl)).astype(float)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    sizes=st.lists(st.sampled_from([41, 61, 161]), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_fit_gaussians_is_each_lone_fit(sizes, seed, data):
+    rng = np.random.default_rng(seed)
+    spectra = [_poisson_spectrum(rng, n) for n in sizes]
+    spectra = data.draw(st.permutations(spectra))
+    assert fit_gaussians(spectra) == [fit_gaussian(samples) for samples in spectra]
+
+
+def test_spectra_of_one_length_share_one_solver_run(monkeypatch):
+    runs = []
+    solver = spectral._lockstep_lm
+
+    def counting(batch, x0s, *bounds):
+        runs.append(len(x0s))
+        return solver(batch, x0s, *bounds)
+
+    monkeypatch.setattr(spectral, "_lockstep_lm", counting)
+    rng = np.random.default_rng(3)
+    fitted = fit_gaussians([_poisson_spectrum(rng, 161) for _ in range(8)])
+    assert runs == [8] and len(fitted) == 8
+
+
+def test_first_bad_spectrum_raises_with_its_index():
+    rng = np.random.default_rng(4)
+    good = _poisson_spectrum(rng, 61)
+    constant = [(1550.0 + i, 5.0) for i in range(10)]
+    three = [(1550.0, 1.0), (1550.5, 2.0), (1551.0, 1.0)]
+    with pytest.raises(SpectrumFitError, match="constant counts") as raised:
+        fit_gaussians([good, constant, three])
+    assert raised.value.index == 1
+    with pytest.raises(SpectrumFitError) as alone:
+        fit_gaussian(constant)
+    assert str(alone.value) == str(raised.value) and alone.value.index == 0
+    assert fit_gaussians([]) == []
 
 
 # --- overlap --------------------------------------------------------------------
