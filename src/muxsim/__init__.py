@@ -10,7 +10,6 @@ from .hsps import (
 )
 from .mux import (
     MuxBin,
-    MuxProbabilities,
     MuxTopology,
     evaluate_mux,
     saturated_report,
@@ -42,7 +41,6 @@ __all__ = [
     "EventTrace",
     "FitResult",
     "MuxBin",
-    "MuxProbabilities",
     "MuxTopology",
     "Observation",
     "PulseTrainConfig",

@@ -323,7 +323,7 @@ def _model_table(
     def by_source(table: SourceProbs) -> List[np.ndarray]:
         """p_trig, p_c and p_a of MUX8, MUX4 and each single source."""
         mux8, mux4 = priority_nest(table), priority_nest(table.take(pass1))
-        return [np.column_stack(p) for p in zip(mux8[:3], mux4[:3], solo[:3])]
+        return [np.column_stack(p) for p in zip(mux8, mux4, solo)]
 
     plain = by_source(bin_probs(topo, xi))
     extr = by_source(bin_probs(extrinsic_removed(topo), xi))

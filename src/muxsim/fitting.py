@@ -128,8 +128,7 @@ def predict_rates(
     coupling, row = np.unique(calibrate_coupling(p_seed_mw), return_inverse=True)
     shape = np.broadcast_shapes(np.shape(p_seed_mw), powers.shape)
     xi = xi_from_power(coupling[:, None], powers)[row.reshape(-1)].reshape(shape)
-    p = source_probs(xi, eta_i, eta_s, f)
-    return saturated_rates(p.p_trig, p.p_c, p.p_a, rep_rate_hz, chain)
+    return saturated_rates(*source_probs(xi, eta_i, eta_s, f), rep_rate_hz, chain)
 
 
 def _standard_errors(jac: np.ndarray, cost: float) -> np.ndarray:

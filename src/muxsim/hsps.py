@@ -8,8 +8,10 @@ back-reflected photons, parameterized by a fraction f of the true
 triggering probability.
 
 Every closed form broadcasts over numpy arrays of xi, the transmissions and
-f.  ``source_probs`` is the one place that combines the herald split with
-the heralded signal statistics; every rate model reads its five columns.
+f.  ``source_probs`` gives the three probabilities every rate model reads:
+herald, coincidence and accidental.  ``emission_probs`` splits the
+coincidences into one and several signal photons delivered; no rate needs
+that split.  Both weigh the same two herald branches (``_herald_split``).
 """
 
 import math
@@ -46,10 +48,11 @@ class SourceParams:
             raise ValueError(f"eta_i must be in [0, 1], got {self.eta_i}")
         if not 0.0 <= self.eta_s <= 1.0:
             raise ValueError(f"eta_s must be in [0, 1], got {self.eta_s}")
-        if self.p_seed_mw <= 0.0:
-            raise ValueError(f"p_seed_mw must be > 0, got {self.p_seed_mw}")
-        if self.back_reflection_fraction < 0.0:
-            raise ValueError("back_reflection_fraction must be >= 0")
+        if not 0.0 < self.p_seed_mw < math.inf:
+            raise ValueError(f"p_seed_mw must be finite and > 0, got {self.p_seed_mw}")
+        f = self.back_reflection_fraction
+        if not 0.0 <= f < math.inf:
+            raise ValueError(f"back_reflection_fraction must be finite and >= 0, got {f}")
 
 
 def seed_squeezing() -> float:
@@ -92,8 +95,8 @@ def _check_domain(xi: ArrayLike, *etas: ArrayLike) -> None:
 
 
 # Each closed form below takes floats or arrays that broadcast together.
-# p_trig_idler and source_probs check their domain; _click and
-# _heralded_forms hold the formulas and check nothing.
+# p_trig_idler, source_probs and emission_probs check their domain; _click,
+# _heralded_forms and _emission_forms hold the formulas and check nothing.
 
 def p_trig_idler(xi: ArrayLike, eta_i: ArrayLike) -> ArrayLike:
     """Probability that the idler (herald) arm clicks in one pulse."""
@@ -105,51 +108,48 @@ def _click(s, eta):
     return s * eta / (1.0 - s * (1.0 - eta))
 
 
-class _HeraldedForms(NamedTuple):
-    p_trig: ArrayLike  # p_trig_idler
-    p_single: ArrayLike
-    p_multi: ArrayLike
-    p_single_nt: ArrayLike
-    p_multi_nt: ArrayLike
-
-
-def _heralded_forms(s, eta_i, eta_s) -> _HeraldedForms:
-    """The signal-arm closed forms at s = xi^2.
-
-    With a = 1 - eta_i and b = 1 - eta_s they share the factors 1 - s,
-    1 - s a, 1 - s b and 1 - s a b (and their squares, and a b / (1 - s a b)),
-    which are computed once.
-    """
+def _factors(s, eta_i, eta_s):
+    """a = 1 - eta_i, b = 1 - eta_s, s a and the factors 1 - s a, 1 - s b and
+    1 - s a b that the signal-arm closed forms at s = xi^2 share."""
     a = 1.0 - eta_i
     b = 1.0 - eta_s
     sa = s * a
-    one_s = 1.0 - s
-    one_sa = 1.0 - sa
-    one_sb = 1.0 - s * b
-    one_sab = 1.0 - sa * b
-    one_sb_2 = one_sb ** 2
-    one_sab_2 = one_sab ** 2
-    ab_one_sab = a * b / one_sab
-    p_trig = _click(s, eta_i)
+    return a, b, sa, 1.0 - sa, 1.0 - s * b, 1.0 - sa * b
 
-    num = (1.0 - s * s * b * b * a) * one_sa
-    den = one_sb_2 * one_sab_2
-    p_single = one_s * eta_s * num / den
 
-    # P(signal click | herald click) as a product of positive factors: no
-    # division by p_trig, so it holds down to eta_i = 0 and keeps full
-    # precision however small eta_i or eta_s are.
+def _heralded_forms(s, eta_i, eta_s):
+    """P(signal click | idler click) and P(signal click | no idler click)."""
+    a, b, sa, one_sa, one_sb, one_sab = _factors(s, eta_i, eta_s)
+    # A product of positive factors: no division by p_trig, so it holds down
+    # to eta_i = 0 and keeps full precision however small eta_i or eta_s are.
     total = eta_s * (1.0 - s * sa * b) / (one_sb * one_sab)
+    # A difference of close terms: its absolute error is a few ulp of s a.
+    total_nt = one_sa * s * (a / one_sa - a * b / one_sab)
+    return total, total_nt
+
+
+class _EmissionForms(NamedTuple):
+    p_single: ArrayLike  # exactly one signal photon, given an idler click
+    p_multi: ArrayLike  # two or more, given an idler click
+    p_single_nt: ArrayLike  # the same given no idler click
+    p_multi_nt: ArrayLike
+
+
+def _emission_forms(s, eta_i, eta_s) -> _EmissionForms:
+    """The signal photon-number split of _heralded_forms' click probabilities."""
+    total, total_nt = _heralded_forms(s, eta_i, eta_s)
+    a, b, _, one_sa, one_sb, one_sab = _factors(s, eta_i, eta_s)
+    one_sab_2 = one_sab ** 2
+    num = (1.0 - s * s * b * b * a) * one_sa
+    p_single = (1.0 - s) * eta_s * num / (one_sb ** 2 * one_sab_2)
     p_multi = _clamp_probability(
         np.where(s == 0.0, 0.0, total - p_single), "p_multi given a trigger"
     )
-
     p_single_nt = one_sa * eta_s * a * s / one_sab_2
-    total_nt = one_sa * s * (a / one_sa - ab_one_sab)
     p_multi_nt = _clamp_probability(
         total_nt - p_single_nt, "p_multi given no trigger"
     )
-    return _HeraldedForms(p_trig, p_single, p_multi, p_single_nt, p_multi_nt)
+    return _EmissionForms(p_single, p_multi, p_single_nt, p_multi_nt)
 
 
 def _clamp_probability(value: ArrayLike, what: str) -> ArrayLike:
@@ -158,17 +158,32 @@ def _clamp_probability(value: ArrayLike, what: str) -> ArrayLike:
     return np.maximum(value, 0.0)
 
 
+def _herald_split(xi, eta_i, eta_s, f):
+    """s = xi^2 and, once the domain is checked, the weights p and f p (1 - p)
+    of the two herald branches: a true idler click, followed by the heralded
+    signal statistics, or a back-reflection click (probability f p) with no
+    idler click, followed by the signal statistics given no trigger."""
+    _check_domain(xi, eta_i, eta_s)
+    if np.count_nonzero(f < 0.0):
+        raise ValueError(f"back-reflection fraction must be >= 0, got {f}")
+    s = xi * xi
+    p_correct = _click(s, eta_i)
+    p_back = f * p_correct
+    if np.count_nonzero(p_back > 1.0):
+        raise ValueError(
+            f"f * p_trig reaches {np.max(p_back)} > 1; not a valid probability"
+        )
+    return s, p_correct, p_back * (1.0 - p_correct)
+
+
 class SourceProbs(NamedTuple):
-    """Herald, coincidence and accidental probabilities, and the joint
-    probabilities of a herald with one or with several signal photons
-    delivered.  Per pulse for one source, per clock cycle for a MUX; each
-    field is a float or an array, all of one shape."""
+    """Herald, coincidence and accidental probabilities: per pulse for one
+    source, per clock cycle for a MUX; each field is a float or an array, all
+    of one shape."""
 
     p_trig: ArrayLike
     p_c: ArrayLike
     p_a: ArrayLike
-    p_single: ArrayLike
-    p_multi: ArrayLike
 
     def take(self, index) -> "SourceProbs":
         """The same probabilities at `index` of the last (bin) axis."""
@@ -179,33 +194,36 @@ def source_probs(
     xi: ArrayLike, eta_i: ArrayLike, eta_s: ArrayLike, f: ArrayLike
 ) -> SourceProbs:
     """Per-pulse probabilities of one source with back-reflection fraction f,
-    broadcast over arrays of (xi, eta_i, eta_s, f).
-
-    A herald is either a true idler click, followed by the heralded signal
-    statistics, or an unpaired back-reflection click with no idler click,
-    followed by the signal statistics given no trigger; with f = 0 only the
-    first branch remains.  A back-reflection clicks with probability f times
-    the true trigger probability p, so the branches weigh p and f p (1 - p).
-    """
-    _check_domain(xi, eta_i, eta_s)
-    s = xi * xi
-    forms = _heralded_forms(s, eta_i, eta_s)
-    if np.count_nonzero(f < 0.0):
-        raise ValueError(f"back-reflection fraction must be >= 0, got {f}")
-    p_correct = forms.p_trig
-    p_back = f * p_correct
-    if np.count_nonzero(p_back > 1.0):
-        raise ValueError(
-            f"f * p_trig reaches {np.max(p_back)} > 1; not a valid probability"
-        )
-    p_incorrect = p_back * (1.0 - p_correct)
+    broadcast over arrays of (xi, eta_i, eta_s, f); the herald branches are
+    those of _herald_split."""
+    s, p_correct, p_incorrect = _herald_split(xi, eta_i, eta_s, f)
+    total, total_nt = _heralded_forms(s, eta_i, eta_s)
     p_trig = p_correct + p_incorrect
-    single, multi = forms.p_single, forms.p_multi
-    single_nt, multi_nt = forms.p_single_nt, forms.p_multi_nt
     return SourceProbs(
         p_trig=p_trig,
-        p_c=p_correct * (single + multi) + p_incorrect * (single_nt + multi_nt),
+        p_c=p_correct * total + p_incorrect * total_nt,
         p_a=p_trig * _click(s, eta_s),
-        p_single=p_correct * single + p_incorrect * single_nt,
-        p_multi=p_correct * multi + p_incorrect * multi_nt,
+    )
+
+
+class EmissionProbs(NamedTuple):
+    """Herald probability and the joint probabilities of a herald with one or
+    with several signal photons delivered, per pulse or per clock cycle."""
+
+    p_trig: ArrayLike
+    p_single: ArrayLike
+    p_multi: ArrayLike
+
+
+def emission_probs(
+    xi: ArrayLike, eta_i: ArrayLike, eta_s: ArrayLike, f: ArrayLike
+) -> EmissionProbs:
+    """Per-pulse photon-number split of source_probs' coincidences, broadcast
+    over arrays of (xi, eta_i, eta_s, f): p_single + p_multi = p_c."""
+    s, p_correct, p_incorrect = _herald_split(xi, eta_i, eta_s, f)
+    forms = _emission_forms(s, eta_i, eta_s)
+    return EmissionProbs(
+        p_trig=p_correct + p_incorrect,
+        p_single=p_correct * forms.p_single + p_incorrect * forms.p_single_nt,
+        p_multi=p_correct * forms.p_multi + p_incorrect * forms.p_multi_nt,
     )

@@ -13,13 +13,15 @@ cumulative product of 1 - p_trig along its bin axis (``priority_nest``).
 MUX8, MUX4 and the single sources are slices or reductions of such tables.
 """
 
+import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple, TypeVar
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .hsps import (
+    EmissionProbs,
     SourceParams,
     SourceProbs,
     calibrate_coupling,
@@ -35,6 +37,8 @@ PASS2_POWER_FACTOR = 0.5
 # Extra measurement loss on the multiplexed channel, part of every switch
 # path's eta_sw; it is what the extrinsic-removed variants take out.
 MEMS_ASYMMETRY = 0.96
+
+Probs = TypeVar("Probs", SourceProbs, EmissionProbs)
 
 
 @dataclass(frozen=True)
@@ -71,10 +75,10 @@ class MuxTopology:
     def __post_init__(self):
         if not self.bins:
             raise ValueError("topology needs at least one bin")
-        if self.rep_rate_hz <= 0.0:
-            raise ValueError("rep_rate_hz must be > 0")
-        if self.bin_spacing_s <= 0.0:
-            raise ValueError("bin_spacing_s must be > 0")
+        for name in ("rep_rate_hz", "bin_spacing_s"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         for pass_id in (1, 2):
             total = sum(
                 b.pump_fraction for b in self.bins if b.pass_id == pass_id
@@ -89,21 +93,6 @@ class MuxTopology:
         if not bins:
             raise ValueError(f"topology has no pass-{pass_id} bins")
         return MuxTopology(bins, self.rep_rate_hz, self.bin_spacing_s)
-
-
-@dataclass(frozen=True)
-class MuxProbabilities:
-    """Per-clock-cycle trigger / coincidence / accidental probabilities."""
-
-    p_trig: float
-    p_coincidence: float
-    p_accidental: float
-
-    @property
-    def car(self) -> Optional[float]:
-        if self.p_accidental == 0.0:
-            return None
-        return self.p_coincidence / self.p_accidental
 
 
 def bin_pump_power_mw(bin_: MuxBin, reference_power_mw: float) -> float:
@@ -147,14 +136,15 @@ def bin_table(topology: MuxTopology, powers: Sequence[float]) -> SourceProbs:
     return bin_probs(topology, bin_xi(topology, powers))
 
 
-def priority_nest(table: SourceProbs) -> SourceProbs:
+def priority_nest(table: Probs) -> Probs:
     """Per-cycle probabilities of the MUX whose bins are the table's last
-    axis: each bin counts only when every bin above it missed."""
+    axis: each bin counts only when every bin above it missed.  The table is
+    a SourceProbs or an EmissionProbs, p_trig first, and so is the result."""
     miss = np.cumprod(1.0 - table.p_trig, axis=-1)
     upstream = np.concatenate(
         [np.ones_like(miss[..., :1]), miss[..., :-1]], axis=-1
     )
-    return SourceProbs(
+    return type(table)(
         1.0 - miss[..., -1], *((upstream * x).sum(axis=-1) for x in table[1:])
     )
 
@@ -175,16 +165,10 @@ def extrinsic_removed(topology: MuxTopology) -> MuxTopology:
     return replace(topology, bins=bins)
 
 
-def evaluate_mux(
-    topology: MuxTopology, reference_power_mw: float
-) -> MuxProbabilities:
-    """All three per-cycle probabilities of one multiplexed source."""
+def evaluate_mux(topology: MuxTopology, reference_power_mw: float) -> SourceProbs:
+    """All three per-cycle probabilities of one multiplexed source, as floats."""
     mux = priority_nest(bin_table(topology, [reference_power_mw]))
-    return MuxProbabilities(
-        p_trig=float(mux.p_trig[0]),
-        p_coincidence=float(mux.p_c[0]),
-        p_accidental=float(mux.p_a[0]),
-    )
+    return SourceProbs(*(float(x[0]) for x in mux))
 
 
 def saturated_rates(
@@ -206,15 +190,13 @@ def saturated_rates(
 
 
 def saturated_report(
-    probs: MuxProbabilities,
+    probs: SourceProbs,
     rep_rate_hz: float,
     chain: DeadtimeChain = DeadtimeChain(),
 ) -> RateReport:
     """Rates with the deadtime chain thinning the accepted-herald stream;
     CAR is unchanged."""
-    r_trig, r_c, r_a = saturated_rates(
-        probs.p_trig, probs.p_coincidence, probs.p_accidental, rep_rate_hz, chain
-    )
+    r_trig, r_c, r_a = saturated_rates(*probs, rep_rate_hz, chain)
     return RateReport(
         r_trig_hz=r_trig,
         r_coincidence_hz=r_c,

@@ -36,8 +36,8 @@ class DeadtimeChain:
     stages: Tuple[float, ...] = ()
 
     def __post_init__(self):
-        if any(d < 0.0 for d in self.stages):
-            raise ValueError("deadtimes must be >= 0")
+        if not all(0.0 <= d < math.inf for d in self.stages):
+            raise ValueError(f"deadtimes must be finite and >= 0, got {self.stages}")
 
     def blocks(self, rep_rate_hz: float) -> Tuple[int, ...]:
         """Clock cycles each stage blocks after a herald it passes: its

@@ -37,7 +37,7 @@ from muxsim.defaults import (
     default_topology,
 )
 from muxsim.fitting import predict_rates
-from muxsim.hsps import source_probs
+from muxsim.hsps import emission_probs, source_probs
 from muxsim.mux import saturated_rates
 
 from conftest import mc_source_probs
@@ -60,11 +60,11 @@ def test_criterion_01_core_closed_forms_match_monte_carlo():
         eta_s = float(rng.uniform(0.001, 0.9))
         est = mc_source_probs(xi, eta_i, eta_s, n_trials, seed=5000 + case)
 
-        probs = source_probs(xi, eta_i, eta_s, 0.0)
-        p_trig, p_c, p_a = probs.p_trig, probs.p_c, probs.p_a
+        p_trig, p_c, p_a = source_probs(xi, eta_i, eta_s, 0.0)
+        emission = emission_probs(xi, eta_i, eta_s, 0.0)
         # The heralded conditionals are the joint probabilities over p_trig.
-        p_single = probs.p_single / p_trig
-        p_multi = probs.p_multi / p_trig
+        p_single = emission.p_single / p_trig
+        p_multi = emission.p_multi / p_trig
 
         zs = [
             est["p_trig"].z_against(p_trig),
@@ -146,7 +146,7 @@ def test_criterion_04_heralded_single_emission_bound():
     xis = np.linspace(0.0, 0.999, 100)
     etas = np.linspace(0.0, 1.0, 100)
     # Per clock, a herald with exactly one signal photon delivered.
-    per_clock = source_probs(xis[:, None], etas, etas, 0.0).p_single
+    per_clock = emission_probs(xis[:, None], etas, etas, 0.0).p_single
     peak = float(per_clock.max())
     _check(4, peak <= 0.25 + 1e-12, f"grid maximum per-clock single emission = {peak:.6f}")
 

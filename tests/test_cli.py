@@ -69,7 +69,7 @@ def test_model_rows_match_per_power_evaluations():
         ):
             probs, probs_extr = evaluate_mux(plain, power), evaluate_mux(removed, power)
             expected[label, power] = (
-                rep * probs.p_trig, rep * probs.p_coincidence, rep * probs_extr.p_accidental
+                rep * probs.p_trig, rep * probs.p_c, rep * probs_extr.p_a
             )
         for b in topo.bins:
             source = b.source

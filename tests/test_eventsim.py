@@ -193,8 +193,8 @@ def test_pass2_bin_matches_closed_forms():
     probs = evaluate_mux(topo, 10.0)
     n = config.n_clock_cycles
     assert abs(_z(trace.accepted.sum(), probs.p_trig * n)) < 3.0
-    assert abs(_z(trace.signal_click.sum(), probs.p_coincidence * n)) < 3.0
-    assert abs(_z(trace.accidental_click.sum(), probs.p_accidental * n)) < 3.0
+    assert abs(_z(trace.signal_click.sum(), probs.p_c * n)) < 3.0
+    assert abs(_z(trace.accidental_click.sum(), probs.p_a * n)) < 3.0
 
 
 def test_randomized_topologies_match_analytic_model():
@@ -229,8 +229,8 @@ def test_randomized_topologies_match_analytic_model():
         probs = evaluate_mux(topo, power)
         for count, p in (
             (trace.accepted.sum(), probs.p_trig),
-            (trace.signal_click.sum(), probs.p_coincidence),
-            (trace.accidental_click.sum(), probs.p_accidental),
+            (trace.signal_click.sum(), probs.p_c),
+            (trace.accidental_click.sum(), probs.p_a),
         ):
             assert abs(_z(count, p * n)) < 3.0, f"case {case}"
 
@@ -266,7 +266,7 @@ def test_accidental_estimator_product_rule():
     )
     trace, report = run_pulse_train(config)
     probs = evaluate_mux(topo, 8.0)
-    expected = probs.p_trig * (probs.p_accidental / probs.p_trig)  # product form
+    expected = probs.p_trig * (probs.p_a / probs.p_trig)  # product form
     assert report.r_accidental_hz * n / 80e6 == pytest.approx(
         trace.accidental_click.sum(), rel=1e-12
     )

@@ -12,7 +12,7 @@ from muxsim import (
     p_trig_idler,
     seed_squeezing,
 )
-from muxsim.hsps import _heralded_forms, source_probs, xi_from_power
+from muxsim.hsps import _emission_forms, emission_probs, source_probs, xi_from_power
 
 from conftest import mc_no_trigger_probs, mc_source_probs
 
@@ -21,7 +21,7 @@ XI_SEED_FROZEN = 0.33571068701972884  # root of (1 - x^2) x^2 = 0.1
 
 def _forms(xi, eta_i, eta_s):
     """The signal-arm statistics given a herald and given none, at xi."""
-    return _heralded_forms(xi * xi, eta_i, eta_s)
+    return _emission_forms(xi * xi, eta_i, eta_s)
 
 
 def _rates(source, p_mw, rep_rate_hz):
@@ -186,7 +186,8 @@ def test_probabilities_stay_in_unit_interval_on_grid():
         eta_i = rng.uniform(0.0, 1.0)
         eta_s = rng.uniform(0.0, 1.0)
         forms = _forms(xi, eta_i, eta_s)
-        joint = source_probs(xi, eta_i, eta_s, 0.0)
+        joint = (*source_probs(xi, eta_i, eta_s, 0.0),
+                 *emission_probs(xi, eta_i, eta_s, 0.0))
         assert all(-1e-12 <= p <= 1.0 + 1e-12 for p in (*forms, *joint))
         assert 0.0 <= forms.p_single_nt <= 1.0
         assert 0.0 <= forms.p_multi_nt <= 1.0
@@ -230,7 +231,7 @@ def test_no_trigger_conditionals_limits():
 def test_pass2_split_reduces_to_first_pass_without_reflection():
     p_true = p_trig_idler(0.3, 0.2)
     forms = _forms(0.3, 0.2, 0.5)
-    probs = source_probs(0.3, 0.2, 0.5, 0.0)
+    probs = emission_probs(0.3, 0.2, 0.5, 0.0)
     assert probs.p_trig == p_true
     assert probs.p_single == p_true * forms.p_single
     assert probs.p_multi == p_true * forms.p_multi
@@ -320,6 +321,7 @@ def test_closed_forms_broadcast_elementwise():
         lambda x, i, s, _: p_trig_idler(x, i),
         lambda x, i, s, _: _forms(x, i, s),
         source_probs,
+        emission_probs,
     )
     for form in forms:
         array = np.array(form(xi, eta_i, eta_s, f), dtype=float)
@@ -336,6 +338,10 @@ def test_closed_forms_reject_any_bad_element():
         source_probs(0.2, np.array([0.5, np.nan]), 0.5, 0.0)
     with pytest.raises(ValueError):
         source_probs(np.array([0.2, 0.3]), 0.5, 0.5, np.array([0.1, -0.1]))
+    with pytest.raises(ValueError):
+        emission_probs(0.2, np.array([0.5, np.nan]), 0.5, 0.0)
+    with pytest.raises(ValueError, match="f \\* p_trig"):
+        emission_probs(np.array([0.2, 0.9]), 1.0, 0.5, 2.0)
 
 
 # --- rate reports ---------------------------------------------------------------
@@ -366,3 +372,19 @@ def test_source_params_validation():
         SourceParams(eta_i=0.1, eta_s=0.1, p_seed_mw=0.0)
     with pytest.raises(ValueError):
         SourceParams(eta_i=0.1, eta_s=0.1, p_seed_mw=1.0, back_reflection_fraction=-0.1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("p_seed_mw", math.inf),
+        ("p_seed_mw", math.nan),
+        ("back_reflection_fraction", math.nan),
+        ("back_reflection_fraction", math.inf),
+    ],
+)
+def test_source_params_reject_non_finite_values(field, value):
+    # Not finite would give NaN or all-zero probabilities downstream.
+    params = {"eta_i": 0.1, "eta_s": 0.1, "p_seed_mw": 5.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SourceParams(**params)

@@ -1,5 +1,7 @@
 """Priority-nested multiplexing composition against enumeration oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,13 @@ from muxsim import (
     simple_mux_single_prob,
 )
 from muxsim.defaults import default_topology
-from muxsim.hsps import source_probs, xi_from_power
+from muxsim.hsps import (
+    EmissionProbs,
+    SourceProbs,
+    emission_probs,
+    source_probs,
+    xi_from_power,
+)
 from muxsim.mux import (
     PASS2_POWER_FACTOR,
     bin_pump_power_mw,
@@ -49,6 +57,18 @@ def _bin_probs(bins, reference_power_mw):
     return per_bin
 
 
+def _emission_table(topology, powers):
+    """emission_probs of every bin at every reference power, laid out as
+    bin_table lays out source_probs: (n_powers, n_bins) arrays."""
+    bins = topology.bins
+    return emission_probs(
+        bin_xi(topology, powers),
+        np.array([b.source.eta_i for b in bins]),
+        np.array([b.source.eta_s * b.eta_sw for b in bins]),
+        np.array([b.source.back_reflection_fraction for b in bins]),
+    )
+
+
 def _enumerate_mux(bins, reference_power_mw):
     """Sum over all 2^N herald patterns; first heralding bin wins the cycle."""
     per_bin = _bin_probs(bins, reference_power_mw)
@@ -78,16 +98,16 @@ def test_single_bin_identities():
     (p_trig, p_c, p_s), = _bin_probs([bin_], power)
     probs = evaluate_mux(topo, power)
     assert probs.p_trig == pytest.approx(p_trig, rel=1e-12)
-    assert probs.p_coincidence == pytest.approx(p_c, rel=1e-12)
-    assert probs.p_accidental == pytest.approx(p_trig * p_s, rel=1e-12)
+    assert probs.p_c == pytest.approx(p_c, rel=1e-12)
+    assert probs.p_a == pytest.approx(p_trig * p_s, rel=1e-12)
 
 
 def test_zero_power_gives_zero():
     probs = evaluate_mux(default_topology(), 0.0)
     assert probs.p_trig == 0.0
-    assert probs.p_coincidence == 0.0
-    assert probs.p_accidental == 0.0
-    assert probs.car is None
+    assert probs.p_c == 0.0
+    assert probs.p_a == 0.0
+    assert saturated_report(probs, 80e6).car is None
 
 
 def test_four_equal_bins_trigger_expansion():
@@ -125,8 +145,8 @@ def test_nesting_matches_enumeration_oracle():
         p_trig, p_c, p_a = _enumerate_mux(bins, power)
         probs = evaluate_mux(topo, power)
         assert probs.p_trig == pytest.approx(p_trig, rel=1e-12)
-        assert probs.p_coincidence == pytest.approx(p_c, rel=1e-12)
-        assert probs.p_accidental == pytest.approx(p_a, rel=1e-12)
+        assert probs.p_c == pytest.approx(p_c, rel=1e-12)
+        assert probs.p_a == pytest.approx(p_a, rel=1e-12)
 
 
 def test_identical_bins_are_permutation_invariant():
@@ -134,7 +154,7 @@ def test_identical_bins_are_permutation_invariant():
     topo = MuxTopology(bins)
     shuffled = MuxTopology(bins[::-1])
     probs, shuffled_probs = evaluate_mux(topo, 9.0), evaluate_mux(shuffled, 9.0)
-    for field in ("p_trig", "p_coincidence", "p_accidental"):
+    for field in ("p_trig", "p_c", "p_a"):
         assert getattr(probs, field) == pytest.approx(
             getattr(shuffled_probs, field), rel=1e-12
         )
@@ -148,8 +168,8 @@ def test_priority_order_matters_for_distinct_bins():
     assert evaluate_mux(ab, 8.0).p_trig == pytest.approx(
         evaluate_mux(ba, 8.0).p_trig, rel=1e-12
     )
-    assert evaluate_mux(ab, 8.0).p_coincidence != pytest.approx(
-        evaluate_mux(ba, 8.0).p_coincidence, rel=1e-9
+    assert evaluate_mux(ab, 8.0).p_c != pytest.approx(
+        evaluate_mux(ba, 8.0).p_c, rel=1e-9
     )
 
 
@@ -169,7 +189,7 @@ def test_duplicated_low_priority_term_is_a_different_quantity():
 
     correct = nested(per_bin)
     slipped = nested(per_bin[:6] + [per_bin[5], per_bin[5]])
-    assert evaluate_mux(topo, power).p_coincidence == pytest.approx(
+    assert evaluate_mux(topo, power).p_c == pytest.approx(
         correct, rel=1e-12
     )
     assert abs(slipped - correct) > 1e-12 * correct
@@ -204,7 +224,7 @@ def test_coincidence_monotone_in_switch_transmission():
         bins = tuple(
             _make_bin(0.1, 0.02, 5.0, 0.2, eta_sw, delay_id=d) for d in range(4)
         )
-        values.append(evaluate_mux(MuxTopology(bins), power).p_coincidence)
+        values.append(evaluate_mux(MuxTopology(bins), power).p_c)
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -243,8 +263,8 @@ def test_hybrid_with_dead_second_pass_is_first_pass():
     combined = evaluate_mux(topo, 10.0)
     first = evaluate_mux(topo.subset(1), 10.0)
     assert combined.p_trig == pytest.approx(first.p_trig)
-    assert combined.p_coincidence == pytest.approx(first.p_coincidence)
-    assert combined.p_accidental == pytest.approx(first.p_accidental)
+    assert combined.p_c == pytest.approx(first.p_c)
+    assert combined.p_a == pytest.approx(first.p_a)
 
 
 def test_hybrid_symmetric_low_probability_expansion():
@@ -270,11 +290,11 @@ def test_hybrid_matches_flat_eight_bin_nesting():
         assert flat.p_trig == pytest.approx(
             1.0 - miss1 * (1.0 - pass2.p_trig), rel=1e-12
         )
-        assert flat.p_coincidence == pytest.approx(
-            pass1.p_coincidence + miss1 * pass2.p_coincidence, rel=1e-12
+        assert flat.p_c == pytest.approx(
+            pass1.p_c + miss1 * pass2.p_c, rel=1e-12
         )
-        assert flat.p_accidental == pytest.approx(
-            pass1.p_accidental + miss1 * pass2.p_accidental, rel=1e-12
+        assert flat.p_a == pytest.approx(
+            pass1.p_a + miss1 * pass2.p_a, rel=1e-12
         )
 
 
@@ -307,13 +327,31 @@ def test_table_probabilities_bounded_and_trigger_rises_with_power():
     for _ in range(10):
         topo = _random_topology(rng, int(rng.integers(1, 5)))
         table = bin_table(topo, powers)
+        emission = _emission_table(topo, powers)
         mux = priority_nest(table)
-        for probs in (table, mux):
+        for probs in (table, mux, emission, priority_nest(emission)):
             for column in probs:
                 assert np.all((column >= 0.0) & (column <= 1.0))
             assert np.all(np.diff(probs.p_trig, axis=0) > 0.0)
-        assert np.all(table.p_single + table.p_multi <= table.p_trig + 1e-15)
+        assert np.all(
+            emission.p_single + emission.p_multi <= emission.p_trig + 1e-15
+        )
         assert np.all(table.p_c <= table.p_trig + 1e-15)
+
+
+def test_priority_nest_keeps_the_type_it_is_given():
+    topo = default_topology()
+    powers = [0.0, 5.0, 25.0]
+    mux = priority_nest(bin_table(topo, powers))
+    emission = priority_nest(_emission_table(topo, powers))
+    assert type(mux) is SourceProbs
+    assert type(emission) is EmissionProbs
+    np.testing.assert_array_equal(emission.p_trig, mux.p_trig)
+    np.testing.assert_allclose(
+        emission.p_single + emission.p_multi, mux.p_c, rtol=1e-12, atol=0.0
+    )
+    for i, power in enumerate(powers):
+        assert SourceProbs(*(float(x[i]) for x in mux)) == evaluate_mux(topo, power)
 
 
 def test_pass2_pump_power_is_halved():
@@ -360,7 +398,7 @@ def test_simple_mux_single_prob_validation():
 
 def test_lossless_single_source_respects_heralding_bound():
     bin_ = _make_bin(1.0, 1.0, 5.0, 1.0, 1.0)
-    table = bin_table(MuxTopology((bin_,)), np.linspace(0.1, 60.0, 80))
+    table = _emission_table(MuxTopology((bin_,)), np.linspace(0.1, 60.0, 80))
     assert np.all(priority_nest(table).p_single <= 0.25 + 1e-12)
     assert np.all(table.p_single <= 0.25 + 1e-12)
 
@@ -369,15 +407,15 @@ def test_mux_dominates_best_single_under_lossless_switching():
     bins = tuple(
         _make_bin(0.3, 0.2, 5.0, 0.25, 1.0, delay_id=d) for d in range(4)
     )
-    table = bin_table(MuxTopology(bins), np.linspace(1.0, 40.0, 20))
+    table = _emission_table(MuxTopology(bins), np.linspace(1.0, 40.0, 20))
     assert np.all(priority_nest(table).p_single > table.p_single.max(axis=-1))
 
 
 def test_extrinsic_removed_curve_takes_the_mems_loss_out():
     topo = default_topology()
     powers = np.linspace(1.0, 40.0, 12)
-    lossy = priority_nest(bin_table(topo, powers))
-    removed = priority_nest(bin_table(extrinsic_removed(topo), powers))
+    lossy = priority_nest(_emission_table(topo, powers))
+    removed = priority_nest(_emission_table(extrinsic_removed(topo), powers))
     assert np.all(removed.p_single > lossy.p_single)
     # a single source is measured without the switch either way
     assert switchless(extrinsic_removed(topo)) == switchless(topo)
@@ -396,6 +434,15 @@ def test_topology_validation():
     topo = MuxTopology((bin_,))
     with pytest.raises(ValueError):
         topo.subset(2)
+
+
+@pytest.mark.parametrize("field", ["rep_rate_hz", "bin_spacing_s"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_topology_rejects_non_finite_clock(field, value):
+    # A NaN clock would make saturated_report return NaN rates.
+    bin_ = _make_bin(0.1, 0.01, 5.0, 0.6, 0.8)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        MuxTopology((bin_,), **{field: value})
 
 
 def test_bin_validation():

@@ -6,11 +6,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from muxsim.cli import ScenarioError, _model_table, load_scenario
 from muxsim.fitting import ObservationsParseError, load_observations_csv
-from muxsim.hsps import source_probs
+from muxsim.hsps import emission_probs, source_probs
 from muxsim.saturation import DeadtimeChain, detected_from_true, true_from_detected
 
 UNIT = st.floats(0.0, 1.0)
@@ -33,8 +33,32 @@ def _input(lo, hi):
 
 @given(xi=XI, eta_i=UNIT, eta_s=UNIT, f=UNIT)
 def test_source_probs_lie_in_unit_interval(xi, eta_i, eta_s, f):
-    for name, value in source_probs(xi, eta_i, eta_s, f)._asdict().items():
-        assert 0.0 <= value <= 1.0, name
+    for probs in (source_probs, emission_probs):
+        for name, value in probs(xi, eta_i, eta_s, f)._asdict().items():
+            assert 0.0 <= value <= 1.0, name
+
+
+@given(xi=XI, eta_i=UNIT, eta_s=UNIT, f=UNIT)
+@example(xi=0.0, eta_i=0.5, eta_s=0.5, f=0.3)
+@example(xi=0.4, eta_i=0.0, eta_s=0.5, f=0.3)
+@example(xi=0.4, eta_i=0.0, eta_s=0.5, f=0.0)
+@example(xi=0.9, eta_i=0.7, eta_s=0.6, f=1.0)
+def test_emission_split_adds_up_to_the_coincidences(xi, eta_i, eta_s, f):
+    # The photon-number split sums to the coincidence probability and a
+    # coincidence needs a herald.  The click probability given no trigger is
+    # a difference of close terms, good to a few ulp of xi^2 (1 - eta_i); the
+    # split clamps it at p_single given no trigger where that error exceeds
+    # p_multi given no trigger, so the back-reflection branch, of weight at
+    # most f p_trig, may differ by that much.  Relative precision ends where
+    # floats turn subnormal.
+    probs = source_probs(xi, eta_i, eta_s, f)
+    emission = emission_probs(xi, eta_i, eta_s, f)
+    assert emission.p_trig == probs.p_trig
+    split = emission.p_single + emission.p_multi
+    machine = np.finfo(float)
+    rounding = 8.0 * machine.eps * xi * xi * f * probs.p_trig + machine.tiny
+    assert split == pytest.approx(probs.p_c, rel=1e-12, abs=rounding)
+    assert split <= probs.p_trig
 
 
 @given(xis=st.tuples(XI, XI), eta_i=UNIT, eta_s=UNIT, f=UNIT)

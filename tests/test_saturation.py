@@ -106,6 +106,13 @@ def test_negative_rates_rejected():
         DeadtimeChain((-1e-9,))
 
 
+@pytest.mark.parametrize("stages", [(math.nan,), (1e-7, math.inf)])
+def test_non_finite_deadtimes_rejected(stages):
+    # Not the bare "cannot convert float NaN to integer" of blocks().
+    with pytest.raises(ValueError, match="deadtimes must be finite"):
+        DeadtimeChain(stages)
+
+
 # --- exact acceptance of the simulator's rule -----------------------------------------
 
 def _transfer_matrix_rate(a, idle, p):
