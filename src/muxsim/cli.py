@@ -33,6 +33,7 @@ from .mux import (
     saturated_report,
     switchless,
 )
+from .report import open_output
 from .saturation import DeadtimeChain
 from .spectral import (
     SpectrumFitError,
@@ -292,7 +293,8 @@ def svg_line_chart(
             f'font-size="11" fill="{color}">{label}</text>'
         )
     lines.append("</svg>")
-    path.write_text("\n".join(lines) + "\n")
+    with open_output(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # --- model table and CSV output ----------------------------------------------
@@ -375,7 +377,7 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
     or a float array, written in blocks of _CSV_BLOCK_ROWS rows.  Formatted
     numbers never need quoting, so the cells are joined directly."""
     n_rows = len(columns[0])
-    with open(path, "w", newline="") as fh:
+    with open_output(path, "w", newline="") as fh:
         fh.write(",".join(_cells(header)) + "\n")
         for start in range(0, n_rows, _CSV_BLOCK_ROWS):
             block = slice(start, start + _CSV_BLOCK_ROWS)

@@ -49,7 +49,7 @@ import numpy as np
 
 from .hsps import p_trig_idler
 from .mux import MuxTopology, bin_xi
-from .report import RateReport
+from .report import RateReport, open_output
 from .saturation import FULL_CHAIN, DeadtimeChain
 
 
@@ -195,7 +195,7 @@ class EventTrace:
         cols[5, acc] = self.accepted_photons
         cols[6, acc] = self.accepted_photons >= 1
         cols[7, acc] = self.accepted_accidental
-        with open(path, "wb") as fh:
+        with open_output(path, "wb") as fh:
             fh.write(_CSV_HEADER)
             for digits in range(1, len(str(self.n_cycles - 1)) + 1):
                 lo = 10 ** (digits - 1) if digits > 1 else 0

@@ -29,6 +29,7 @@ from .hsps import (
     xi_from_power,
 )
 from .mux import saturated_rates
+from .report import open_output
 from .saturation import DeadtimeChain, SaturationError, true_from_detected
 
 
@@ -542,7 +543,7 @@ def load_observations_csv(path) -> Dict[str, List[Observation]]:
 def write_fit_table_csv(path, results: Mapping[str, object]) -> None:
     """Emit one row per source: fitted parameters, R^2 statistics and the
     parameters' relative standard errors."""
-    with open(path, "w", newline="") as fh:
+    with open_output(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             [

@@ -120,11 +120,11 @@ def _factors(s, eta_i, eta_s):
 def _heralded_forms(s, eta_i, eta_s):
     """P(signal click | idler click) and P(signal click | no idler click)."""
     a, b, sa, one_sa, one_sb, one_sab = _factors(s, eta_i, eta_s)
-    # A product of positive factors: no division by p_trig, so it holds down
-    # to eta_i = 0 and keeps full precision however small eta_i or eta_s are.
+    # Products of positive factors: no division by p_trig, so they hold down
+    # to eta_i = 0 and keep full precision however small eta_i or eta_s are.
     total = eta_s * (1.0 - s * sa * b) / (one_sb * one_sab)
-    # A difference of close terms: its absolute error is a few ulp of s a.
-    total_nt = one_sa * s * (a / one_sa - a * b / one_sab)
+    # s a - s a b (1 - s a) / (1 - s a b), written without the difference.
+    total_nt = sa * eta_s / one_sab
     return total, total_nt
 
 

@@ -185,6 +185,8 @@ def saturated_rates(
     Coincidences and accidentals only occur on accepted heralds, so they
     are scaled by the same acceptance as the trigger rate.
     """
+    if not 0.0 < rep_rate_hz < math.inf:
+        raise ValueError(f"rep_rate_hz must be finite and > 0, got {rep_rate_hz}")
     accepted = rep_rate_hz * chain.acceptance(p_trig, rep_rate_hz)
     return p_trig * accepted, p_c * accepted, p_a * accepted
 

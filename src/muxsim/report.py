@@ -1,5 +1,8 @@
-"""Rate summaries shared by the analytic models and the event simulator."""
+"""Rate summaries shared by the analytic models and the event simulator, and
+`open_output`, the one opener of the files muxsim writes."""
 
+import os
+import stat
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,3 +29,32 @@ class RateReport:
         for name in ("r_trig_hz", "r_coincidence_hz", "r_accidental_hz"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+
+
+def open_output(path, mode: str = "w", **kwargs):
+    """`open(path, mode, **kwargs)` for writing, with an existing regular
+    file of one link replaced by a new file rather than truncated.
+
+    On ext4 mounted with `discard` (2-vCPU VM), rewriting the previous 23 MB
+    `trace.csv` in 250 KB writes spent 14.5-17.5 ms in an O_TRUNC open and
+    1.3 ms in close, against 1.4-2.0 ms to unlink and create it and 0.02 ms
+    to close; `EventTrace.to_csv` of 1e6 cycles fell from 36 ms to 15-19 ms.
+    Writing and closing a 300 B file took 43 us instead of 108 us, and a
+    600 KB file 195 us instead of 635 us.  The bytes written are the same
+    either way.
+
+    A replaced file gets a new inode and the mode the umask gives, a reader
+    that holds the old file open keeps the old bytes, and a read-only file
+    in a writable directory is replaced.  Anything else is opened as plain
+    `open` would: a missing path, a symlink (written through), a file with
+    other hard links (rewritten in place, so every name sees the new
+    bytes), a device such as /dev/null, a FIFO, or a file whose lstat or
+    unlink fails.
+    """
+    try:
+        st = os.lstat(path)
+        if stat.S_ISREG(st.st_mode) and st.st_nlink == 1:
+            os.unlink(path)
+    except OSError:
+        pass
+    return open(path, mode, **kwargs)

@@ -160,18 +160,30 @@ def test_simulate_zero_cycles_fails(tmp_path, capsys):
 def test_reruns_are_byte_identical(tmp_path):
     scenario = _scenario(tmp_path)
     dirs = (tmp_path / "a", tmp_path / "b")
-    for out in dirs:
-        assert main(["model", "--scenario", scenario, "--out", str(out)]) == 0
-        assert main(["simulate", "--scenario", scenario, "--out", str(out)]) == 0
-        assert main(["car", "--scenario", scenario, "--out", str(out)]) == 0
-    for name in (
+    names = [
         "rates_vs_power.csv",
         "rates_vs_power.svg",
         "simulation_report.csv",
         "car_curves.csv",
         "car_curves.svg",
-    ):
+    ]
+    for out in dirs:
+        assert main(["model", "--scenario", scenario, "--out", str(out)]) == 0
+        assert main(["simulate", "--scenario", scenario, "--out", str(out)]) == 0
+        assert main(["car", "--scenario", scenario, "--out", str(out)]) == 0
+    for name in names:
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+    # A third pass, with a short traced simulation, replaces the outputs of
+    # both directories; they then hold what a fresh directory gets.
+    fresh = tmp_path / "fresh"
+    for out in (*dirs, fresh):
+        assert main(["model", "--scenario", scenario, "--out", str(out)]) == 0
+        traced = ["simulate", "--trace", "--cycles", "5000", "--scenario", scenario]
+        assert main(traced + ["--out", str(out)]) == 0
+        assert main(["car", "--scenario", scenario, "--out", str(out)]) == 0
+    for name in names + ["trace.csv"]:
+        for out in dirs:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_seed_override_changes_simulation(tmp_path):

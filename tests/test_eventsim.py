@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import math
 import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -504,3 +505,47 @@ def test_trace_csv_holds_one_block_of_rows_at_a_time():
         tracemalloc.stop()
     # The 23 MB file is never held: a block of 10^4 rows is ~250 KB.
     assert peak <= 1_000_000
+    # A device is written to, never replaced.
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_trace_csv_replaces_only_a_lone_regular_file(tmp_path):
+    trace, _ = run_pulse_train(
+        PulseTrainConfig(default_topology(), 5.0, 2_000, rng_seed=5)
+    )
+    trace.to_csv(tmp_path / "fresh.csv")
+    expected = (tmp_path / "fresh.csv").read_bytes()
+    stale = b"0,0,0,0,-1,0,0,0\n" * (len(expected) // 8)
+    umask = os.umask(0)
+    os.umask(umask)
+
+    # A lone regular file, read-only and longer than the trace, is replaced
+    # by a new file: a reader that holds the old one keeps the old bytes.
+    lone = tmp_path / "lone.csv"
+    lone.write_bytes(stale)
+    lone.chmod(0o444)
+    with open(lone, "rb") as held:
+        trace.to_csv(lone)
+        assert held.read() == stale
+        assert lone.stat().st_ino != os.fstat(held.fileno()).st_ino
+    assert lone.read_bytes() == expected
+    assert stat.S_IMODE(lone.stat().st_mode) == 0o666 & ~umask
+
+    # A symlink is written through and stays a symlink.
+    target = tmp_path / "target.csv"
+    target.write_bytes(stale)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    trace.to_csv(link)
+    assert link.is_symlink()
+    assert target.read_bytes() == expected
+
+    # A file with a second hard link is rewritten in place: both names keep
+    # the inode and hold the new bytes.
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_bytes(stale)
+    os.link(first, second)
+    inode = first.stat().st_ino
+    trace.to_csv(first)
+    assert first.stat().st_ino == second.stat().st_ino == inode
+    assert first.read_bytes() == second.read_bytes() == expected

@@ -1,6 +1,7 @@
 """Closed-form single-source statistics against frozen values and MC oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,13 @@ from muxsim import (
     p_trig_idler,
     seed_squeezing,
 )
-from muxsim.hsps import _emission_forms, emission_probs, source_probs, xi_from_power
+from muxsim.hsps import (
+    _emission_forms,
+    _heralded_forms,
+    emission_probs,
+    source_probs,
+    xi_from_power,
+)
 
 from conftest import mc_no_trigger_probs, mc_source_probs
 
@@ -218,6 +225,20 @@ def test_no_trigger_conditionals_against_mc_oracle():
     est_single, est_multi = mc_no_trigger_probs(xi, eta_i, eta_s, 2_000_000, seed=77)
     assert abs(est_single.z_against(p_quiet * single_nt)) < 3.0
     assert abs(est_multi.z_against(p_quiet * multi_nt)) < 3.0
+
+
+@pytest.mark.parametrize("eta_i", [0.0, 0.015, 0.5, 0.99])
+@pytest.mark.parametrize("xi", [1e-3, 0.1, 0.3, 0.7])
+def test_no_trigger_click_probability_is_exact_to_rounding(xi, eta_i):
+    # s a eta_s / (1 - s a b), evaluated exactly from the same float inputs.
+    # The product form's six roundings stay within a few ulp however small
+    # eta_s is; a difference of close terms would lose ~1e-16/eta_s.
+    s = xi * xi
+    for eta_s in [m * 10.0 ** -k for k in range(2, 17) for m in (1.0, 3.7)]:
+        total_nt = _heralded_forms(s, eta_i, eta_s)[1]
+        sa = Fraction(s) * (1 - Fraction(eta_i))
+        exact = sa * Fraction(eta_s) / (1 - sa * (1 - Fraction(eta_s)))
+        assert abs(Fraction(total_nt) - exact) <= 4 * Fraction(math.ulp(float(exact)))
 
 
 def test_no_trigger_conditionals_limits():

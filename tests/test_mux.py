@@ -30,9 +30,10 @@ from muxsim.mux import (
     bin_xi,
     extrinsic_removed,
     priority_nest,
+    saturated_rates,
     switchless,
 )
-from muxsim.saturation import DeadtimeChain
+from muxsim.saturation import FULL_CHAIN, DeadtimeChain
 
 
 def _make_bin(eta_i, eta_s, p_seed, fraction, eta_sw, pass_id=1, delay_id=0, f=0.0):
@@ -374,6 +375,19 @@ def test_saturated_report_preserves_car():
     assert saturated.r_coincidence_hz == pytest.approx(
         plain.r_coincidence_hz * factor, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("chain", [FULL_CHAIN, DeadtimeChain()], ids=["full", "none"])
+@pytest.mark.parametrize("rep_rate_hz", [math.nan, math.inf, 0.0, -1.0])
+def test_saturated_rates_reject_a_bad_clock(rep_rate_hz, chain):
+    # Passed apart from the topology, so checked where the rates are made:
+    # NaN or inf used to give NaN rates or fail inside the chain, and 0 all
+    # zeros.
+    probs = evaluate_mux(default_topology(), 5.0)
+    with pytest.raises(ValueError, match="rep_rate_hz must be finite and > 0"):
+        saturated_rates(*probs, rep_rate_hz, chain)
+    with pytest.raises(ValueError, match="rep_rate_hz must be finite and > 0"):
+        saturated_report(probs, rep_rate_hz, chain)
 
 
 # --- simplified formula --------------------------------------------------------------

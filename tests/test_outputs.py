@@ -1,10 +1,13 @@
-"""The CLI's output files, byte for byte, and the shared CSV writer's edge cases."""
+"""The CLI's output files, byte for byte, the shared CSV writer's edge cases,
+and the one function that opens them."""
 
+import ast
 import csv
 import hashlib
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +22,12 @@ from muxsim.spectral import SpectrumModel
 # columnar table and array writer replaced, and the fits' from the solver
 # with separate Jacobian and trial calls.  The pass-2 fit's was re-recorded
 # when the renewal acceptance was regrouped by pair count: two standard
-# errors moved in their sixth digit.  The traced run's two files were
-# recorded before the simulator's per-bin set-up became array calls.  Any
-# byte that moves is a change.
+# errors moved in their sixth digit.  It was re-recorded again when the
+# no-trigger click probability became an exact product instead of a
+# difference of close terms: source C's rel_se_back_reflection_fraction
+# moved 0.235149 -> 0.23515.  The traced run's two files were recorded
+# before the simulator's per-bin set-up became array calls.  Any byte that
+# moves is a change.
 EXPECTED_SHA256 = {
     "default/rates_vs_power.csv":
         "ed1e8e5235a20c86fb2c6e183c07b5f701c4e6ff4bf04ef3da0f7beced0bc352",
@@ -50,7 +56,7 @@ EXPECTED_SHA256 = {
     "fit_pass1/fit_results.csv":
         "69414d47a85f7ae1bd75b02ddfe4c746220d0b3ae81794e4b423f2eb6709483c",
     "fit_pass2/fit_results.csv":
-        "b8d9e2e704c774e567e0db7a9d939813c3c1be57a9ac0e2521c434ddb2596fb5",
+        "4458a9e20ed73228772604ce2992a463789f9948ca79def0d69c2443c3a58dce",
 }
 
 DENSE_SWEEP = {"power_sweep_mw": {"start": 0.0, "stop": 40.0, "steps": 321}}
@@ -193,3 +199,76 @@ def test_car_on_a_sweep_without_accidentals_writes_empty_curves(tmp_path):
     )
     svg = (out / "car_curves.svg").read_text()
     assert "<polyline" not in svg and svg.endswith("</svg>\n")
+
+
+# --- the one output opener ------------------------------------------------------
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "muxsim"
+
+
+def _open_mode(call: ast.Call):
+    """The mode argument of open(file, mode) or of a method such as
+    Path.open(mode), or None if the call passes none (a read)."""
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            return keyword.value
+    index = 1 if isinstance(call.func, ast.Name) else 0
+    return call.args[index] if len(call.args) > index else None
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode = _open_mode(call)
+    if mode is None:
+        return False
+    # A mode the source does not spell out counts as a write.
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True
+    return bool(set(mode.value) & set("wxa+"))
+
+
+def _writers(tree: ast.AST, scope: str = ""):
+    """(enclosing function, line) of every call under tree that opens a file
+    for writing."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = node.name
+        if isinstance(node, ast.Call) and _opens_for_writing(node):
+            yield scope, node.lineno
+        yield from _writers(node, inner)
+
+
+def test_only_open_output_opens_files_for_writing():
+    found = [
+        (path.name, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope, _ in _writers(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == [("report.py", "open_output")]
+
+
+@pytest.mark.parametrize(
+    "source, writes",
+    [
+        ("open(p)", False),
+        ("open(p, 'r', newline='')", False),
+        ("p.open()", False),
+        ("open(p, 'w')", True),
+        ("open(p, 'ab')", True),
+        ("open(p, mode='x')", True),
+        ("open(p, 'r+')", True),
+        ("open(p, m)", True),
+        ("p.open('w')", True),
+        ("p.write_text(s)", True),
+        ("p.write_bytes(b)", True),
+    ],
+)
+def test_write_opener_check_sees_each_kind_of_write(source, writes):
+    found = list(_writers(ast.parse(f"def f():\n    {source}\n")))
+    assert found == ([("f", 2)] if writes else [])

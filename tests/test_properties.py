@@ -45,19 +45,13 @@ def test_source_probs_lie_in_unit_interval(xi, eta_i, eta_s, f):
 @example(xi=0.9, eta_i=0.7, eta_s=0.6, f=1.0)
 def test_emission_split_adds_up_to_the_coincidences(xi, eta_i, eta_s, f):
     # The photon-number split sums to the coincidence probability and a
-    # coincidence needs a herald.  The click probability given no trigger is
-    # a difference of close terms, good to a few ulp of xi^2 (1 - eta_i); the
-    # split clamps it at p_single given no trigger where that error exceeds
-    # p_multi given no trigger, so the back-reflection branch, of weight at
-    # most f p_trig, may differ by that much.  Relative precision ends where
-    # floats turn subnormal.
+    # coincidence needs a herald.  Relative precision ends where floats turn
+    # subnormal.
     probs = source_probs(xi, eta_i, eta_s, f)
     emission = emission_probs(xi, eta_i, eta_s, f)
     assert emission.p_trig == probs.p_trig
     split = emission.p_single + emission.p_multi
-    machine = np.finfo(float)
-    rounding = 8.0 * machine.eps * xi * xi * f * probs.p_trig + machine.tiny
-    assert split == pytest.approx(probs.p_c, rel=1e-12, abs=rounding)
+    assert split == pytest.approx(probs.p_c, rel=1e-12, abs=np.finfo(float).tiny)
     assert split <= probs.p_trig
 
 
