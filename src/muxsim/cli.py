@@ -33,7 +33,7 @@ from .mux import (
     saturated_report,
     switchless,
 )
-from .report import open_output
+from .report import open_output, write_csv
 from .saturation import DeadtimeChain
 from .spectral import (
     SpectrumFitError,
@@ -75,6 +75,12 @@ class Scenario:
     reference_power_mw: float
 
     def __post_init__(self):
+        if self.cycles < 1:
+            raise ScenarioError(f"cycles must be >= 1, got {self.cycles}")
+        if self.reference_power_mw < 0.0:
+            raise ScenarioError(
+                f"reference_power_mw must be >= 0, got {self.reference_power_mw}"
+            )
         if not any(b.pass_id == 1 for b in self.topology.bins):
             raise ScenarioError("topology needs at least one pass-1 bin (MUX4)")
         # ValueError unless the model's exact acceptance covers the chain.
@@ -297,11 +303,10 @@ def svg_line_chart(
         fh.write("\n".join(lines) + "\n")
 
 
-# --- model table and CSV output ----------------------------------------------
+# --- model table -------------------------------------------------------------
 
 # Suffixes of the rate columns: saturated, unsaturated, extrinsic removed.
 _VARIANTS = ("", "_nosat", "_extr")
-_CSV_BLOCK_ROWS = 256
 
 
 def _model_table(
@@ -345,52 +350,12 @@ def _model_table(
     return powers, labels, columns
 
 
-def _quoted(cell: str) -> str:
-    """A string cell as csv.writer writes it beside other cells: a cell
-    without a comma, a quote or a line break as it is, any other through
-    the csv module, whose quoting rules vary between Python versions."""
-    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([cell, ""])
-        return buf.getvalue()[: -len(",\n")]
-    return cell
-
-
-def _cells(values) -> Sequence[str]:
-    """CSV cells of a column block: strings quoted where they need it, each
-    distinct string once, floats as %.10g, NaN as an empty cell."""
-    if not isinstance(values, np.ndarray):
-        quoted = {cell: _quoted(cell) for cell in set(values)}
-        return [quoted[cell] for cell in values]
-    # One % over the whole block: the same bytes as "%.10g" % v per cell.
-    cells = (("%.10g\n" * values.size) % tuple(values.tolist())).split("\n")[:-1]
-    for i in np.flatnonzero(np.isnan(values)).tolist():
-        cells[i] = ""
-    return cells
-
-
-def _write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
-    """A CSV of two or more equal-length columns, each a sequence of strings
-    or a float array, written in blocks of _CSV_BLOCK_ROWS rows.  Formatted
-    numbers never need quoting, so the cells are joined directly."""
-    n_rows = len(columns[0])
-    with open_output(path, "w", newline="") as fh:
-        fh.write(",".join(_cells(header)) + "\n")
-        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = slice(start, start + _CSV_BLOCK_ROWS)
-            rows = zip(*(_cells(column[block]) for column in columns))
-            fh.writelines([",".join(row) + "\n" for row in rows])
-
-
 # --- commands ----------------------------------------------------------------
 
 def cmd_model(scenario: Scenario, out_dir: Path) -> List[Path]:
     powers, labels, columns = _model_table(scenario)
     csv_path = out_dir / "rates_vs_power.csv"
-    _write_csv(
+    write_csv(
         csv_path,
         ["power_mw", "source", *columns],
         [np.repeat(powers, len(labels)), labels * powers.size,
@@ -430,7 +395,7 @@ def cmd_simulate(
         z_text = f"{z:+.2f}" if z is not None else "n/a"
         print(f"{name}: sim={sim:.6g} Hz analytic={ana:.6g} Hz z={z_text}")
     csv_path = out_dir / "simulation_report.csv"
-    _write_csv(
+    write_csv(
         csv_path,
         ["quantity", "simulated", "std_error", "analytic", "z_score"],
         [names, *np.array(values, dtype=float).T],
@@ -467,7 +432,7 @@ def cmd_car(scenario: Scenario, out_dir: Path) -> List[Path]:
     at_power, of_source = np.nonzero(keep)
     names = ["car", "r_c_hz", "car_extr", "r_c_extr_hz"]
     csv_path = out_dir / "car_curves.csv"
-    _write_csv(
+    write_csv(
         csv_path,
         ["source", "power_mw", *names],
         [[labels[j] for j in of_source.tolist()], powers[at_power],
@@ -507,7 +472,7 @@ def cmd_spectra(spectra_dir: str, out_dir: Path) -> List[Path]:
     models = [model for model, _ in fitted]
     table = np.ones((1, 1)) if len(models) == 1 else indistinguishability_table(models)
     csv_path = out_dir / "gamma_matrix.csv"
-    _write_csv(csv_path, ["source", *labels], [labels, *table.T])
+    write_csv(csv_path, ["source", *labels], [labels, *table.T])
     return [csv_path]
 
 

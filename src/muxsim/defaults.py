@@ -50,14 +50,14 @@ BUFFER_TRANSMISSION = 0.90
 FLAT_PATH_TRANSMISSION = 10.0 ** (-0.4)  # ~4 dB aggregate override
 
 
-def composed_eta_sw(delay_id: int, include_mems: bool = True) -> float:
+def composed_eta_sw(delay_id: int) -> float:
     """Per-path switch-network transmission assembled from components."""
-    eta = (
+    return (
         BUFFER_TRANSMISSION
         * SWITCH_TRANSMISSION**SWITCHES_PER_PATH
         * LOOP_TRANSMISSION ** sum(route_bin(delay_id, N_DELAYS)[0])
+        * MEMS_ASYMMETRY
     )
-    return eta * MEMS_ASYMMETRY if include_mems else eta
 
 
 def eta_sw_for(delay_id: int, mode: str = "composed") -> float:

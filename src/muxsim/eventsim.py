@@ -452,11 +452,7 @@ def _rates_from_trace(trace: EventTrace) -> RateReport:
     r_trig, e_trig = _binomial_rate(n_trig, n, trace.rep_rate_hz)
     r_c, e_c = _binomial_rate(n_c, n, trace.rep_rate_hz)
     r_a, e_a = _binomial_rate(n_a, n, trace.rep_rate_hz)
-    car = car_err = None
-    if n_a > 0:
-        car = n_c / n_a
-        if n_c > 0:
-            car_err = car * math.sqrt(1.0 / n_c + 1.0 / n_a)
+    car = n_c / n_a if n_a > 0 else None
     return RateReport(
         r_trig_hz=r_trig,
         r_coincidence_hz=r_c,
@@ -465,6 +461,5 @@ def _rates_from_trace(trace: EventTrace) -> RateReport:
         r_trig_err_hz=e_trig,
         r_coincidence_err_hz=e_c,
         r_accidental_err_hz=e_a,
-        car_err=car_err,
     )
 

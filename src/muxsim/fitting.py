@@ -10,10 +10,10 @@ finite-difference points.  Sources that share a model kind, a power
 column and a residual space are solved together, their starts in one
 solver run, each start on its own source's residuals; every source still
 gets the fit it gets alone.  The Jacobian at the optimum gives each
-parameter a standard error.
+parameter a standard error.  Observation tables are read, and the fit table
+written, through the CSV layer in `report`.
 """
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -29,7 +29,7 @@ from .hsps import (
     xi_from_power,
 )
 from .mux import saturated_rates
-from .report import open_output
+from .report import read_csv, write_csv
 from .saturation import DeadtimeChain, SaturationError, true_from_detected
 
 
@@ -513,78 +513,44 @@ def fit_all(
 
 
 def load_observations_csv(path) -> Dict[str, List[Observation]]:
-    """Read (source,) power_mw, r_trig, r_c, r_a rows grouped by source."""
-    required = ("power_mw", "r_trig", "r_c", "r_a")
+    """Read (source,) power_mw, r_trig, r_c, r_a rows grouped by source; a
+    missing column or an unparsable, non-finite or negative value raises
+    ObservationsParseError naming the file and line."""
     by_source: Dict[str, List[Observation]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ObservationsParseError(f"{path}: empty file (line 1)")
-        missing = [c for c in required if c not in reader.fieldnames]
-        if missing:
-            raise ObservationsParseError(
-                f"{path}: missing columns {missing} (line 1)"
-            )
-        for row in reader:
-            line = reader.line_num
-            try:
-                obs = Observation(
-                    reference_power_mw=float(row["power_mw"]),
-                    r_trig_hz=float(row["r_trig"]),
-                    r_c_hz=float(row["r_c"]),
-                    r_a_hz=float(row["r_a"]),
-                )
-            except (TypeError, ValueError) as exc:
-                raise ObservationsParseError(f"{path}: line {line}: {exc}") from exc
-            by_source.setdefault(row.get("source") or "source", []).append(obs)
+    rows = read_csv(
+        path, ("power_mw", "r_trig", "r_c", "r_a"), ("source",), ObservationsParseError
+    )
+    for line, (*values, source) in rows:
+        try:
+            obs = Observation(*map(float, values))
+        except (TypeError, ValueError) as exc:
+            raise ObservationsParseError(f"{path}: line {line}: {exc}") from exc
+        by_source.setdefault(source or "source", []).append(obs)
     return by_source
+
+
+FIT_TABLE_HEADER = (
+    "source", "eta_i", "eta_s", "p_seed_mw", "back_reflection_fraction",
+    "r2_trig", "r2_c", "r2_a", "r2_mean", "converged", "error",
+    "rel_se_eta_i", "rel_se_eta_s", "rel_se_p_seed_mw",
+    "rel_se_back_reflection_fraction",
+)
 
 
 def write_fit_table_csv(path, results: Mapping[str, object]) -> None:
     """Emit one row per source: fitted parameters, R^2 statistics and the
-    parameters' relative standard errors."""
-    with open_output(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "source",
-                "eta_i",
-                "eta_s",
-                "p_seed_mw",
-                "back_reflection_fraction",
-                "r2_trig",
-                "r2_c",
-                "r2_a",
-                "r2_mean",
-                "converged",
-                "error",
-                "rel_se_eta_i",
-                "rel_se_eta_s",
-                "rel_se_p_seed_mw",
-                "rel_se_back_reflection_fraction",
-            ]
-        )
-        for label, result in results.items():
-            if isinstance(result, FitResult):
-                p = result.params
-                writer.writerow(
-                    [
-                        label,
-                        f"{p.eta_i:.6g}",
-                        f"{p.eta_s:.6g}",
-                        f"{p.p_seed_mw:.6g}",
-                        f"{p.back_reflection_fraction:.6g}",
-                        f"{result.r2_trig:.6g}",
-                        f"{result.r2_c:.6g}",
-                        f"{result.r2_a:.6g}",
-                        f"{result.r2_mean:.6g}",
-                        int(result.converged),
-                        "",
-                        f"{result.rel_se_eta_i:.6g}",
-                        f"{result.rel_se_eta_s:.6g}",
-                        f"{result.rel_se_p_seed:.6g}",
-                        "" if result.rel_se_f is None else f"{result.rel_se_f:.6g}",
-                    ]
-                )
-            else:
-                writer.writerow([label] + [""] * 9 + [str(result)] + [""] * 4)
+    parameters' relative standard errors as %.6g, or the source's error."""
+    rows = []
+    for label, result in results.items():
+        if isinstance(result, FitResult):
+            p, r = result.params, result
+            fitted = (p.eta_i, p.eta_s, p.p_seed_mw, p.back_reflection_fraction,
+                      r.r2_trig, r.r2_c, r.r2_a, r.r2_mean)
+            errors = (r.rel_se_eta_i, r.rel_se_eta_s, r.rel_se_p_seed, r.rel_se_f)
+            rows.append([
+                label, *(f"{v:.6g}" for v in fitted), str(int(r.converged)), "",
+                *("" if v is None else f"{v:.6g}" for v in errors),
+            ])
+        else:
+            rows.append([label] + [""] * 9 + [str(result)] + [""] * 4)
+    write_csv(path, FIT_TABLE_HEADER, list(zip(*rows)) or [()] * len(FIT_TABLE_HEADER))

@@ -7,10 +7,10 @@ fitted by Levenberg-Marquardt least squares (More, Lecture Notes in
 Math. 630, 1978) from a log-parabola start.  Spectra of one sample count
 are fitted in one lockstep solver run, each start on its own spectrum's
 residuals; a residual row depends on its own spectrum alone, so every
-spectrum gets the fit it gets alone, bit for bit.
+spectrum gets the fit it gets alone, bit for bit.  Spectrum CSVs are read
+through `report.read_csv`.
 """
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .fitting import _lockstep_lm
+from .report import read_csv
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
@@ -149,35 +150,19 @@ def fit_gaussian(
 def load_spectrum_csv(path) -> List[Tuple[float, float]]:
     """Read the (wavelength_nm, counts) rows of a spectrum CSV; a missing
     column, an unparsable or non-finite value or a negative count raises
-    SpectrumFitError naming the file and line.  As with csv.DictReader,
-    blank lines are skipped, the last of repeated column names wins and a
-    short row's missing cells read None."""
+    SpectrumFitError naming the file and line."""
     samples = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SpectrumFitError(f"{path}: empty file (line 1)")
-        column = {name: i for i, name in enumerate(header)}
-        required = ("wavelength_nm", "counts")
-        missing = [c for c in required if c not in column]
-        if missing:
-            raise SpectrumFitError(f"{path}: missing columns {missing} (line 1)")
-        at_wl, at_counts = column["wavelength_nm"], column["counts"]
-        for row in reader:
-            if not row:
-                continue
-            try:
-                wavelength = float(row[at_wl] if at_wl < len(row) else None)
-                counts = float(row[at_counts] if at_counts < len(row) else None)
-            except (TypeError, ValueError) as exc:
-                raise SpectrumFitError(f"{path}: line {reader.line_num}: {exc}") from exc
-            if not (math.isfinite(wavelength) and math.isfinite(counts) and counts >= 0.0):
-                raise SpectrumFitError(
-                    f"{path}: line {reader.line_num}: values must be finite and "
-                    f"counts >= 0, got {wavelength}, {counts}"
-                )
-            samples.append((wavelength, counts))
+    for line, cells in read_csv(path, ("wavelength_nm", "counts"), (), SpectrumFitError):
+        try:
+            wavelength, counts = map(float, cells)
+        except (TypeError, ValueError) as exc:
+            raise SpectrumFitError(f"{path}: line {line}: {exc}") from exc
+        if not (math.isfinite(wavelength) and math.isfinite(counts) and counts >= 0.0):
+            raise SpectrumFitError(
+                f"{path}: line {line}: values must be finite and "
+                f"counts >= 0, got {wavelength}, {counts}"
+            )
+        samples.append((wavelength, counts))
     return samples
 
 

@@ -152,7 +152,8 @@ def test_simulate_zero_cycles_fails(tmp_path, capsys):
     )
     assert code == 1
     err = json.loads(capsys.readouterr().err)
-    assert "cycles" in err["detail"]
+    assert err["error"] == "ScenarioError" and "cycles" in err["detail"]
+    assert not out.exists()
 
 
 # --- determinism ------------------------------------------------------------------
@@ -462,6 +463,9 @@ _PASS2_BIN = {
         '{"deadtime_chain_s": [1e-7, 5e-7]}',
         # An idle window of 8e7 cycles, past the renewal sum's table limit.
         '{"idle_time_s": 1.0}',
+        # The simulation block, checked although model does not simulate.
+        '{"simulation": {"cycles": 0}}',
+        '{"simulation": {"reference_power_mw": -3.0}}',
     ],
 )
 def test_out_of_domain_scenario_values_rejected(tmp_path, capsys, text):

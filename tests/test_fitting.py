@@ -1,7 +1,9 @@
 """Parameter recovery: the solver, objective definition, round-trips, and CSV
 plumbing."""
 
+import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from muxsim import DeadtimeChain, FitResult, Observation, fit_all, fit_source, fitting, r_squared
 from muxsim.defaults import FULL_CHAIN, PASS1_SOURCES, PASS2_SOURCES
+from muxsim.hsps import SourceParams
 from muxsim.fitting import (
     ETA_BOUNDS,
     F_BOUNDS,
@@ -646,3 +649,48 @@ def test_write_fit_table_includes_failures(tmp_path):
     assert broken_row.endswith(",,,,")
     ok_row = next(line for line in text if line.startswith("ok")).split(",")
     assert len(ok_row) == 15 and ok_row[-1] == "" and float(ok_row[-2]) >= 0.0
+
+
+_FIT_TABLE_TEXT = st.text(st.sampled_from('ab ,"\n\r\t;'), max_size=6)
+
+
+@settings(deadline=None)
+@given(
+    labels=st.lists(_FIT_TABLE_TEXT, min_size=1, max_size=4, unique=True),
+    messages=st.lists(_FIT_TABLE_TEXT, min_size=4, max_size=4),
+)
+def test_fit_table_bytes_match_csv_writer(tmp_path_factory, labels, messages):
+    """Labels and error messages with commas, quotes and line breaks are
+    quoted as csv.writer quotes them, row for row."""
+    fitted = FitResult(
+        params=SourceParams(0.0123456789, 0.002, 5.5, 0.25),
+        r2_trig=0.999, r2_c=0.98765432, r2_a=-0.5, r2_mean=0.8,
+        converged=False, iterations=12, rel_se_eta_i=0.01, rel_se_eta_s=math.inf,
+        rel_se_p_seed=1e-7, rel_se_f=None,
+    )
+    results = {
+        label: fitted if i % 2 else ValueError(message)
+        for i, (label, message) in enumerate(zip(labels, messages))
+    }
+    path = tmp_path_factory.mktemp("fits") / "fit_results.csv"
+    write_fit_table_csv(path, results)
+
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(fitting.FIT_TABLE_HEADER)
+    for label, result in results.items():
+        if isinstance(result, FitResult):
+            p = result.params
+            writer.writerow(
+                [label]
+                + [f"{v:.6g}" for v in (p.eta_i, p.eta_s, p.p_seed_mw,
+                                        p.back_reflection_fraction, result.r2_trig,
+                                        result.r2_c, result.r2_a, result.r2_mean)]
+                + [int(result.converged), ""]
+                + [f"{v:.6g}" for v in (result.rel_se_eta_i, result.rel_se_eta_s,
+                                        result.rel_se_p_seed)]
+                + [""]
+            )
+        else:
+            writer.writerow([label] + [""] * 9 + [str(result)] + [""] * 4)
+    assert path.read_bytes() == expected.getvalue().encode()

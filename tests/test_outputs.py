@@ -1,5 +1,5 @@
 """The CLI's output files, byte for byte, the shared CSV writer's edge cases,
-and the one function that opens them."""
+the one function that opens them, and the one module that imports csv."""
 
 import ast
 import csv
@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from muxsim.cli import _cells, main
+from muxsim.cli import main
 from muxsim.defaults import FULL_CHAIN
 from muxsim.fitting import predict_rates
+from muxsim.report import _cells
 from muxsim.spectral import SpectrumModel
 
 # sha256 of each output, recorded from the per-row dict writer that the
@@ -272,3 +273,45 @@ def test_only_open_output_opens_files_for_writing():
 def test_write_opener_check_sees_each_kind_of_write(source, writes):
     found = list(_writers(ast.parse(f"def f():\n    {source}\n")))
     assert found == ([("f", 2)] if writes else [])
+
+
+# --- the one CSV module ----------------------------------------------------------
+
+def _imports_csv(tree: ast.AST) -> bool:
+    """Whether any import under tree names the csv module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "csv" for name in names):
+            return True
+    return False
+
+
+def test_only_report_imports_csv():
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if _imports_csv(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == ["report.py"]
+
+
+@pytest.mark.parametrize(
+    "source, imports",
+    [
+        ("import csv", True),
+        ("import csv as c", True),
+        ("import io, csv", True),
+        ("from csv import reader", True),
+        ("def f():\n    import csv", True),
+        ("import csvkit", False),
+        ("from . import csv_rules", False),
+        ("from .report import read_csv", False),
+    ],
+)
+def test_csv_import_check_sees_each_kind_of_import(source, imports):
+    assert _imports_csv(ast.parse(source)) == imports

@@ -1,6 +1,9 @@
 """Properties over generated inputs: per-pulse probabilities, the saturation
-round trip, and the scenario and observations parsers."""
+round trip, the scenario and observations parsers, and the CSV reader that
+the observation and spectrum loaders share."""
 
+import csv
+import io
 import json
 import math
 
@@ -9,9 +12,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from muxsim.cli import ScenarioError, _model_table, load_scenario
-from muxsim.fitting import ObservationsParseError, load_observations_csv
+from muxsim.fitting import Observation, ObservationsParseError, load_observations_csv
 from muxsim.hsps import emission_probs, source_probs
+from muxsim.report import read_csv
 from muxsim.saturation import DeadtimeChain, detected_from_true, true_from_detected
+from muxsim.spectral import SpectrumFitError, load_spectrum_csv
 
 UNIT = st.floats(0.0, 1.0)
 XI = st.floats(0.0, 0.95)
@@ -179,3 +184,109 @@ def test_observation_rows_are_rejected_or_finite(tmp_path_factory, rows):
     assert [
         (o.reference_power_mw, o.r_trig_hz, o.r_c_hz, o.r_a_hz) for o in loaded
     ] == rows
+
+
+# --- the shared CSV reader -----------------------------------------------------------
+
+_NUMBER = st.sampled_from(["1.5", "0", "2e3", " 4 ", "7"])
+_CELL = st.sampled_from(["-1", "nan", "inf", "x", ""]) | _NUMBER | st.text(
+    st.sampled_from('1.5 ,"\n\rab'), max_size=5
+)
+
+
+@st.composite
+def _csv_file(draw, names):
+    """The text of a CSV whose header holds names, "source" and "other" in
+    any order, any of them repeated or left out, with blank lines, short and
+    long rows and quoted cells, or of an empty file.  Half the files have
+    only rows that the loaders accept, if the header has their columns."""
+    if draw(st.integers(0, 15)) == 0:
+        return ""
+    header = draw(st.lists(st.sampled_from([*names, "source", "other"]), max_size=6))
+    if draw(st.booleans()):
+        header = draw(st.permutations([*names, *header]))
+    if draw(st.booleans()):
+        row = st.lists(_NUMBER, min_size=len(header), max_size=len(header) + 2)
+    else:
+        row = st.lists(_CELL, max_size=len(header) + 2)
+    rows = draw(st.lists(st.just([]) | row, max_size=5))
+    text = io.StringIO()
+    csv.writer(text, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(
+        [header, *rows]  # an empty row is a blank line
+    )
+    return text.getvalue()
+
+
+def _dict_reader(path, required, optional, error):
+    """(line number, cells) of each row as csv.DictReader gives them."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise error(f"{path}: empty file (line 1)")
+        missing = [c for c in required if c not in reader.fieldnames]
+        if missing:
+            raise error(f"{path}: missing columns {missing} (line 1)")
+        names = (*required, *optional)
+        return [(reader.line_num, [row.get(n) for n in names]) for row in reader]
+
+
+def _observations_by_dict_reader(path):
+    by_source = {}
+    rows = _dict_reader(
+        path, ("power_mw", "r_trig", "r_c", "r_a"), ("source",), ObservationsParseError
+    )
+    for line, (*values, source) in rows:
+        try:
+            obs = Observation(*(float(v) for v in values))
+        except (TypeError, ValueError) as exc:
+            raise ObservationsParseError(f"{path}: line {line}: {exc}") from exc
+        by_source.setdefault(source or "source", []).append(obs)
+    return by_source
+
+
+def _spectrum_by_dict_reader(path):
+    samples = []
+    for line, cells in _dict_reader(path, ("wavelength_nm", "counts"), (), SpectrumFitError):
+        try:
+            wavelength, counts = (float(c) for c in cells)
+        except (TypeError, ValueError) as exc:
+            raise SpectrumFitError(f"{path}: line {line}: {exc}") from exc
+        if not (math.isfinite(wavelength) and math.isfinite(counts) and counts >= 0.0):
+            raise SpectrumFitError(
+                f"{path}: line {line}: values must be finite and "
+                f"counts >= 0, got {wavelength}, {counts}"
+            )
+        samples.append((wavelength, counts))
+    return samples
+
+
+def _outcome(load, *args):
+    try:
+        return load(*args)
+    except Exception as exc:  # noqa: BLE001 - the outcome compared is the error
+        return type(exc), str(exc)
+
+
+_LOADERS = {
+    "observations": (
+        ("power_mw", "r_trig", "r_c", "r_a"), ("source",), ObservationsParseError,
+        load_observations_csv, _observations_by_dict_reader,
+    ),
+    "spectrum": (
+        ("wavelength_nm", "counts"), (), SpectrumFitError,
+        load_spectrum_csv, _spectrum_by_dict_reader,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_loaders_read_what_dict_reader_reads(tmp_path_factory, kind, data):
+    required, optional, error, load, reference = _LOADERS[kind]
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(data.draw(_csv_file(required)))
+    rows = _outcome(lambda: list(read_csv(path, required, optional, error)))
+    assert rows == _outcome(_dict_reader, path, required, optional, error)
+    assert _outcome(load, path) == _outcome(reference, path)
