@@ -275,10 +275,16 @@ def _accept_heralds(
     A candidate blocked at one stage never reaches the later ones and does
     not re-arm the stage that blocked it, so the chain is a cascade of
     non-paralyzable filters, each applied to the survivors of the one before.
+    A stage whose block is no longer than an earlier stage's is skipped: the
+    survivors it would see are already spaced further apart, so it would
+    pass them all.
     """
     accepted = np.ones(candidate_cycles.size, dtype=bool)
+    longest = -1
     for block in chain.blocks(rep_rate_hz):
-        accepted[accepted] = _non_paralyzable(candidate_cycles[accepted], block)
+        if block > longest:
+            accepted[accepted] = _non_paralyzable(candidate_cycles[accepted], block)
+            longest = block
     return accepted
 
 

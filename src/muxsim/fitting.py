@@ -5,24 +5,29 @@ trigger, coincidence and accidental channels, compared in log space when
 all observations are positive so that decades are balanced.  Maximizing it
 is a weighted least-squares problem.  A box-bounded Levenberg-Marquardt
 solver in numpy advances all starts together, one call of the rate model
-per iteration: the trial points of every start still running and their
-finite-difference points.  Sources that share a model kind, a power
-column and a residual space are solved together, their starts in one
-solver run, each start on its own source's residuals; every source still
-gets the fit it gets alone.  The Jacobian at the optimum gives each
-parameter a standard error.  Observation tables are read, and the fit table
-written, through the CSV layer in `report`.
+per iteration on the trial points of every start still running; that call
+evaluates each point once and gives its residuals with their exact
+Jacobian, built from the partial derivatives of the closed forms (`hsps`)
+and of the deadtime acceptance (`saturation`).  Sources that share a model
+kind, a power column and a residual space are solved together, their
+starts in one solver run, each start on its own source's residuals; every
+source still gets the fit it gets alone.  The Jacobian at the optimum gives
+each parameter a standard error.  Observation tables are read, and the fit
+table written, through the CSV layer in `report`.
 """
 
 import functools
 import math
 from dataclasses import dataclass
+from statistics import median
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .hsps import (
     SourceParams,
+    _source_probs,
+    _xi_slope,
     calibrate_coupling,
     seed_squeezing,
     source_probs,
@@ -61,10 +66,11 @@ class Observation:
 class FitResult:
     """Fitted parameters, per-channel R^2 and the best start's solver state:
     ``converged`` is true when that start stopped on a tolerance, not on the
-    damping limit or the iteration cap; ``iterations`` counts its residual
-    evaluations, finite-difference Jacobian points not counted.  The
-    ``rel_se_*`` fields are first-order relative standard errors (inf where
-    undetermined); ``rel_se_f`` is None for pass-1 fits."""
+    damping limit or the iteration cap; ``iterations`` counts the points
+    at which it evaluated the model, the start included, each once for its
+    residuals and their exact Jacobian.  The ``rel_se_*`` fields are
+    first-order relative standard errors (inf where undetermined);
+    ``rel_se_f`` is None for pass-1 fits."""
 
     params: SourceParams
     r2_trig: float
@@ -123,12 +129,8 @@ def predict_rates(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Model (trigger, coincidence, accidental) rates over a power sweep,
     saturated by the deadtime chain.  The four parameters may be (k, 1)
-    columns, giving (k, n_powers) rates for k parameter points at once;
-    points that share p_seed_mw share one squeezing row."""
-    powers = np.asarray(powers_mw, float)
-    coupling, row = np.unique(calibrate_coupling(p_seed_mw), return_inverse=True)
-    shape = np.broadcast_shapes(np.shape(p_seed_mw), powers.shape)
-    xi = xi_from_power(coupling[:, None], powers)[row.reshape(-1)].reshape(shape)
+    columns, giving (k, n_powers) rates for k parameter points at once."""
+    xi = xi_from_power(calibrate_coupling(p_seed_mw), np.asarray(powers_mw, float))
     return saturated_rates(*source_probs(xi, eta_i, eta_s, f), rep_rate_hz, chain)
 
 
@@ -150,6 +152,39 @@ def _params(x: np.ndarray) -> Tuple[np.ndarray, ...]:
     return eta_i, eta_s, p_seed, (x[..., 3] if x.shape[-1] == 4 else 0.0)
 
 
+def _rates_and_slopes(
+    xs: np.ndarray, powers: np.ndarray, rep_rate_hz: float, chain: DeadtimeChain
+) -> Tuple[np.ndarray, np.ndarray]:
+    """predict_rates at the k fit points in the rows of xs, with its bits,
+    as (k, 3, n_powers) rates, and their exact partial derivatives in the n
+    fit coordinates, (k, 3, n_powers, n), from one model evaluation."""
+    eta_i, eta_s, p_seed, f = _params(xs[:, None])
+    coupling = calibrate_coupling(p_seed)
+    xi = xi_from_power(coupling, powers)
+    probs, partials = _source_probs(xi, eta_i, eta_s, f, slopes=True)
+    probs = np.stack(probs)
+    # Partials in (s, eta_i, eta_s, f) to the fit coordinates: d/d log eta =
+    # eta d/d eta, and s = xi^2 moves with log p_seed.
+    to_fit = (
+        (1, eta_i),
+        (2, eta_s),
+        (0, 2.0 * xi * _xi_slope(coupling * np.sqrt(powers), xi)),
+        (3, 1.0),
+    )
+    slopes = np.empty((3, xs.shape[1]) + xi.shape)
+    for j, (column, factor) in enumerate(to_fit[: xs.shape[1]]):
+        np.multiply(partials[:, column], factor, out=slopes[:, j])
+    acceptance, acceptance_slope = chain.acceptance_slope(probs[0], rep_rate_hz)
+    accepted = rep_rate_hz * acceptance
+    # saturated_rates' p * accepted, and its product rule; p_trig's slopes
+    # change last, as the others read them.
+    feedback = probs * (rep_rate_hz * acceptance_slope)
+    slopes[1:] *= accepted
+    slopes[1:] += feedback[1:, None] * slopes[0]
+    slopes[0] *= accepted + feedback[0]
+    return np.moveaxis(probs * accepted, 0, 1), slopes.transpose(2, 0, 3, 1)
+
+
 def _residual_batch(
     xs: np.ndarray,
     starts: np.ndarray,
@@ -159,50 +194,59 @@ def _residual_batch(
     log_space: bool,
     rep_rate_hz: float,
     chain: DeadtimeChain,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Residuals (g(pred) - target) * weight of the k fit points in the rows
-    of xs, as (k, 3 n) rows, from one model call; target and weight hold a
-    (3, n) block per start and starts gives each point's.  A batch the model
+    of xs, as (k, 3 n) rows, and their exact Jacobians, (k, 3 n, n_coords),
+    from one model evaluation per point; target and weight hold a (3, n)
+    block per start and starts gives each point's.  A batch the model
     rejects is split in halves until its bad points stand alone, so only
-    they get FAILED_RESIDUAL, at O(log k) model calls per bad point."""
-    m = target[0].size
+    they get FAILED_RESIDUAL and a zero Jacobian, at O(log k) model calls
+    per bad point."""
+    (k, n), m = xs.shape, target[0].size
     try:
-        pred = np.stack(
-            predict_rates(*_params(xs[:, None]), powers, rep_rate_hz, chain), axis=1
-        )
+        pred, slopes = _rates_and_slopes(xs, powers, rep_rate_hz, chain)
     except (ValueError, ArithmeticError):
-        if len(xs) == 1:
-            return np.full((1, m), FAILED_RESIDUAL)
-        half = len(xs) // 2
+        if k == 1:
+            return np.full((1, m), FAILED_RESIDUAL), np.zeros((1, m, n))
+        half = k // 2
         problem = (powers, target, weight, log_space, rep_rate_hz, chain)
-        return np.concatenate([
+        parts = (
             _residual_batch(xs[:half], starts[:half], *problem),
             _residual_batch(xs[half:], starts[half:], *problem),
-        ])
-    out = np.full((len(xs), m), FAILED_RESIDUAL)
-    ok = ~np.any(pred <= 0.0, axis=(1, 2)) if log_space else slice(None)
-    fitted = np.log(pred[ok]) if log_space else pred
-    own = starts[ok]  # each point's start picks its target and weight block
-    out[ok] = ((fitted - target[own]) * weight[own]).reshape(-1, m)
-    return out
+        )
+        return tuple(np.concatenate(column) for column in zip(*parts))
+    weight = weight[starts]  # each point's start picks its target and weight
+    scale = weight  # d g(pred) / d pred, times the weight
+    failed = np.any(pred <= 0.0, axis=(1, 2)) if log_space else np.zeros(k, bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # on failed rows only
+        if log_space:
+            scale = weight / pred
+            pred = np.log(pred)
+        out = ((pred - target[starts]) * weight).reshape(k, m)
+        jac = np.multiply(slopes, scale[..., None], out=np.empty(slopes.shape))
+    jac = jac.reshape(k, m, n)
+    out[failed], jac[failed] = FAILED_RESIDUAL, 0.0
+    return out, jac
 
 
 def _forward_jacobian(
-    batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x: np.ndarray,
+    residuals: Callable[[np.ndarray, np.ndarray], np.ndarray],
     upper: np.ndarray,
+    x: np.ndarray,
     starts: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(k, m) residuals and (k, m, n) forward-difference Jacobians at the k
-    rows of x, the points of the given starts, from one batch call of the
-    rows and their k n difference points.  Coordinate j steps by sqrt(eps)
-    max(1, |x_j|), away from the upper bound."""
+    """A batch for _lockstep_lm made from a residual batch, which maps (k, n)
+    points to (k, m) residual rows: the residuals and (k, m, n)
+    forward-difference Jacobians at the k rows of x, the points of the
+    given starts, from one call of residuals on the rows and their k n
+    difference points.  Coordinate j steps by sqrt(eps) max(1, |x_j|),
+    away from the upper bound."""
     k, n = x.shape
     h = _FD_STEP * np.maximum(1.0, np.abs(x))
     h = np.where(x + h > upper, -h, h)
     points = x[:, None, :] + np.eye(n) * h[:, None, :]
     h = np.diagonal(points, axis1=1, axis2=2) - x  # the step as represented
-    rows = batch(
+    rows = residuals(
         np.concatenate([x, points.reshape(k * n, n)]),
         np.concatenate([starts, np.repeat(starts, n)]),
     )
@@ -212,7 +256,7 @@ def _forward_jacobian(
 
 
 def _lockstep_lm(
-    batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    batch: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
     x0s: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
@@ -220,30 +264,31 @@ def _lockstep_lm(
     """Minimize 0.5 |r(x)|^2 within lower <= x <= upper from every row of
     x0s at once by Levenberg-Marquardt (More, Lecture Notes in Math. 630,
     1978); batch(xs, starts) maps (k, n) points to their (k, m) residual
-    rows, starts giving the row of x0s each point belongs to, so that the
-    starts may minimize different residuals.
+    rows and (k, m, n) Jacobians, starts giving the row of x0s each point
+    belongs to, so that the starts may minimize different residuals.
 
     Each start keeps its own damping, scaled by diag(J^T J), and its own
-    Jacobian.  Each iteration makes one batch call: the trial points of the
-    starts still running together with their finite-difference points, a
-    speculative Jacobian kept when the step is accepted and dropped when it
-    is rejected.  A coordinate at a bound whose gradient points out of the
-    box, or one the Jacobian does not see, is held for that step, and the
-    trial point is clipped to the box.  A start stops, converged, when a
-    solved step, accepted or not, moves its cost by at most LM_FTOL relative
-    either way and the quadratic model predicted no more gain (MINPACK's
-    ftol test), or when such a step is at most LM_XTOL relative in size; it
-    stops unconverged when its damping exceeds LM_MAX_DAMPING or after
-    LM_MAX_ITERATIONS.  A last batch call gives the residuals at the
-    returned points.  Returns (x, residuals, cost, converged, nfev, jac) per
-    start, nfev counting residual evaluations without Jacobian points and
-    jac the (m, n) forward-difference Jacobian at x that the solver holds.
+    Jacobian.  Each iteration makes one batch call, on the trial points of
+    the starts still running: their Jacobians are speculative, kept when
+    the step is accepted and dropped when it is rejected.  A coordinate at
+    a bound whose gradient points out of the box, or one the Jacobian does
+    not see, is held for that step, and the trial point is clipped to the
+    box.  A start stops, converged, when a solved step, accepted or not,
+    moves its cost by at most LM_FTOL relative either way and the quadratic
+    model predicted no more gain (MINPACK's ftol test), or when such a step
+    is at most LM_XTOL relative in size; it stops unconverged when its
+    damping exceeds LM_MAX_DAMPING or after LM_MAX_ITERATIONS.  A row of a batch must depend on its own point and
+    start alone, so the residuals, cost and Jacobian the solver holds at x
+    are those x gives alone, and no call follows the last iteration.
+    Returns (x, residuals, cost, converged, nfev, jac) per start, nfev
+    counting the points evaluated, the start included, and jac the (m, n)
+    Jacobian at x.
     """
     x = np.array(x0s, dtype=float)
     k, n = x.shape
-    fun, first = _forward_jacobian(batch, x, upper, np.arange(k))
+    fun, first = batch(x, np.arange(k))
     cost = 0.5 * np.einsum("km,km->k", fun, fun)
-    # C order, whatever the layout of the difference quotients: einsum's
+    # C order, whatever the layout of the batch's Jacobians: einsum's
     # summation order, and so the last bits of every step, depend on it.
     jac = np.empty((k, fun.shape[1], n))
     jac[...] = first
@@ -266,7 +311,7 @@ def _lockstep_lm(
         system[:, np.arange(n), np.arange(n)] += diag
         step = np.linalg.solve(system, -np.where(free, grad, 0.0)[..., None])[..., 0]
         trial = np.clip(xi + step, lower, upper)
-        trial_fun, trial_jac = _forward_jacobian(batch, trial, upper, idx)
+        trial_fun, trial_jac = batch(trial, idx)
         trial_cost = 0.5 * np.einsum("km,km->k", trial_fun, trial_fun)
         nfev[idx] += 1
 
@@ -290,10 +335,7 @@ def _lockstep_lm(
         running[idx[done | (damping[idx] > LM_MAX_DAMPING)]] = False
         if not running.any():
             break
-    # A batch's rows need not be independent of the rows beside them, so
-    # the residuals returned are those of x alone.
-    fun = batch(x, np.arange(k))
-    return x, fun, 0.5 * np.einsum("km,km->k", fun, fun), converged, nfev, jac
+    return x, fun, cost, converged, nfev, jac
 
 
 def _latin_hypercube(n: int, bounds: np.ndarray, seed: int) -> np.ndarray:
@@ -325,12 +367,13 @@ def _heuristic_start(
         s_est = np.where(r_c > 0.0, r_a / r_c, np.nan)  # ~ xi^2 at low power
     valid = np.isfinite(s_est) & (s_est > 0.0) & (s_est < 0.49)
     if valid.sum() >= 2:
+        # statistics.median of a list, not np.median, which imports numpy.ma
         xi_est = np.sqrt(s_est[valid])
-        c_est = float(np.median(np.arctanh(xi_est) / np.sqrt(powers[valid])))
+        c_est = median((np.arctanh(xi_est) / np.sqrt(powers[valid])).tolist())
         p_seed = (math.atanh(seed_squeezing()) / c_est) ** 2
-        eta_i = float(np.median(t_true[valid] / (rep_rate_hz * s_est[valid])))
+        eta_i = median((t_true[valid] / (rep_rate_hz * s_est[valid])).tolist())
         with np.errstate(divide="ignore", invalid="ignore"):
-            eta_s = float(np.median(r_c[valid] / t_true[valid]))
+            eta_s = median((r_c[valid] / t_true[valid]).tolist())
     else:
         p_seed, eta_i, eta_s = 5.0, 0.02, 0.002
     start = np.log(
@@ -368,7 +411,8 @@ def _problem(
     if len(observations) < 4:
         raise ValueError("need at least 4 observations")
     powers = np.array([o.reference_power_mw for o in observations])
-    if np.unique(powers).size < 3:
+    # Distinct powers counted without np.unique, which imports numpy.ma.
+    if np.count_nonzero(np.diff(np.sort(powers))) < 2:
         raise ValueError("need at least 3 distinct powers")
     observed = np.array([[o.r_trig_hz, o.r_c_hz, o.r_a_hz] for o in observations]).T
     log_space = bool((observed > 0.0).all())
@@ -377,8 +421,9 @@ def _problem(
     if np.any(ss_tot == 0.0):
         raise ValueError("observed values are all identical; R^2 undefined")
     weight = 1.0 / np.sqrt(3.0 * ss_tot)[:, None]
-    # ValueError now, not a diverged fit, for a chain the model cannot cover.
-    deadtime_chain.acceptance(0.0, rep_rate_hz)
+    # ValueError now, not a diverged fit, for a clock rate or a chain the
+    # model cannot cover.
+    saturated_rates(0.0, 0.0, 0.0, rep_rate_hz, deadtime_chain)
     start = _heuristic_start(
         powers, *observed, rep_rate_hz, deadtime_chain, model_kind == "pass2"
     )

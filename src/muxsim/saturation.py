@@ -68,21 +68,44 @@ class DeadtimeChain:
         among the k-pair terms and V_k, of degree < a, holds their weights.
         A point costs K exponentials: K = 17 for the default chain (a = 8,
         I = 160 at 80 MHz).  Points go through in blocks of at most
-        BLOCK_TERMS // K, so a call holds two arrays of at most BLOCK_TERMS
-        floats whatever the size of p.  Each p is evaluated alone, so its
-        acceptance does not depend on the shape of the array it comes in.
+        BLOCK_TERMS // K, so a call holds three arrays of at most BLOCK_TERMS
+        floats (five for acceptance_slope) whatever the size of p.  Each p
+        is evaluated alone, so its acceptance does not depend on the shape
+        of the array it comes in.
         """
-        p = np.asarray(p, dtype=float)
-        rising, law = _renewal_law(self, rep_rate_hz)
-        if law is None:  # at most one stage can block
-            return 1.0 / (1.0 + sum(rising) * p)
-        flat = p.reshape(-1)
-        mean_residual = np.empty(flat.size)
-        width = max(1, BLOCK_TERMS // law[0].size)
-        for start in range(0, flat.size, width):
-            block = slice(start, start + width)
-            mean_residual[block] = _mean_residual(flat[block], *law)
-        return 1.0 / (1.0 + p * (rising[1] + mean_residual.reshape(p.shape)))
+        return _acceptance(self, p, rep_rate_hz, slope=False)[0]
+
+    def acceptance_slope(
+        self, p: ArrayLike, rep_rate_hz: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The acceptance A of `acceptance`, with the same bits, and its
+        derivative dA/dp, broadcast over p: -c A^2 for one stage that can
+        block, -A^2 (I + E[r] + p dE[r]/dp) for two.  V_k and dV_k/dq come
+        out of one Horner pass, and each p is evaluated alone, as in
+        `acceptance`; the slope is finite on all of [0, 1]."""
+        return _acceptance(self, p, rep_rate_hz, slope=True)
+
+
+def _acceptance(chain: DeadtimeChain, p: ArrayLike, rep_rate_hz: float, slope: bool):
+    """(A, dA/dp or None) of DeadtimeChain.acceptance and acceptance_slope."""
+    p = np.asarray(p, dtype=float)
+    rising, law = _renewal_law(chain, rep_rate_hz)
+    if law is None:  # at most one stage can block
+        accepted = 1.0 / (1.0 + sum(rising) * p)
+        return accepted, (-sum(rising) * accepted * accepted if slope else None)
+    flat = p.reshape(-1)
+    mean_residual = np.empty((1 + slope, flat.size))
+    width = max(1, BLOCK_TERMS // law[0].size)
+    for start in range(0, flat.size, width):
+        block = slice(start, start + width)
+        mean_residual[:, block] = _mean_residual(flat[block], *law, slope=slope)
+    mean_residual = mean_residual.reshape((1 + slope,) + p.shape)
+    accepted = 1.0 / (1.0 + p * (rising[1] + mean_residual[0]))
+    if not slope:
+        return accepted, None
+    return accepted, -accepted * accepted * (
+        rising[1] + mean_residual[0] + p * mean_residual[1]
+    )
 
 
 def _mean_residual(
@@ -90,9 +113,16 @@ def _mean_residual(
     log_scale: np.ndarray,
     exponents: np.ndarray,
     coefficients: np.ndarray,
+    edge_slopes: Tuple[float, float],
+    slope: bool = False,
 ) -> np.ndarray:
     """E[r] at each point of the 1-d array p, from the pair-count groups of
-    _renewal_law."""
+    _renewal_law, as a row; with slope, dE[r]/dp as a second row.
+
+    The k-pair group T_k = s_k p^k q^n V_k(q) has the derivative
+    T_k (k / p - n / q) - s_k p^k q^n V_k'(q), so the slope costs V_k', in
+    V_k's Horner pass, and three more sums over k.  At p = 0 (or below the
+    smallest normal float) and at p = 1 the slope is a constant of the law."""
     # Pair counts along the first axis, points along the second.
     row = p[None]
     with np.errstate(divide="ignore"):
@@ -105,15 +135,42 @@ def _mean_residual(
     terms += poly
     terms += log_scale
     np.exp(terms, out=terms)
-    # V_k(q) by Horner's rule, highest degree first.
-    q = 1.0 - row
+    # V_k(q) by Horner's rule, highest degree first, and with slope V_k'(q),
+    # which is V_k's top coefficient after the first step.  q is spread over
+    # all groups: numpy multiplies arrays of one shape faster.
+    q = np.empty_like(poly)
+    q[...] = 1.0 - row
     poly[...] = coefficients[-1]
+    slope_poly = np.zeros_like(poly) if slope and len(coefficients) == 1 else None
     for c in coefficients[-2::-1]:
+        if slope_poly is not None:
+            slope_poly *= q
+            slope_poly += poly
+        elif slope:
+            slope_poly = poly.copy()
         poly *= q
         poly += c
-    terms *= poly
-    # Summed in order of k: numpy sums the first axis in order for two or
-    # more points, but a single point's column pairwise.
+    if not slope:
+        terms *= poly
+        return _sum_groups(terms)[None]
+    groups = terms * poly
+    terms *= slope_poly
+    pairs, least = exponents
+    np.multiply(groups, pairs, out=poly)
+    np.multiply(groups, least, out=slope_poly)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = _sum_groups(poly) / p
+        out -= _sum_groups(slope_poly) / q[0]
+    out -= _sum_groups(terms)
+    out[p < np.finfo(float).tiny] = edge_slopes[0]
+    out[q[0] == 0.0] = edge_slopes[1]
+    return np.stack([_sum_groups(groups), out])
+
+
+def _sum_groups(terms: np.ndarray) -> np.ndarray:
+    """Column sums of the (K, P) groups, in order of k: numpy sums the
+    first axis in order for two or more points, but a single point's column
+    pairwise."""
     if terms.shape[1] == 1:
         return np.add.accumulate(terms[:, 0])[-1:]
     return terms.sum(axis=0)
@@ -129,10 +186,11 @@ FULL_CHAIN = DeadtimeChain((AMPLIFIER_DEADTIME_S, AMPLIFIER_DEADTIME_S, IDLE_TIM
 def _renewal_law(chain: DeadtimeChain, rep_rate_hz: float) -> tuple:
     """The rising blocks of a chain and, for two, E[r] grouped by the pair
     count k, as (K, 1) columns: log s_k, the exponents (k, n_k) and the a
-    coefficients of V_k(q) / s_k, lowest degree first.  The term of offset
-    j and pair count k, of weight j C(t - k a - 1, k - 1) with t = I - a + j,
-    has q's exponent n = t - k (a + 1), degree n - n_k in V_k; s_k is the
-    largest weight of V_k, so that no weight overflows."""
+    coefficients of V_k(q) / s_k, lowest degree first; then dE[r]/dp at
+    p = 0 and at p = 1.  The term of offset j and pair count k, of weight
+    j C(t - k a - 1, k - 1) with t = I - a + j, has q's exponent
+    n = t - k (a + 1), degree n - n_k in V_k; s_k is the largest weight of
+    V_k, so that no weight overflows."""
     blocks = chain.blocks(rep_rate_hz)
     rising = [b for i, b in enumerate(blocks) if b > max(blocks[:i], default=0)]
     if len(rising) > 2 or max(rising[1:], default=0) > MAX_IDLE_BLOCK:
@@ -154,10 +212,21 @@ def _renewal_law(chain: DeadtimeChain, rep_rate_hz: float) -> tuple:
                 - math.lgamma(k) - math.lgamma(n + 1)
             )
     log_scale = log_weight.max(axis=0)
+    weights = np.exp(log_weight - log_scale)
+    # At p = 0 only the one-pair group has a slope, s_1 V_1(1); at p = 1
+    # those with n_k = 0 give s_k (k V_k(0) - V_k'(0)), with n_k = 1 -s_k V_k(0).
+    at_one = 0.0
+    for k, n in zip(pairs.tolist(), least.tolist()):
+        if n <= 1:
+            low = weights[:2, k - 1].tolist() + [0.0]
+            at_one += math.exp(log_scale[k - 1]) * (
+                k * low[0] - low[1] if n == 0 else -low[0]
+            )
+    edge_slopes = (math.exp(log_scale[0]) * float(weights[:, 0].sum()), at_one)
     # Columns, to broadcast against a row of points.
     exponents = np.array([pairs, least], dtype=float)[..., None]
-    coefficients = np.exp(log_weight - log_scale)[..., None]
-    return tuple(rising), (log_scale[:, None], exponents, coefficients)
+    law = (log_scale[:, None], exponents, weights[..., None], edge_slopes)
+    return tuple(rising), law
 
 
 def detected_from_true(true_rate_hz: ArrayLike, chain: DeadtimeChain) -> ArrayLike:

@@ -4,8 +4,9 @@ Measured spectra are intensity spectra; the spectral amplitude is taken
 as the square root of the fitted Gaussian intensity, so the pairwise
 overlap gamma is an upper bound on indistinguishability.  A Gaussian is
 fitted by Levenberg-Marquardt least squares (More, Lecture Notes in
-Math. 630, 1978) from a log-parabola start.  Spectra of one sample count
-are fitted in one lockstep solver run, each start on its own spectrum's
+Math. 630, 1978) from a log-parabola start, with forward-difference
+Jacobians (`fitting._forward_jacobian`).  Spectra of one sample count are
+fitted in one lockstep solver run, each start on its own spectrum's
 residuals; a residual row depends on its own spectrum alone, so every
 spectrum gets the fit it gets alone, bit for bit.  Spectrum CSVs are read
 through `report.read_csv`.
@@ -18,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fitting import _lockstep_lm
+from .fitting import _forward_jacobian, _lockstep_lm
 from .report import read_csv
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
@@ -77,7 +78,8 @@ def _checked(samples: Sequence[Tuple[float, float]]) -> Tuple[np.ndarray, ...]:
     if not np.isfinite(data).all():
         raise SpectrumFitError("samples must be finite")
     wl, counts = data[:, 0], data[:, 1]
-    if np.unique(wl).size < 4:
+    # Distinct wavelengths counted without np.unique, which imports numpy.ma.
+    if np.count_nonzero(np.diff(np.sort(wl))) < 3:
         raise SpectrumFitError("need at least 4 distinct wavelengths")
     if np.any(counts < 0.0):
         raise SpectrumFitError("counts must be >= 0")
@@ -125,7 +127,8 @@ def fit_gaussians(
     for members in groups.values():
         rows = [checked[index] for index in members]
         wl, counts, x0 = (np.array(column) for column in zip(*rows))
-        batch = functools.partial(_gaussian_residuals, wl=wl, counts=counts)
+        residuals = functools.partial(_gaussian_residuals, wl=wl, counts=counts)
+        batch = functools.partial(_forward_jacobian, residuals, unbounded)
         x, _, cost, *_ = _lockstep_lm(batch, x0, -unbounded, unbounded)
         for index, (center, log_sigma, log_amp), c in zip(members, x, cost):
             model = SpectrumModel(

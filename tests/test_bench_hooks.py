@@ -61,8 +61,11 @@ def test_model_and_car_draw_through_the_module_binding(tmp_path, monkeypatch):
 
 
 def test_fit_draws_one_model_call_per_solver_batch(tmp_path, monkeypatch):
-    # The benchmark's fitting.predict_rates.calls_per_fit counts calls of that
-    # module attribute; each of the solver's batch calls must make one.
+    # The fitter's model call is fitting._rates_and_slopes, rates and exact
+    # Jacobians together; each of the solver's batch calls must make one, so
+    # that a span around it counts the fit's model evaluations.
+    # fitting.predict_rates, which the benchmark's observation writer calls,
+    # gives the same rates and is no longer on the fit's path.
     monkeypatch.syspath_prepend(str(BENCH))
     inputs = _load_bench_module("inputs")
     import muxsim.cli as cli
@@ -73,20 +76,20 @@ def test_fit_draws_one_model_call_per_solver_batch(tmp_path, monkeypatch):
     inputs._observations(
         obs, {"P2D0": inputs.PASS2_SOURCES[0]}, "pass2", np.linspace(2.0, 25.0, 12), rng
     )
-    calls = {"batch": 0, "predict": 0}
-    batch, predict = fitting._residual_batch, fitting.predict_rates
+    calls = {"batch": 0, "model": 0}
+    batch, model = fitting._residual_batch, fitting._rates_and_slopes
 
     def counting_batch(*args, **kwargs):
         calls["batch"] += 1
         return batch(*args, **kwargs)
 
-    def counting_predict(*args):
-        calls["predict"] += 1
-        return predict(*args)
+    def counting_model(*args):
+        calls["model"] += 1
+        return model(*args)
 
     monkeypatch.setattr(fitting, "_residual_batch", counting_batch)
-    monkeypatch.setattr(fitting, "predict_rates", counting_predict)
+    monkeypatch.setattr(fitting, "_rates_and_slopes", counting_model)
     argv = ["fit", "--observations", str(obs), "--model-kind", "pass2"]
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert calls["batch"] > 3
-    assert calls["predict"] == calls["batch"]
+    assert calls["model"] == calls["batch"]

@@ -24,7 +24,13 @@ from muxsim import (
     run_pulse_train,
 )
 from muxsim.defaults import FULL_CHAIN, IDLE_TIME_S, default_topology
-from muxsim.eventsim import ConfigurationError, EventTrace, RoutingError, _accept_heralds
+from muxsim.eventsim import (
+    ConfigurationError,
+    EventTrace,
+    RoutingError,
+    _accept_heralds,
+    _non_paralyzable,
+)
 from muxsim.hsps import source_probs, xi_from_power
 
 import dense_eventsim
@@ -347,6 +353,31 @@ def test_acceptance_equals_sequential_rule():
             _accept_heralds(cycles, 1.0, chain),
             dense_eventsim._accept_heralds(cycles, 1.0, chain),
         )
+
+
+def _every_stage(cycles, rep_rate_hz, chain):
+    """The cascade with every stage applied, dominated or not."""
+    accepted = np.ones(cycles.size, dtype=bool)
+    for block in chain.blocks(rep_rate_hz):
+        accepted[accepted] = _non_paralyzable(cycles[accepted], block)
+    return accepted
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # Every chain repeats some of its blocks, in any order, so that it holds
+    # repeated stages and, often, stages no longer than an earlier one.
+    blocks=st.lists(st.integers(0, 40), min_size=1, max_size=4).flatmap(
+        lambda blocks: st.permutations(blocks + blocks[: len(blocks) // 2 + 1])
+    ),
+    gaps=st.lists(st.integers(0, 60), max_size=300),
+)
+def test_skipping_dominated_stages_accepts_what_every_stage_accepts(blocks, gaps):
+    cycles = np.cumsum(np.array(gaps, dtype=np.int64))  # a zero gap repeats a cycle
+    chain = DeadtimeChain(tuple(float(b) for b in blocks))
+    accepted = _accept_heralds(cycles, 1.0, chain)
+    assert np.array_equal(accepted, _every_stage(cycles, 1.0, chain))
+    assert np.array_equal(accepted, dense_eventsim._accept_heralds(cycles, 1.0, chain))
 
 
 # --- trace export -------------------------------------------------------------------

@@ -3,6 +3,7 @@ plumbing."""
 
 import csv
 import dataclasses
+import functools
 import io
 import math
 
@@ -79,11 +80,12 @@ def _boxed_linear_problems(draw):
 
 
 def _linear_batch(a, b, lower, upper):
-    """Residual rows of A x - b; every point must lie in the box."""
+    """Residual rows of A x - b and their Jacobian A; every point must lie in
+    the box."""
 
     def batch(xs, starts):
         assert ((xs >= lower) & (xs <= upper)).all(), "evaluated outside the box"
-        return xs @ a.T - b
+        return xs @ a.T - b, np.broadcast_to(a, (len(xs),) + a.shape)
 
     return batch
 
@@ -158,13 +160,22 @@ def test_solver_converges_at_an_optimum_near_zero():
     assert cost[0] == pytest.approx(2.0, rel=1e-12)
 
 
+def _rosenbrock(xs, shift):
+    """Residual rows (10 (x1 - x0^2), shift - x0) of the Rosenbrock problem,
+    each row from its own point alone, and their Jacobians."""
+    jac = np.zeros((len(xs), 2, 2))
+    jac[:, 0] = np.column_stack([-20.0 * xs[:, 0], np.full(len(xs), 10.0)])
+    jac[:, 1, 0] = -1.0
+    return np.column_stack([10.0 * (xs[:, 1] - xs[:, 0] ** 2), shift - xs[:, 0]]), jac
+
+
 def _counting_rosenbrock(calls):
-    """Residual rows (10 (x1 - x0^2), 1 - x0) of the Rosenbrock problem,
-    each row from its own point alone; calls records every batch size."""
+    """The Rosenbrock batch with minimum (1, 1); calls records every batch
+    size."""
 
     def batch(xs, starts):
         calls.append(len(xs))
-        return np.column_stack([10.0 * (xs[:, 1] - xs[:, 0] ** 2), 1.0 - xs[:, 0]])
+        return _rosenbrock(xs, 1.0)
 
     return batch
 
@@ -174,15 +185,17 @@ def test_solver_makes_one_batch_call_per_iteration():
     batch = _counting_rosenbrock(calls)
     lower, upper = np.array([-2.0, -1.0]), np.array([2.0, 3.0])
     x0s = np.array([[-1.2, 1.0], [0.5, -0.5], [1.9, 2.9]])
-    x, fun, cost, converged, nfev, _ = fitting._lockstep_lm(batch, x0s, lower, upper)
+    x, fun, cost, converged, nfev, jac = fitting._lockstep_lm(batch, x0s, lower, upper)
     assert converged.all() and np.allclose(x, 1.0, atol=1e-6)
-    # The starts and their Jacobian points, one call per iteration for the
-    # trial points and theirs, and one for the returned points.
+    # One call for the starts, then one per iteration holding one row for
+    # each start still running, and none after the last iteration.
     iterations = nfev.max() - 1
-    assert len(calls) == iterations + 2
-    assert calls[0] == calls[1] == 3 * 3 and calls[-1] == 3
-    assert all(size % 3 == 0 for size in calls[1:-1])
-    assert np.array_equal(fun, batch(x, np.arange(3)))
+    assert len(calls) == iterations + 1
+    assert calls[0] == 3 and calls[1:] == sorted(calls[1:], reverse=True)
+    assert calls[-1] >= 1 and sum(calls) == nfev.sum()
+    # What the solver holds at x is what x gives alone.
+    alone, jac_alone = batch(x, np.arange(3))
+    assert np.array_equal(fun, alone) and np.array_equal(jac, jac_alone)
     assert np.array_equal(cost, 0.5 * np.einsum("km,km->k", fun, fun))
 
 
@@ -192,8 +205,7 @@ def test_starts_with_their_own_residuals_run_as_they_run_alone():
     shifts = np.array([0.5, -1.5, 1.0, 0.25])
 
     def batch(xs, starts):
-        a = shifts[starts]
-        return np.column_stack([10.0 * (xs[:, 1] - xs[:, 0] ** 2), a - xs[:, 0]])
+        return _rosenbrock(xs, shifts[starts])
 
     lower, upper = np.array([-2.0, -1.0]), np.array([2.0, 3.0])
     x0s = np.array([[-1.2, 1.0], [0.5, -0.5], [1.9, 2.9], [-1.2, 1.0]])
@@ -368,8 +380,20 @@ def test_noisy_fits_reach_the_truths_r2_and_recover_eta_i(kind, sources):
 
 
 def _at(batch, points, start=0):
-    """Residual rows of points that all belong to one start."""
+    """Residual rows and Jacobians of points that all belong to one start."""
     return batch(points, np.full(len(points), start))
+
+
+def _spy(monkeypatch, name, record):
+    """Replace fitting.<name> by a wrapper that records the number of points
+    of each call and calls the original."""
+    real = getattr(fitting, name)
+
+    def spy(xs, *args, **kwargs):
+        record.append(len(xs))
+        return real(xs, *args, **kwargs)
+
+    monkeypatch.setattr(fitting, name, spy)
 
 
 def _solver_calls(monkeypatch):
@@ -393,42 +417,47 @@ def test_batched_residuals_equal_single_calls(monkeypatch, kind, sources):
     batch, lower, upper = calls[0]["batch"], calls[0]["lower"], calls[0]["upper"]
     assert batch.func is fitting._residual_batch
     points = np.random.default_rng(3).uniform(lower, upper, (6, lower.size))
-    singles = [_at(batch, x[None])[0] for x in points]
-    # A batch the model accepts takes one model call...
+    singles = [_at(batch, x[None]) for x in points]
+    # A batch the model accepts takes one model call, of one row per point...
     model_calls = []
-    monkeypatch.setattr(
-        fitting, "predict_rates", lambda *a: model_calls.append(a) or predict_rates(*a)
-    )
-    rows = _at(batch, points)
-    assert len(model_calls) == 1 and len(rows) == len(points)
-    assert all(np.array_equal(r, s) for r, s in zip(rows, singles))
-    assert not any((s == FAILED_RESIDUAL).any() for s in singles)
+    _spy(monkeypatch, "_rates_and_slopes", model_calls)
+    rows, jacs = _at(batch, points)
+    assert model_calls == [len(points)] and len(rows) == len(jacs) == len(points)
+    for row, jac, (single, single_jac) in zip(rows, jacs, singles):
+        assert np.array_equal(row, single[0]) and np.array_equal(jac, single_jac[0])
+        assert not (row == FAILED_RESIDUAL).any() and np.isfinite(jac).all()
     # ...and a batch holding points the model rejects (eta_i = e > 1) or
-    # that predict no coincidences (eta_s = 0) fails those rows alone.
+    # that predict no coincidences (eta_s = 0) fails those rows alone, with a
+    # zero Jacobian.
     points[2, 0] = 1.0
     points[4, 1] = -np.inf
-    rows = _at(batch, points)
-    for i, (row, x) in enumerate(zip(rows, points)):
-        assert np.array_equal(row, _at(batch, x[None])[0])
+    rows, jacs = _at(batch, points)
+    for i, (row, jac, x) in enumerate(zip(rows, jacs, points)):
+        single, single_jac = _at(batch, x[None])
+        assert np.array_equal(row, single[0]) and np.array_equal(jac, single_jac[0])
         assert (row == FAILED_RESIDUAL).all() == (i in (2, 4))
+        assert (jac == 0.0).all() == (i in (2, 4))
     # One rejected point among 64 costs a model call per halving, not one
     # per row: the batch, then both halves at each of log2(64) levels.
     points = np.random.default_rng(5).uniform(lower, upper, (64, lower.size))
     points[37, 0] = 1.0
     model_calls.clear()
-    rows = _at(batch, points)
+    rows, jacs = _at(batch, points)
     assert len(model_calls) <= 1 + 2 * 6
-    for i, (row, x) in enumerate(zip(rows, points)):
+    for i, (row, jac, x) in enumerate(zip(rows, jacs, points)):
         assert (row == FAILED_RESIDUAL).all() == (i == 37)
         if i != 37:
-            assert np.array_equal(row, _at(batch, x[None])[0])
+            single, single_jac = _at(batch, x[None])
+            assert np.array_equal(row, single[0]) and np.array_equal(jac, single_jac[0])
 
 
 @PASSES
 def test_jacobians_of_a_fused_call_equal_those_taken_alone(monkeypatch, kind, sources):
-    """The points of one fused call, several starts' points and their
-    difference points together, give each start the residuals and Jacobian
-    it gets alone and from residuals and difference points evaluated apart."""
+    """The points of one fused call, several starts' points together, give
+    each start the residuals and Jacobian it gets alone.  The
+    forward-difference adapter, run on the same residuals, gives from one
+    call of the points and their difference points what those points give
+    evaluated apart."""
     calls = _solver_calls(monkeypatch)
     obs = next(_noisy_draws(kind, sources))[1]
     fit_source(obs, kind, FULL_CHAIN, seed=0, n_starts=1)
@@ -436,18 +465,122 @@ def test_jacobians_of_a_fused_call_equal_those_taken_alone(monkeypatch, kind, so
     points = np.random.default_rng(4).uniform(lower, upper, (6, lower.size))
     points[0] = upper  # every difference step taken downward
     starts = np.arange(6) % 2  # n_starts=1 gives a fit two starts
-    fun, jac = fitting._forward_jacobian(batch, points, upper, starts)
+    fun, jac = batch(points, starts)
     assert jac.shape == (6, fun.shape[1], lower.size)
     for x, start, row, jac_row in zip(points, starts, fun, jac):
-        alone, jac_alone = fitting._forward_jacobian(batch, x[None], upper, np.array([start]))
+        alone, jac_alone = _at(batch, x[None], start)
         assert np.array_equal(row, alone[0]) and np.array_equal(jac_row, jac_alone[0])
-        assert np.array_equal(row, _at(batch, x[None], start)[0])
+
+    def residuals(xs, starts):
+        return batch(xs, starts)[0]
+
+    fd_fun, fd_jac = fitting._forward_jacobian(residuals, upper, points, starts)
+    assert np.array_equal(fd_fun, fun) and fd_jac.shape == jac.shape
+    for x, start, row, jac_row in zip(points, starts, fd_fun, fd_jac):
+        alone, jac_alone = fitting._forward_jacobian(residuals, upper, x[None], np.array([start]))
+        assert np.array_equal(row, alone[0]) and np.array_equal(jac_row, jac_alone[0])
         for j in range(x.size):
             h = fitting._FD_STEP * max(1.0, abs(x[j]))
             stepped = x.copy()
             stepped[j] += -h if x[j] + h > upper[j] else h
-            column = (_at(batch, stepped[None], start)[0] - row) / (stepped[j] - x[j])
+            column = (_at(batch, stepped[None], start)[0][0] - row) / (stepped[j] - x[j])
             assert np.array_equal(jac_row[:, j], column)
+
+
+def _central_differences(batch, points, starts, lower, upper):
+    """(k, m, n) central-difference Jacobians, each step kept in the box.
+    Steps of 1e-5 keep rounding (worst where s = xi^2 nears 1) and truncation
+    under 1e-7 of a column's largest entry over 3000 random cases."""
+    k, n = points.shape
+    out = np.empty(batch(points, starts)[1].shape)
+    for j in range(n):
+        h = 1e-5 * np.maximum(1.0, np.abs(points[:, j]))
+        hi, lo = points.copy(), points.copy()
+        hi[:, j] = np.minimum(points[:, j] + h, upper[j])
+        lo[:, j] = np.maximum(points[:, j] - h, lower[j])
+        step = (hi[:, j] - lo[:, j])[:, None]
+        out[:, :, j] = (batch(hi, starts)[0] - batch(lo, starts)[0]) / step
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["pass1", "pass2"]),
+    log_space=st.booleans(),
+    chain=st.sampled_from([NO_CHAIN, DeadtimeChain((1e-7,)), FULL_CHAIN]),
+    top_power_mw=st.sampled_from([25.0, 250.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_residual_jacobian_matches_central_differences(
+    kind, log_space, chain, top_power_mw, seed
+):
+    """The batch's exact Jacobian, in log and linear space, on the empty,
+    one-stage and default chains, and up to 250 mW, where the default chain
+    blocks most heralds, agrees with central differences to 1e-6 of the
+    largest entry of its column."""
+    rng = np.random.default_rng(seed)
+    bounds = np.log([ETA_BOUNDS, ETA_BOUNDS, P_SEED_BOUNDS]).T
+    if kind == "pass2":
+        bounds = np.column_stack([bounds, F_BOUNDS])
+    lower, upper = bounds
+    points = rng.uniform(lower, upper, (8, lower.size))
+    starts = np.arange(8) % 2
+    powers = np.linspace(top_power_mw / 12.0, top_power_mw, 12)
+    batch = functools.partial(
+        fitting._residual_batch,
+        powers=powers,
+        target=rng.normal(size=(2, 3, 12)),
+        weight=rng.uniform(0.2, 2.0, (2, 3, 1)),
+        log_space=log_space,
+        rep_rate_hz=80e6,
+        chain=chain,
+    )
+    fun, jac = batch(points, starts)
+    assert not (fun == FAILED_RESIDUAL).any()
+    differences = _central_differences(batch, points, starts, lower, upper)
+    scale = np.abs(differences).max(axis=1, keepdims=True)
+    assert (np.abs(jac - differences) <= 1e-6 * scale).all()
+
+
+def test_fit_model_call_gives_the_rates_of_predict_rates():
+    rng = np.random.default_rng(25)
+    for bounds in (
+        np.log([ETA_BOUNDS, ETA_BOUNDS, P_SEED_BOUNDS]).T,
+        np.column_stack([np.log([ETA_BOUNDS, ETA_BOUNDS, P_SEED_BOUNDS]).T, F_BOUNDS]),
+    ):
+        xs = rng.uniform(*bounds, (5, bounds.shape[1]))
+        rates, slopes = fitting._rates_and_slopes(xs, SWEEP_MW, 80e6, FULL_CHAIN)
+        params = fitting._params(xs[:, None])
+        expected = predict_rates(*params, SWEEP_MW, 80e6, FULL_CHAIN)
+        assert np.array_equal(rates, np.stack(expected, axis=1))
+        assert slopes.shape == rates.shape + (bounds.shape[1],)
+
+
+def test_each_iteration_evaluates_one_model_row_per_trial_point(monkeypatch):
+    """No silent fallback to differences: every batch call of a fit_all run,
+    the starts' and each iteration's, evaluates the model once, on one row
+    per point it was given, and those rows add up to the solver's count of
+    evaluated points."""
+    batches, model_rows, runs = [], [], []
+    real_solver = fitting._lockstep_lm
+
+    def solver(*args):
+        runs.append(real_solver(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(fitting, "_lockstep_lm", solver)
+    _spy(monkeypatch, "_residual_batch", batches)
+    _spy(monkeypatch, "_rates_and_slopes", model_rows)
+    rng = np.random.default_rng(24)
+    for kind, sources in (("pass1", PASS1_SOURCES), ("pass2", PASS2_SOURCES)):
+        table = {f"S{i}": _noisy(_truth(sources[i]), rng) for i in range(4)}
+        results = fit_all(table, dict.fromkeys(table, kind), FULL_CHAIN)
+        assert all(isinstance(r, FitResult) for r in results.values())
+        (*_, nfev, _), = runs
+        assert model_rows == batches and sum(batches) == nfev.sum()
+        assert batches[0] == 4 * (fitting.N_STARTS + 1)
+        for record in (runs, batches, model_rows):
+            record.clear()
 
 
 @PASSES
@@ -464,7 +597,7 @@ def test_fits_match_scipy_trf_from_the_same_starts(monkeypatch, kind, sources):
         best = min(
             (
                 least_squares(
-                    lambda x: _at(call["batch"], x[None])[0], x0, method="trf",
+                    lambda x: _at(call["batch"], x[None])[0][0], x0, method="trf",
                     bounds=(call["lower"], call["upper"]), x_scale="jac",
                 )
                 for x0 in call["x0s"]
@@ -502,6 +635,10 @@ def test_fit_input_validation():
         fit_source(same_power, "pass1", NO_CHAIN)
     with pytest.raises(ValueError):
         Observation(5.0, -1.0, 0.0, 0.0)
+    # A clock rate the model rejects fails up front, not as a diverged fit.
+    for rep_rate_hz in (0.0, -80e6, math.inf):
+        with pytest.raises(ValueError):
+            fit_source(obs, "pass1", NO_CHAIN, rep_rate_hz=rep_rate_hz)
 
 
 # --- batch driver ------------------------------------------------------------------
@@ -568,8 +705,8 @@ def test_fit_all_records_a_failed_run_against_each_of_its_sources():
 
 def test_fit_all_solves_a_shared_grid_in_one_run(monkeypatch):
     """Four sources of one kind on one grid take one solver run: a model
-    call for the starts, one per iteration of the slowest start and one
-    for the returned points, and none after the solver returns."""
+    call for the starts and one per iteration of the slowest start, and
+    none after the solver returns."""
     runs, model_calls = [], []
     real_solver = fitting._lockstep_lm
 
@@ -579,9 +716,7 @@ def test_fit_all_solves_a_shared_grid_in_one_run(monkeypatch):
         return out
 
     monkeypatch.setattr(fitting, "_lockstep_lm", solver)
-    monkeypatch.setattr(
-        fitting, "predict_rates", lambda *a: model_calls.append(a) or predict_rates(*a)
-    )
+    _spy(monkeypatch, "_rates_and_slopes", model_calls)
     rng = np.random.default_rng(22)
     table = {f"P2D{i}": _noisy(_truth(PASS2_SOURCES[i]), rng) for i in range(4)}
     results = fit_all(table, dict.fromkeys(table, "pass2"), FULL_CHAIN)
@@ -590,7 +725,7 @@ def test_fit_all_solves_a_shared_grid_in_one_run(monkeypatch):
     (x, fun, cost, converged, nfev, jac), calls_at_return = runs[0]
     assert len(x) == 4 * (fitting.N_STARTS + 1)
     iterations = nfev.max() - 1
-    assert len(model_calls) == calls_at_return == iterations + 2
+    assert len(model_calls) == calls_at_return == iterations + 1
 
 
 # --- CSV interfaces ------------------------------------------------------------------

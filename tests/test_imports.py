@@ -1,5 +1,6 @@
 """The numpy-only path: importing muxsim and running any command loads no
-scipy module."""
+scipy module, and fit and spectra load no numpy.ma (about 1 MB and 10 ms
+that np.median and a bare np.unique would import)."""
 
 import json
 import subprocess
@@ -11,11 +12,12 @@ import numpy as np
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _scipy_modules(code: str) -> list:
-    """scipy modules in sys.modules after running code in a fresh interpreter."""
+def _loaded_modules(code: str, package: str = "scipy") -> list:
+    """Modules of package (scipy unless named) in sys.modules after running
+    code in a fresh interpreter."""
     script = (
         f"import sys\nsys.path.insert(0, {SRC!r})\n{code}\nimport json\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+        f"print(json.dumps(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r}))))"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
@@ -24,19 +26,20 @@ def _scipy_modules(code: str) -> list:
 
 
 def test_imports_load_no_scipy():
-    assert _scipy_modules("import muxsim") == []
-    assert _scipy_modules("import muxsim.cli") == []
-    assert _scipy_modules("from muxsim.fitting import load_observations_csv") == []
+    assert _loaded_modules("import muxsim") == []
+    assert _loaded_modules("import muxsim.cli") == []
+    assert _loaded_modules("from muxsim.fitting import load_observations_csv") == []
 
 
 def test_model_car_simulate_load_no_scipy(tmp_path):
     for command in (["model"], ["car"], ["simulate", "--cycles", "10000"]):
         out = str(tmp_path / command[0])
         code = f"import muxsim.cli\nassert muxsim.cli.main({command + ['--out', out]!r}) == 0"
-        assert _scipy_modules(code) == [], command
+        assert _loaded_modules(code) == [], command
 
 
-def test_fit_and_spectra_load_no_scipy(tmp_path):
+def _fit_and_spectra(tmp_path) -> str:
+    """Code that runs fit and spectra on small input files."""
     powers = np.linspace(2.0, 25.0, 6)
     lines = ["power_mw,r_trig,r_c,r_a"] + [
         f"{p},{1e4 * p},{30.0 * p},{0.2 * p * p}" for p in powers
@@ -54,9 +57,19 @@ def test_fit_and_spectra_load_no_scipy(tmp_path):
         ["fit", "--observations", str(observations), "--out", str(tmp_path / "fit")],
         ["spectra", "--spectra-dir", str(spectra), "--out", str(tmp_path / "spectra-out")],
     )
-    code = "import muxsim.cli\n" + "".join(
+    return "import muxsim.cli\n" + "".join(
         f"assert muxsim.cli.main({argv!r}) == 0\n" for argv in commands
     )
-    assert _scipy_modules(code) == []
+
+
+def test_fit_and_spectra_load_no_scipy(tmp_path):
+    code = _fit_and_spectra(tmp_path)
+    assert _loaded_modules(code) == []
     # The guard can see scipy when the same child loads it.
-    assert "scipy.optimize" in _scipy_modules(code + "import scipy.optimize")
+    assert "scipy.optimize" in _loaded_modules(code + "import scipy.optimize")
+
+
+def test_fit_and_spectra_load_no_numpy_ma(tmp_path):
+    code = _fit_and_spectra(tmp_path)
+    assert _loaded_modules(code, "numpy.ma") == []
+    assert "numpy.ma" in _loaded_modules(code + "import numpy as np\nnp.median([1.0])", "numpy.ma")

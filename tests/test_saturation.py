@@ -268,3 +268,65 @@ def test_longest_window_after_a_one_cycle_stage_stays_finite():
     assert accepted[0] == 1.0
     # At p = 1 every cycle holds a herald: the window, then one blocked cycle.
     assert accepted[-1] == pytest.approx(1.0 / (MAX_IDLE_BLOCK + 2), rel=1e-12)
+
+
+# --- the acceptance slope ------------------------------------------------------------
+
+def test_one_stage_slope_is_the_derivative_of_the_poisson_formula():
+    rep = 80e6
+    p = np.concatenate([[0.0, 1.0], 10 ** np.random.default_rng(66).uniform(-9, 0, 50)])
+    for block in (1, 8, 160, 1000):
+        chain = DeadtimeChain((block / rep,))
+        accepted, slope = chain.acceptance_slope(p, rep)
+        assert np.array_equal(accepted, chain.acceptance(p, rep))
+        np.testing.assert_allclose(slope, -block / (1.0 + block * p) ** 2, rtol=1e-14)
+    accepted, slope = DeadtimeChain(()).acceptance_slope(p, rep)
+    assert (accepted == 1.0).all() and (slope == 0.0).all()
+
+
+def test_two_stage_slope_matches_central_differences():
+    rng = np.random.default_rng(67)
+    p = np.sort(10 ** rng.uniform(-6, -0.01, 200))
+    chains = [(FULL_CHAIN, 80e6)] + [
+        (DeadtimeChain((float(a), float(rng.integers(a + 1, 300)))), 1.0)
+        for a in rng.integers(1, 20, 10)
+    ]
+    for chain, rep in chains:
+        accepted, slope = chain.acceptance_slope(p, rep)
+        assert np.array_equal(accepted, chain.acceptance(p, rep))
+        h = 1e-7
+        central = (chain.acceptance(p + h, rep) - chain.acceptance(p - h, rep)) / (2.0 * h)
+        np.testing.assert_allclose(slope, central, rtol=1e-6, atol=0.0)
+
+
+def test_slope_is_finite_at_the_ends():
+    # At p = 0 the slope is -(I + E[r](0)) = -I; at p = 1 it is the limit
+    # of one-sided second-order differences.
+    for a, idle in ((8, 160), (1, 2), (15, 300), (1, MAX_IDLE_BLOCK)):
+        chain = DeadtimeChain((float(a), float(idle)))
+        ends = np.array([0.0, 1e-320, 1.0])
+        accepted, slope = chain.acceptance_slope(ends, 1.0)
+        assert np.isfinite(slope).all()
+        assert slope[0] == slope[1] == -idle
+        h = 1e-8
+        before = chain.acceptance(np.array([1.0 - h, 1.0 - 2.0 * h]), 1.0)
+        one_sided = (3.0 * accepted[2] - 4.0 * before[0] + before[1]) / (2.0 * h)
+        assert slope[2] == pytest.approx(one_sided, rel=1e-5)
+
+
+def test_slope_of_a_point_does_not_depend_on_the_array_it_comes_in():
+    topo = default_topology()
+    table = bin_table(topo, np.linspace(0.0, 40.0, 321))
+    pass1 = [k for k, b in enumerate(topo.bins) if b.pass_id == 1]
+    mux8, mux4 = priority_nest(table), priority_nest(table.take(pass1))
+    p = np.column_stack([mux8.p_trig, mux4.p_trig, table.p_trig])
+    whole = FULL_CHAIN.acceptance_slope(p, 80e6)[1].reshape(-1)
+    flat = p.reshape(-1)
+    assert np.array_equal(FULL_CHAIN.acceptance_slope(flat, 80e6)[1], whole)
+    assert np.array_equal(FULL_CHAIN.acceptance_slope(flat[:, None], 80e6)[1][:, 0], whole)
+    for k in (1, 2, 17, 85):
+        rows = FULL_CHAIN.acceptance_slope(flat[: 12 * k].reshape(k, 12), 80e6)[1]
+        assert np.array_equal(rows.reshape(-1), whole[: 12 * k])
+    for i in np.random.default_rng(68).integers(0, flat.size, 50):
+        assert FULL_CHAIN.acceptance_slope(flat[i], 80e6)[1] == whole[i]
+        assert FULL_CHAIN.acceptance_slope(flat[i : i + 1], 80e6)[1][0] == whole[i]
