@@ -80,8 +80,8 @@ class PulseTrainConfig:
             raise ConfigurationError(
                 f"n_clock_cycles must be > 0, got {self.n_clock_cycles}"
             )
-        if self.reference_power_mw < 0.0:
-            raise ConfigurationError("reference_power_mw must be >= 0")
+        if not 0.0 <= self.reference_power_mw < math.inf:
+            raise ConfigurationError("reference_power_mw must be finite and >= 0")
         topo = self.topology
         slots = max(b.delay_id for b in topo.bins) + 1
         if slots * topo.bin_spacing_s >= 1.0 / topo.rep_rate_hz:

@@ -7,9 +7,10 @@ is a weighted least-squares problem.  A box-bounded Levenberg-Marquardt
 solver in numpy advances all starts together, one call of the rate model
 per iteration on the trial points of every start still running; that call
 evaluates each point once and gives its residuals with their exact
-Jacobian, built from the partial derivatives of the closed forms (`hsps`)
-and of the deadtime acceptance (`saturation`).  Sources that share a model
-kind, a power column and a residual space are solved together, their
+Jacobian, from the closed forms of `hsps` run on forward-mode tangent
+arrays (`_Tangent`, which the spectral fit shares) and from the one
+hand-derived input, `DeadtimeChain.acceptance_slope`.  Sources that share a
+model kind, a power column and a residual space are solved together, their
 starts in one solver run, each start on its own source's residuals; every
 source still gets the fit it gets alone.  The Jacobian at the optimum gives
 each parameter a standard error.  Observation tables are read, and the fit
@@ -26,8 +27,6 @@ import numpy as np
 
 from .hsps import (
     SourceParams,
-    _source_probs,
-    _xi_slope,
     calibrate_coupling,
     seed_squeezing,
     source_probs,
@@ -102,7 +101,6 @@ LM_FTOL = 1e-12
 LM_XTOL = 1e-12
 LM_MAX_DAMPING = 1e12
 LM_MAX_ITERATIONS = 200
-_FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
 def r_squared(predicted: Sequence[float], observed: Sequence[float]) -> float:
@@ -157,32 +155,28 @@ def _rates_and_slopes(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """predict_rates at the k fit points in the rows of xs, with its bits,
     as (k, 3, n_powers) rates, and their exact partial derivatives in the n
-    fit coordinates, (k, 3, n_powers, n), from one model evaluation."""
+    fit coordinates, (k, 3, n_powers, n), from one model evaluation: the
+    closed forms run on _Tangent inputs, one direction per coordinate."""
+    n = xs.shape[1]
     eta_i, eta_s, p_seed, f = _params(xs[:, None])
+    # Row j of the identity is coordinate j's direction; d/d log x = x d/dx.
+    directions = np.eye(n)[..., None, None]
+    eta_i = _Tangent(eta_i, directions[0] * eta_i)
+    eta_s = _Tangent(eta_s, directions[1] * eta_s)
+    f = _Tangent(f, directions[3]) if n == 4 else f
     coupling = calibrate_coupling(p_seed)
     xi = xi_from_power(coupling, powers)
-    probs, partials = _source_probs(xi, eta_i, eta_s, f, slopes=True)
-    probs = np.stack(probs)
-    # Partials in (s, eta_i, eta_s, f) to the fit coordinates: d/d log eta =
-    # eta d/d eta, and s = xi^2 moves with log p_seed.
-    to_fit = (
-        (1, eta_i),
-        (2, eta_s),
-        (0, 2.0 * xi * _xi_slope(coupling * np.sqrt(powers), xi)),
-        (3, 1.0),
-    )
-    slopes = np.empty((3, xs.shape[1]) + xi.shape)
-    for j, (column, factor) in enumerate(to_fit[: xs.shape[1]]):
-        np.multiply(partials[:, column], factor, out=slopes[:, j])
-    acceptance, acceptance_slope = chain.acceptance_slope(probs[0], rep_rate_hz)
-    accepted = rep_rate_hz * acceptance
-    # saturated_rates' p * accepted, and its product rule; p_trig's slopes
-    # change last, as the others read them.
-    feedback = probs * (rep_rate_hz * acceptance_slope)
-    slopes[1:] *= accepted
-    slopes[1:] += feedback[1:, None] * slopes[0]
-    slopes[0] *= accepted + feedback[0]
-    return np.moveaxis(probs * accepted, 0, 1), slopes.transpose(2, 0, 3, 1)
+    # xi = tanh(c sqrt(P)) with c ~ p_seed^(-1/2): d xi / d log p_seed is
+    # -c sqrt(P) (1 - xi^2) / 2.
+    dxi = -0.5 * coupling * np.sqrt(powers) * (1.0 - xi * xi)
+    xi = _Tangent(xi, directions[2] * dxi)
+    p_trig, p_c, p_a = source_probs(xi, eta_i, eta_s, f)
+    # saturated_rates' p * (rep_rate_hz * A), with A's slope in p_trig.
+    acceptance, slope = chain.acceptance_slope(p_trig.value, rep_rate_hz)
+    accepted = _Tangent(rep_rate_hz * acceptance, p_trig.tangent * (rep_rate_hz * slope))
+    rates = [p * accepted for p in (p_trig, p_c, p_a)]
+    jac = np.stack([r.tangent for r in rates], axis=-1).transpose(1, 3, 2, 0)
+    return np.stack([r.value for r in rates], axis=1), jac
 
 
 def _residual_batch(
@@ -229,30 +223,94 @@ def _residual_batch(
     return out, jac
 
 
-def _forward_jacobian(
-    residuals: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    upper: np.ndarray,
-    x: np.ndarray,
-    starts: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """A batch for _lockstep_lm made from a residual batch, which maps (k, n)
-    points to (k, m) residual rows: the residuals and (k, m, n)
-    forward-difference Jacobians at the k rows of x, the points of the
-    given starts, from one call of residuals on the rows and their k n
-    difference points.  Coordinate j steps by sqrt(eps) max(1, |x_j|),
-    away from the upper bound."""
-    k, n = x.shape
-    h = _FD_STEP * np.maximum(1.0, np.abs(x))
-    h = np.where(x + h > upper, -h, h)
-    points = x[:, None, :] + np.eye(n) * h[:, None, :]
-    h = np.diagonal(points, axis1=1, axis2=2) - x  # the step as represented
-    rows = residuals(
-        np.concatenate([x, points.reshape(k * n, n)]),
-        np.concatenate([starts, np.repeat(starts, n)]),
+# The tangent of a supported ufunc's value v from its operands x, y and
+# their tangents dx, dy, None for a plain operand; comparisons (None) see
+# the values alone.
+def _add(v, x, y, dx, dy):
+    return dx if dy is None else dy if dx is None else dx + dy
+
+
+def _subtract(v, x, y, dx, dy):
+    return dx if dy is None else -dy if dx is None else dx - dy
+
+
+def _multiply(v, x, y, dx, dy):
+    return x * dy if dx is None else dx * y if dy is None else dx * y + x * dy
+
+
+def _divide(v, x, y, dx, dy):
+    return dx / y if dy is None else dy * (-v / y) if dx is None else (dx - v * dy) / y
+
+
+_TANGENT_RULES = {
+    np.add: _add,
+    np.subtract: _subtract,
+    np.multiply: _multiply,
+    np.true_divide: _divide,
+    np.negative: lambda v, x, dx: -dx,
+    np.exp: lambda v, x, dx: dx * v,
+    np.sqrt: lambda v, x, dx: dx / (2.0 * v),
+    **dict.fromkeys(
+        (np.less, np.less_equal, np.greater, np.greater_equal, np.equal, np.not_equal)
+    ),
+}
+
+
+def _operators(ufunc):  # the operator method of a ufunc and its reflection
+    rule = _TANGENT_RULES[ufunc]
+    return (
+        lambda self, other: _binary(ufunc, rule, self, other),
+        lambda self, other: _binary(ufunc, rule, other, self),
     )
-    fun = rows[:k]
-    diff = rows[k:].reshape(k, n, -1) - fun[:, None, :]
-    return fun, np.swapaxes(diff / h[:, :, None], 1, 2)
+
+
+class _Tangent:
+    """Forward-mode derivatives (Griewank and Walther, Evaluating
+    Derivatives, 2nd ed., SIAM 2008, ch. 3): a value array and its tangent,
+    whose leading axis holds the derivatives in each direction.  The
+    operators and the ufuncs of _TANGENT_RULES give the value's bits and
+    carry the tangent by the chain rule; all else raises TypeError."""
+
+    __slots__ = ("value", "tangent")
+
+    def __init__(self, value, tangent):
+        self.value, self.tangent = value, tangent
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs or ufunc not in _TANGENT_RULES:
+            return NotImplemented
+        if len(inputs) == 2:
+            return _binary(ufunc, _TANGENT_RULES[ufunc], *inputs)
+        value = ufunc(self.value)
+        return _Tangent(value, _TANGENT_RULES[ufunc](value, self.value, self.tangent))
+
+    __array_function__ = lambda *args: NotImplemented  # np.where, np.stack, ...
+    __neg__ = lambda self: np.negative(self)
+    # Direct methods: numpy's ufunc dispatch would cost more than the sums.
+    __add__, __radd__ = _operators(np.add)
+    __sub__, __rsub__ = _operators(np.subtract)
+    __mul__, __rmul__ = _operators(np.multiply)
+    __truediv__, __rtruediv__ = _operators(np.true_divide)
+    __lt__, __gt__ = _operators(np.less)  # y > x is x < y
+    __le__, __ge__ = _operators(np.less_equal)
+    __eq__, __ne__ = _operators(np.equal)[0], _operators(np.not_equal)[0]
+
+
+def _binary(ufunc, rule, x, y):
+    """ufunc, of rule `rule`, on two operands, plain or _Tangent."""
+    x, dx = (x.value, x.tangent) if type(x) is _Tangent else (x, None)
+    y, dy = (y.value, y.tangent) if type(y) is _Tangent else (y, None)
+    value = ufunc(x, y)
+    if rule is None:
+        return value
+    # A tangent whose value has fewer axes than the result gets unit axes
+    # after its leading one, so that it broadcasts as its value does.
+    ndim = value.ndim
+    if dx is not None and dx.ndim <= ndim:
+        dx = np.expand_dims(dx, tuple(range(1, ndim + 2 - dx.ndim)))
+    if dy is not None and dy.ndim <= ndim:
+        dy = np.expand_dims(dy, tuple(range(1, ndim + 2 - dy.ndim)))
+    return _Tangent(value, rule(value, x, y, dx, dy))
 
 
 def _lockstep_lm(

@@ -12,10 +12,9 @@ f.  ``source_probs`` gives the three probabilities every rate model reads:
 herald, coincidence and accidental.  ``emission_probs`` splits the
 coincidences into one and several signal photons delivered; no rate needs
 that split.  Both weigh the same two herald branches (``_herald_split``).
-Private helpers beside the formulas (``_xi_slope``, ``_click_slopes``,
-``_heralded_slopes``, and ``_source_probs`` for all three probabilities)
-hold their partial derivatives, from which the fitter builds its exact
-Jacobian.
+No derivative is written here: the fitter runs ``source_probs`` on
+tangent arrays (`fitting._Tangent`); its one hand-derived input is
+`saturation.DeadtimeChain.acceptance_slope`.
 """
 
 import math
@@ -90,17 +89,11 @@ def xi_from_power(c: ArrayLike, p_mw: ArrayLike) -> np.ndarray:
     return tanh.reshape(arg.shape)
 
 
-def _xi_slope(arg: ArrayLike, xi: ArrayLike) -> ArrayLike:
-    """d xi / d log p_seed_mw at xi = tanh(arg), arg = c sqrt(P): the
-    coupling c goes as p_seed_mw^(-1/2)."""
-    return -0.5 * arg * (1.0 - xi * xi)
-
-
 def _check_domain(xi: ArrayLike, *etas: ArrayLike) -> None:
-    if np.count_nonzero((0.0 <= xi) & (xi < 1.0)) < np.size(xi):
+    if not np.all((0.0 <= xi) & (xi < 1.0)):
         raise ValueError(f"xi must be in [0, 1), got {xi}")
     for eta in etas:
-        if np.count_nonzero((0.0 <= eta) & (eta <= 1.0)) < np.size(eta):
+        if not np.all((0.0 <= eta) & (eta <= 1.0)):
             raise ValueError(f"transmission must be in [0, 1], got {eta}")
 
 
@@ -116,13 +109,6 @@ def p_trig_idler(xi: ArrayLike, eta_i: ArrayLike) -> ArrayLike:
 
 def _click(s, eta):
     return s * eta / (1.0 - s * (1.0 - eta))
-
-
-def _click_slopes(s, eta):
-    """d _click / ds and d _click / d eta."""
-    miss = 1.0 - s * (1.0 - eta)
-    miss_2 = miss * miss
-    return eta / miss_2, s * (1.0 - s) / miss_2
 
 
 def _factors(s, eta_i, eta_s):
@@ -143,25 +129,6 @@ def _heralded_forms(s, eta_i, eta_s):
     # s a - s a b (1 - s a) / (1 - s a b), written without the difference.
     total_nt = sa * eta_s / one_sab
     return total, total_nt
-
-
-def _heralded_slopes(s, eta_i, eta_s):
-    """Partial derivatives of _heralded_forms' total and total_nt in
-    (s, eta_i, eta_s), as two triples.  With N = 1 - s^2 a b, B = 1 - s b
-    and C = 1 - s a b, total = eta_s N / (B C) and total_nt = s a eta_s / C."""
-    a, b, sa, one_sa, one_sb, one_sab = _factors(s, eta_i, eta_s)
-    num = 1.0 - s * sa * b
-    over_b, over_ab = 1.0 / one_sb, 1.0 / one_sab
-    over = over_b * over_ab
-    eta_over = eta_s * over
-    total_s = eta_over * (num * (b * over_b + a * b * over_ab) - 2.0 * sa * b)
-    total_i = -(s * (1.0 - s)) * b * eta_over * over_ab
-    total_e = over * (num + eta_s * (s * sa - num * (s * over_b + sa * over_ab)))
-    over_ab_2 = over_ab * over_ab
-    nt_s = (a * eta_s) * over_ab_2
-    nt_i = -s * eta_s * over_ab_2
-    nt_e = sa * one_sa * over_ab_2
-    return (total_s, total_i, total_e), (nt_s, nt_i, nt_e)
 
 
 class _EmissionForms(NamedTuple):
@@ -232,45 +199,14 @@ def source_probs(
     """Per-pulse probabilities of one source with back-reflection fraction f,
     broadcast over arrays of (xi, eta_i, eta_s, f); the herald branches are
     those of _herald_split."""
-    return _source_probs(xi, eta_i, eta_s, f, slopes=False)[0]
-
-
-def _source_probs(xi, eta_i, eta_s, f, slopes: bool):
-    """source_probs and, with slopes, the partial derivatives of its
-    (p_trig, p_c, p_a) in (s, eta_i, eta_s, f), s = xi^2, as a
-    (3, 4, *shape) array built on the same terms."""
     s, p_correct, p_incorrect = _herald_split(xi, eta_i, eta_s, f)
     total, total_nt = _heralded_forms(s, eta_i, eta_s)
-    signal = _click(s, eta_s)
     p_trig = p_correct + p_incorrect
-    probs = SourceProbs(
+    return SourceProbs(
         p_trig=p_trig,
         p_c=p_correct * total + p_incorrect * total_nt,
-        p_a=p_trig * signal,
+        p_a=p_trig * _click(s, eta_s),
     )
-    if not slopes:
-        return probs, None
-    correct_s, correct_i = _click_slopes(s, eta_i)
-    signal_s, signal_e = _click_slopes(s, eta_s)
-    (total_s, total_i, total_e), (nt_s, nt_i, nt_e) = _heralded_slopes(s, eta_i, eta_s)
-    # d p_trig / d f, and d p_incorrect / d p_correct
-    branch = p_correct * (1.0 - p_correct)
-    incorrect_slope = f * (1.0 - 2.0 * p_correct)
-    shape = np.broadcast_shapes(*map(np.shape, (s, eta_i, eta_s, f)))
-    out = np.empty((3, 4) + shape)
-    trig = out[0]
-    np.multiply(1.0 + incorrect_slope, correct_s, out=trig[0])
-    np.multiply(1.0 + incorrect_slope, correct_i, out=trig[1])
-    trig[2], trig[3] = 0.0, branch
-    per_correct = total + incorrect_slope * total_nt  # d p_c / d p_correct
-    out[1, 0] = correct_s * per_correct + p_correct * total_s + p_incorrect * nt_s
-    out[1, 1] = correct_i * per_correct + p_correct * total_i + p_incorrect * nt_i
-    out[1, 2] = p_correct * total_e + p_incorrect * nt_e
-    out[1, 3] = branch * total_nt
-    np.multiply(trig, signal, out=out[2])
-    out[2, 0] += p_trig * signal_s
-    out[2, 2] = p_trig * signal_e
-    return probs, out
 
 
 class EmissionProbs(NamedTuple):

@@ -4,12 +4,12 @@ Measured spectra are intensity spectra; the spectral amplitude is taken
 as the square root of the fitted Gaussian intensity, so the pairwise
 overlap gamma is an upper bound on indistinguishability.  A Gaussian is
 fitted by Levenberg-Marquardt least squares (More, Lecture Notes in
-Math. 630, 1978) from a log-parabola start, with forward-difference
-Jacobians (`fitting._forward_jacobian`).  Spectra of one sample count are
-fitted in one lockstep solver run, each start on its own spectrum's
-residuals; a residual row depends on its own spectrum alone, so every
-spectrum gets the fit it gets alone, bit for bit.  Spectrum CSVs are read
-through `report.read_csv`.
+Math. 630, 1978) from a log-parabola start, with exact Jacobians from the
+Gaussian run on the rate fit's tangent arrays (`fitting._Tangent`).
+Spectra of one sample count are fitted in one lockstep solver run, each
+start on its own spectrum's residuals; a residual row depends on its own
+spectrum alone, so every spectrum gets the fit it gets alone, bit for bit.
+Spectrum CSVs are read through `report.read_csv`.
 """
 
 import functools
@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fitting import _forward_jacobian, _lockstep_lm
+from .fitting import _lockstep_lm, _Tangent
 from .report import read_csv
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
@@ -85,19 +85,25 @@ def _checked(samples: Sequence[Tuple[float, float]]) -> Tuple[np.ndarray, ...]:
         raise SpectrumFitError("counts must be >= 0")
     if np.allclose(counts, counts[0]):
         raise SpectrumFitError("constant counts; nothing to fit")
+    if np.count_nonzero(counts > 0.0) < 3:
+        raise SpectrumFitError("need at least 3 positive counts")
     center0, sigma0, amp0 = _initial_guess(wl, counts)
     return wl, counts, np.array([center0, math.log(sigma0), math.log(max(amp0, 1e-300))])
 
 
-def _gaussian_residuals(
+def _gaussian_batch(
     xs: np.ndarray, starts: np.ndarray, wl: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Model minus counts at the (center, log sigma, log amplitude) rows of
-    xs, each on the wavelengths and counts of its start's spectrum."""
-    center, log_sigma, log_amp = xs.T[..., None]
+    xs, each on the wavelengths and counts of its start's spectrum, as (k, m)
+    rows, and their exact (k, m, 3) Jacobians, carried by _Tangent."""
+    directions = np.eye(3)[..., None, None]  # row j: coordinate j's direction
+    center, log_sigma, log_amp = map(_Tangent, xs.T[..., None], directions)
     sigma = np.exp(log_sigma)
-    model = np.exp(log_amp) * np.exp(-((wl[starts] - center) ** 2) / (2.0 * sigma * sigma))
-    return model - counts[starts]
+    dx = wl[starts] - center  # squared as dx * dx: _Tangent has no power
+    model = np.exp(log_amp) * np.exp(dx * dx / (-2.0 * sigma * sigma))
+    residuals = model - counts[starts]
+    return residuals.value, np.moveaxis(residuals.tangent, 0, -1)
 
 
 def fit_gaussians(
@@ -127,8 +133,7 @@ def fit_gaussians(
     for members in groups.values():
         rows = [checked[index] for index in members]
         wl, counts, x0 = (np.array(column) for column in zip(*rows))
-        residuals = functools.partial(_gaussian_residuals, wl=wl, counts=counts)
-        batch = functools.partial(_forward_jacobian, residuals, unbounded)
+        batch = functools.partial(_gaussian_batch, wl=wl, counts=counts)
         x, _, cost, *_ = _lockstep_lm(batch, x0, -unbounded, unbounded)
         for index, (center, log_sigma, log_amp), c in zip(members, x, cost):
             model = SpectrumModel(

@@ -337,9 +337,11 @@ def _replace_line(lines, number, text):
         (_replace_line(_spectrum_lines(), 22, "1550.0000,oops"), "line 22"),
         (_replace_line(_spectrum_lines(), 22, "inf,3.0"), "line 22"),
         (_replace_line(_spectrum_lines(), 22, "1550.0000,-3.0"), "line 22"),
+        (["wavelength_nm,counts"] + [f"{1550 + i},{5.0 * (i == 4)}" for i in range(10)],
+         "need at least 3 positive counts"),
     ],
     ids=["missing-column", "one-row", "nan-count", "unparsable-count", "inf-wavelength",
-         "negative-count"],
+         "negative-count", "one-positive-count"],
 )
 def test_spectra_rejects_bad_files(tmp_path, capsys, lines, where):
     spectra = tmp_path / "spectra"

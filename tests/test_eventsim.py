@@ -70,6 +70,12 @@ def test_config_rejects_zero_cycles():
         PulseTrainConfig(_single_bin_topology(0.1, 0.1, 5.0), 5.0, 0)
 
 
+@pytest.mark.parametrize("power", [-1.0, math.nan, math.inf])
+def test_config_rejects_negative_or_non_finite_power(power):
+    with pytest.raises(ConfigurationError, match="reference_power_mw"):
+        PulseTrainConfig(_single_bin_topology(0.1, 0.1, 5.0), power, 1000)
+
+
 def test_config_rejects_bins_that_do_not_fit():
     topo = MuxTopology(
         (MuxBin(1, 3, SourceParams(0.1, 0.1, 5.0), 1.0, 1.0),),

@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import io
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -59,6 +60,81 @@ def test_latin_hypercube_matches_scipy_qmc(d):
             # one start in each n-th of every axis
             slices = np.floor((starts - bounds[0]) / (bounds[1] - bounds[0]) * n)
             assert all(sorted(col) == list(range(n)) for col in slices.T)
+
+
+# --- forward-mode tangents -----------------------------------------------------
+
+TANGENT_OPS = {
+    "add": operator.add,
+    "subtract": operator.sub,
+    "multiply": operator.mul,
+    "true_divide": operator.truediv,
+    "negative": operator.neg,
+    "exp": np.exp,
+    "sqrt": np.sqrt,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(sorted(TANGENT_OPS)),
+    order=st.sampled_from(["tangent-array", "array-tangent", "tangent-tangent"]),
+    x=arrays(float, 3, elements=st.floats(0.5, 2.0)),
+    y=arrays(float, (2, 3), elements=st.floats(0.5, 2.0)),
+    dx=arrays(float, (2, 3), elements=st.floats(-1.0, 1.0)),
+    dy=arrays(float, (2, 2, 3), elements=st.floats(-1.0, 1.0)),
+)
+def test_tangent_operations_keep_value_bits_and_match_central_differences(
+    name, order, x, y, dx, dy
+):
+    """Each supported operation gives the plain arrays' value, bit for bit,
+    and a tangent, one row per direction, that matches central differences
+    along that direction, whichever operand carries the tangent.  x has
+    fewer axes than y, and as many rows as there are directions, so a
+    tangent broadcast against the wrong axes would show."""
+    op = TANGENT_OPS[name]
+    unary = name in ("negative", "exp", "sqrt")
+    if order == "array-tangent" and not unary:
+        dx = None
+    if order == "tangent-array" or unary:
+        dy = None
+    args = [(x, dx)] if unary else [(x, dx), (y, dy)]  # (value, tangent or None)
+
+    def along(j, step):
+        return op(*[v if d is None else v + step * d[j] for v, d in args])
+
+    result = op(*[v if d is None else fitting._Tangent(v, d) for v, d in args])
+    assert isinstance(result, fitting._Tangent)
+    assert np.array_equal(result.value, op(*[v for v, _ in args]))
+    tangent = np.broadcast_to(result.tangent, (2,) + result.value.shape)
+    h = 1e-6
+    for j in range(2):
+        expected = (along(j, h) - along(j, -h)) / (2.0 * h)
+        assert np.allclose(tangent[j], expected, rtol=1e-6, atol=1e-6)
+
+
+def test_tangent_comparisons_see_the_value_alone():
+    x = np.array([0.5, 1.0, 2.0])
+    t = fitting._Tangent(x, np.ones((2, 3)))
+    comparisons = (
+        operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne
+    )
+    for op in comparisons:
+        assert np.array_equal(op(t, 1.0), op(x, 1.0))
+        assert np.array_equal(op(1.0, t), op(1.0, x))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [np.log, np.tanh, lambda t: t**2, np.sum, lambda t: np.add.reduce(t),
+     lambda t: np.where(np.array([True, False]), 0.0, t), np.size],
+    ids=["log", "tanh", "power", "sum", "add.reduce", "where", "size"],
+)
+def test_unsupported_tangent_operations_raise(call):
+    """An operation without a tangent rule, or a numpy function, raises
+    TypeError rather than return a value whose tangent is lost."""
+    with pytest.raises(TypeError):
+        call(fitting._Tangent(np.array([0.5, 2.0]), np.ones((3, 2))))
 
 
 # --- solver ------------------------------------------------------------------
@@ -454,37 +530,19 @@ def test_batched_residuals_equal_single_calls(monkeypatch, kind, sources):
 @PASSES
 def test_jacobians_of_a_fused_call_equal_those_taken_alone(monkeypatch, kind, sources):
     """The points of one fused call, several starts' points together, give
-    each start the residuals and Jacobian it gets alone.  The
-    forward-difference adapter, run on the same residuals, gives from one
-    call of the points and their difference points what those points give
-    evaluated apart."""
+    each start the residuals and Jacobian it gets alone."""
     calls = _solver_calls(monkeypatch)
     obs = next(_noisy_draws(kind, sources))[1]
     fit_source(obs, kind, FULL_CHAIN, seed=0, n_starts=1)
     batch, lower, upper = calls[0]["batch"], calls[0]["lower"], calls[0]["upper"]
     points = np.random.default_rng(4).uniform(lower, upper, (6, lower.size))
-    points[0] = upper  # every difference step taken downward
+    points[0] = upper
     starts = np.arange(6) % 2  # n_starts=1 gives a fit two starts
     fun, jac = batch(points, starts)
     assert jac.shape == (6, fun.shape[1], lower.size)
     for x, start, row, jac_row in zip(points, starts, fun, jac):
         alone, jac_alone = _at(batch, x[None], start)
         assert np.array_equal(row, alone[0]) and np.array_equal(jac_row, jac_alone[0])
-
-    def residuals(xs, starts):
-        return batch(xs, starts)[0]
-
-    fd_fun, fd_jac = fitting._forward_jacobian(residuals, upper, points, starts)
-    assert np.array_equal(fd_fun, fun) and fd_jac.shape == jac.shape
-    for x, start, row, jac_row in zip(points, starts, fd_fun, fd_jac):
-        alone, jac_alone = fitting._forward_jacobian(residuals, upper, x[None], np.array([start]))
-        assert np.array_equal(row, alone[0]) and np.array_equal(jac_row, jac_alone[0])
-        for j in range(x.size):
-            h = fitting._FD_STEP * max(1.0, abs(x[j]))
-            stepped = x.copy()
-            stepped[j] += -h if x[j] + h > upper[j] else h
-            column = (_at(batch, stepped[None], start)[0][0] - row) / (stepped[j] - x[j])
-            assert np.array_equal(jac_row[:, j], column)
 
 
 def _central_differences(batch, points, starts, lower, upper):

@@ -1,6 +1,8 @@
 """Gaussian spectrum fitting and overlap bounds against a quadrature oracle."""
 
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from muxsim import (
 )
 from muxsim import spectral
 from muxsim.spectral import FWHM_TO_SIGMA, SpectrumFitError, _initial_guess, fit_gaussians
+from test_fitting import _central_differences
 
 
 def _quadrature_gamma(a: SpectrumModel, b: SpectrumModel) -> float:
@@ -134,6 +137,64 @@ def test_spectra_of_one_length_share_one_solver_run(monkeypatch):
     rng = np.random.default_rng(3)
     fitted = fit_gaussians([_poisson_spectrum(rng, 161) for _ in range(8)])
     assert runs == [8] and len(fitted) == 8
+
+
+def _batch_of(spectra):
+    """The solver batch fit_gaussians builds for spectra of one sample count,
+    and each spectrum's start."""
+    checked = zip(*map(spectral._checked, spectra))
+    wl, counts, x0 = (np.array(column) for column in checked)
+    return functools.partial(spectral._gaussian_batch, wl=wl, counts=counts), x0
+
+
+def test_gaussian_jacobian_matches_central_differences():
+    """The batch's tangent Jacobian agrees with central differences to 1e-6
+    of the largest entry of its column.  The center is taken relative to
+    1550 nm, so that the differences step it by 1e-5 nm, not 1e-5 of 1550
+    nm, which would be a twentieth of a line width."""
+    rng = np.random.default_rng(8)
+    for n in (41, 161):
+        batch, x0 = _batch_of([_poisson_spectrum(rng, n) for _ in range(4)])
+        offset = np.array([1550.0, 0.0, 0.0])
+        points = x0 - offset + rng.normal(0.0, 0.1, (4, 3))
+        starts = np.arange(4)
+
+        def shifted(xs, starts):
+            return batch(xs + offset, starts)
+
+        jac = shifted(points, starts)[1]
+        unbounded = np.full(3, np.inf)
+        differences = _central_differences(shifted, points, starts, -unbounded, unbounded)
+        scale = np.abs(differences).max(axis=1, keepdims=True)
+        assert (np.abs(jac - differences) <= 1e-6 * scale).all()
+
+
+def test_gaussian_batch_rows_of_a_fused_call_equal_those_taken_alone():
+    """Points of several spectra in one call get the residual rows and
+    Jacobians their own spectrum gives them alone, bit for bit."""
+    rng = np.random.default_rng(9)
+    spectra = [_poisson_spectrum(rng, 61) for _ in range(3)]
+    batch, x0 = _batch_of(spectra)
+    starts = np.array([0, 1, 2, 2, 0, 1])
+    points = x0[starts] + rng.normal(0.0, 0.05, (6, 3))
+    fun, jac = batch(points, starts)
+    assert fun.shape == (6, 61) and jac.shape == (6, 61, 3)
+    for x, start, row, jac_row in zip(points, starts, fun, jac):
+        alone, jac_alone = _batch_of([spectra[start]])[0](x[None], np.array([0]))
+        assert np.array_equal(row, alone[0]) and np.array_equal(jac_row, jac_alone[0])
+
+
+@pytest.mark.parametrize("positive", [1, 2])
+def test_sparse_spectrum_rejected_before_the_start_fit(positive):
+    """Fewer than 3 positive counts cannot fix a log-parabola start: the
+    spectrum is rejected as such, with no rank warning from the start fit."""
+    counts = [0.0] * 8
+    counts[3 : 3 + positive] = [40.0, 25.0][:positive]
+    samples = [(1549.0 + 0.25 * i, c) for i, c in enumerate(counts)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpectrumFitError, match="need at least 3 positive counts"):
+            fit_gaussian(samples)
 
 
 def test_first_bad_spectrum_raises_with_its_index():
