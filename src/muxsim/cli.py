@@ -21,6 +21,8 @@ from .eventsim import PulseTrainConfig, run_pulse_train
 from .fitting import load_observations_csv, fit_all, write_fit_table_csv
 from .hsps import SourceParams, SourceProbs
 from .mux import (
+    BIN_SPACING_S,
+    REP_RATE_HZ,
     MuxBin,
     MuxTopology,
     bin_probs,
@@ -84,7 +86,7 @@ class Scenario:
         if not any(b.pass_id == 1 for b in self.topology.bins):
             raise ScenarioError("topology needs at least one pass-1 bin (MUX4)")
         # ValueError unless the model's exact acceptance covers the chain.
-        self.deadtime_chain.acceptance(0.0, self.topology.rep_rate_hz)
+        saturated_rates(0.0, 0.0, 0.0, self.topology.rep_rate_hz, self.deadtime_chain)
         # ValueError unless f * p_trig <= 1 in every bin at every power the
         # commands evaluate; p_trig rises with power, so the highest decides.
         top = max(self.sweep.powers()[-1], self.reference_power_mw)
@@ -164,16 +166,11 @@ def _parse_topology(obj: dict) -> MuxTopology:
         if not isinstance(obj["bins"], list):
             raise ScenarioError(f"topology.bins must be a list, got {obj['bins']!r}")
         bins = tuple(_parse_bin(b, i) for i, b in enumerate(obj["bins"]))
-        return MuxTopology(
-            bins,
-            rep_rate_hz=_finite(
-                obj.get("rep_rate_hz", defaults.REP_RATE_HZ), "topology.rep_rate_hz"
-            ),
-            bin_spacing_s=_finite(
-                obj.get("bin_spacing_ns", 3.0), "topology.bin_spacing_ns"
-            )
-            * 1e-9,
-        )
+        rate_hz = _finite(obj.get("rep_rate_hz", REP_RATE_HZ), "topology.rep_rate_hz")
+        spacing_s = BIN_SPACING_S
+        if "bin_spacing_ns" in obj:
+            spacing_s = _finite(obj["bin_spacing_ns"], "topology.bin_spacing_ns") * 1e-9
+        return MuxTopology(bins, rate_hz, spacing_s)
     return defaults.default_topology(obj.get("eta_sw_mode", "composed"))
 
 
@@ -186,7 +183,7 @@ def parse_scenario(doc: dict) -> Scenario:
         "simulation",
     )
     _reject_unknown(doc, allowed, "scenario")
-    sweep_obj = doc.get("power_sweep_mw", {"start": 0.0, "stop": 25.0, "steps": 26})
+    sweep_obj = doc.get("power_sweep_mw", {})
     _reject_unknown(sweep_obj, ("start", "stop", "steps"), "power_sweep_mw")
     sim_obj = doc.get("simulation", {})
     _reject_unknown(
@@ -203,9 +200,7 @@ def parse_scenario(doc: dict) -> Scenario:
         return Scenario(
             topology=_parse_topology(doc.get("topology", {})),
             sweep=PowerSweep(
-                start_mw=_finite(
-                    sweep_obj.get("start", 0.0), "power_sweep_mw.start"
-                ),
+                start_mw=_finite(sweep_obj.get("start", 0.0), "power_sweep_mw.start"),
                 stop_mw=_finite(sweep_obj.get("stop", 25.0), "power_sweep_mw.stop"),
                 steps=_integer(sweep_obj.get("steps", 26), "power_sweep_mw.steps"),
             ),

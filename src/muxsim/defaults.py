@@ -11,12 +11,10 @@ from typing import Dict
 
 from .eventsim import route_bin
 from .hsps import SourceParams
-from .mux import MEMS_ASYMMETRY, MuxBin, MuxTopology
+from .mux import BIN_SPACING_S, MEMS_ASYMMETRY, REP_RATE_HZ, MuxBin, MuxTopology
 # Re-exported: the default electronics live in saturation, free of cycles.
 from .saturation import AMPLIFIER_DEADTIME_S, FULL_CHAIN, IDLE_TIME_S  # noqa: F401
 
-REP_RATE_HZ = 80e6
-BIN_SPACING_S = 3e-9
 N_DELAYS = 4
 
 # Measured pump power share per delay bin (pass 2 is additionally halved

@@ -458,12 +458,10 @@ def _rates_from_trace(trace: EventTrace) -> RateReport:
     r_trig, e_trig = _binomial_rate(n_trig, n, trace.rep_rate_hz)
     r_c, e_c = _binomial_rate(n_c, n, trace.rep_rate_hz)
     r_a, e_a = _binomial_rate(n_a, n, trace.rep_rate_hz)
-    car = n_c / n_a if n_a > 0 else None
     return RateReport(
         r_trig_hz=r_trig,
         r_coincidence_hz=r_c,
         r_accidental_hz=r_a,
-        car=car,
         r_trig_err_hz=e_trig,
         r_coincidence_err_hz=e_c,
         r_accidental_err_hz=e_a,

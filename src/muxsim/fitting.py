@@ -7,14 +7,15 @@ is a weighted least-squares problem.  A box-bounded Levenberg-Marquardt
 solver in numpy advances all starts together, one call of the rate model
 per iteration on the trial points of every start still running; that call
 evaluates each point once and gives its residuals with their exact
-Jacobian, from the closed forms of `hsps` run on forward-mode tangent
-arrays (`_Tangent`, which the spectral fit shares) and from the one
-hand-derived input, `DeadtimeChain.acceptance_slope`.  Sources that share a
-model kind, a power column and a residual space are solved together, their
-starts in one solver run, each start on its own source's residuals; every
-source still gets the fit it gets alone.  The Jacobian at the optimum gives
-each parameter a standard error.  Observation tables are read, and the fit
-table written, through the CSV layer in `report`.
+Jacobian: `predict_rates`' composition, `source_probs` then
+`mux.saturated_rates`, runs on forward-mode tangent arrays (`_Tangent`, which
+the spectral fit shares), and the one derivative rule written by hand, the
+deadtime acceptance slope, comes in through `saturated_rates`.  Sources
+that share a model kind, a power column and a residual space are solved
+together, their starts in one solver run, each start on its own source's
+residuals; every source still gets the fit it gets alone.  The Jacobian at
+the optimum gives each parameter a standard error.  Observation tables are
+read, and the fit table written, through the CSV layer in `report`.
 """
 
 import functools
@@ -32,7 +33,7 @@ from .hsps import (
     source_probs,
     xi_from_power,
 )
-from .mux import saturated_rates
+from .mux import REP_RATE_HZ, saturated_rates
 from .report import read_csv, write_csv
 from .saturation import DeadtimeChain, SaturationError, true_from_detected
 
@@ -170,11 +171,7 @@ def _rates_and_slopes(
     # -c sqrt(P) (1 - xi^2) / 2.
     dxi = -0.5 * coupling * np.sqrt(powers) * (1.0 - xi * xi)
     xi = _Tangent(xi, directions[2] * dxi)
-    p_trig, p_c, p_a = source_probs(xi, eta_i, eta_s, f)
-    # saturated_rates' p * (rep_rate_hz * A), with A's slope in p_trig.
-    acceptance, slope = chain.acceptance_slope(p_trig.value, rep_rate_hz)
-    accepted = _Tangent(rep_rate_hz * acceptance, p_trig.tangent * (rep_rate_hz * slope))
-    rates = [p * accepted for p in (p_trig, p_c, p_a)]
+    rates = saturated_rates(*source_probs(xi, eta_i, eta_s, f), rep_rate_hz, chain)
     jac = np.stack([r.tangent for r in rates], axis=-1).transpose(1, 3, 2, 0)
     return np.stack([r.value for r in rates], axis=1), jac
 
@@ -560,7 +557,7 @@ def fit_source(
     observations: Sequence[Observation],
     model_kind: str,
     deadtime_chain: DeadtimeChain,
-    rep_rate_hz: float = 80e6,
+    rep_rate_hz: float = REP_RATE_HZ,
     seed: int = 0,
     n_starts: int = N_STARTS,
 ) -> FitResult:
@@ -586,7 +583,7 @@ def fit_all(
     observations_by_source: Mapping[str, Sequence[Observation]],
     model_kind_by_source: Mapping[str, str],
     deadtime_chain: DeadtimeChain,
-    rep_rate_hz: float = 80e6,
+    rep_rate_hz: float = REP_RATE_HZ,
     seed: int = 0,
 ) -> Dict[str, object]:
     """Fit every source as fit_source does alone, with the same result or

@@ -13,8 +13,9 @@ herald, coincidence and accidental.  ``emission_probs`` splits the
 coincidences into one and several signal photons delivered; no rate needs
 that split.  Both weigh the same two herald branches (``_herald_split``).
 No derivative is written here: the fitter runs ``source_probs`` on
-tangent arrays (`fitting._Tangent`); its one hand-derived input is
-`saturation.DeadtimeChain.acceptance_slope`.
+tangent arrays (`fitting._Tangent`) and passes them on to
+`mux.saturated_rates`, whose deadtime acceptance slope is the one
+derivative rule written by hand (`saturation.DeadtimeChain.acceptance`).
 """
 
 import math

@@ -38,6 +38,10 @@ PASS2_POWER_FACTOR = 0.5
 # path's eta_sw; it is what the extrinsic-removed variants take out.
 MEMS_ASYMMETRY = 0.96
 
+# The apparatus clock, and the spacing of its time bins.
+REP_RATE_HZ = 80e6
+BIN_SPACING_S = 3e-9
+
 Probs = TypeVar("Probs", SourceProbs, EmissionProbs)
 
 
@@ -69,8 +73,8 @@ class MuxTopology:
     """Priority-ordered bins plus the clock parameters they share."""
 
     bins: Tuple[MuxBin, ...]
-    rep_rate_hz: float = 80e6
-    bin_spacing_s: float = 3e-9
+    rep_rate_hz: float = REP_RATE_HZ
+    bin_spacing_s: float = BIN_SPACING_S
 
     def __post_init__(self):
         if not self.bins:
@@ -198,13 +202,7 @@ def saturated_report(
 ) -> RateReport:
     """Rates with the deadtime chain thinning the accepted-herald stream;
     CAR is unchanged."""
-    r_trig, r_c, r_a = saturated_rates(*probs, rep_rate_hz, chain)
-    return RateReport(
-        r_trig_hz=r_trig,
-        r_coincidence_hz=r_c,
-        r_accidental_hz=r_a,
-        car=(r_c / r_a) if r_a > 0.0 else None,
-    )
+    return RateReport(*saturated_rates(*probs, rep_rate_hz, chain))
 
 
 def simple_mux_single_prob(

@@ -15,17 +15,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class RateReport:
-    """Trigger / coincidence / accidental rates in Hz, plus CAR.
+    """Trigger / coincidence / accidental rates in Hz, and their CAR.
 
     Standard errors are populated only for Monte Carlo derived reports;
-    analytic reports leave them as None.  ``car`` is None when the
-    accidental rate is zero (CAR undefined).
+    analytic reports leave them as None.
     """
 
     r_trig_hz: float
     r_coincidence_hz: float
     r_accidental_hz: float
-    car: Optional[float]
     r_trig_err_hz: Optional[float] = None
     r_coincidence_err_hz: Optional[float] = None
     r_accidental_err_hz: Optional[float] = None
@@ -34,6 +32,12 @@ class RateReport:
         for name in ("r_trig_hz", "r_coincidence_hz", "r_accidental_hz"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+
+    @property
+    def car(self) -> Optional[float]:
+        """Coincidence-to-accidental ratio; None (undefined) when r_a = 0."""
+        r_a = self.r_accidental_hz
+        return self.r_coincidence_hz / r_a if r_a > 0.0 else None
 
 
 def open_output(path, mode: str = "w", **kwargs):

@@ -69,25 +69,31 @@ class DeadtimeChain:
         A point costs K exponentials: K = 17 for the default chain (a = 8,
         I = 160 at 80 MHz).  Points go through in blocks of at most
         BLOCK_TERMS // K, so a call holds three arrays of at most BLOCK_TERMS
-        floats (five for acceptance_slope) whatever the size of p.  Each p
-        is evaluated alone, so its acceptance does not depend on the shape
-        of the array it comes in.
-        """
-        return _acceptance(self, p, rep_rate_hz, slope=False)[0]
+        floats (five with a tangent) whatever the size of p.  Each p is
+        evaluated alone, so its acceptance does not depend on the shape of
+        the array it comes in.
 
-    def acceptance_slope(
-        self, p: ArrayLike, rep_rate_hz: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The acceptance A of `acceptance`, with the same bits, and its
-        derivative dA/dp, broadcast over p: -c A^2 for one stage that can
-        block, -A^2 (I + E[r] + p dE[r]/dp) for two.  V_k and dV_k/dq come
-        out of one Horner pass, and each p is evaluated alone, as in
-        `acceptance`; the slope is finite on all of [0, 1]."""
-        return _acceptance(self, p, rep_rate_hz, slope=True)
+        A p with a ``value`` and a forward-mode ``tangent`` (a
+        `fitting._Tangent`) gets its own type back: A, with a plain call's
+        bits, and the tangent times dA/dp, the one derivative rule written
+        by hand: -c A^2 for one stage that can block,
+        -A^2 (I + E[r] + p dE[r]/dp) for two, finite on all of [0, 1].  The
+        fitter reaches it through `mux.saturated_rates`; a plain p takes the
+        value-only pass.
+        """
+        if not (hasattr(p, "value") and hasattr(p, "tangent")):
+            return _acceptance(self, p, rep_rate_hz, slope=False)[0]
+        accepted, slope = _acceptance(self, p.value, rep_rate_hz, slope=True)
+        # Unit axes after the leading one lift a tangent with fewer axes than
+        # its value, as fitting's operators lift one.
+        tangent, ndim = p.tangent, slope.ndim
+        if tangent.ndim <= ndim:
+            tangent = np.expand_dims(tangent, tuple(range(1, ndim + 2 - tangent.ndim)))
+        return type(p)(accepted, tangent * slope)
 
 
 def _acceptance(chain: DeadtimeChain, p: ArrayLike, rep_rate_hz: float, slope: bool):
-    """(A, dA/dp or None) of DeadtimeChain.acceptance and acceptance_slope."""
+    """(A, dA/dp or None) of DeadtimeChain.acceptance."""
     p = np.asarray(p, dtype=float)
     rising, law = _renewal_law(chain, rep_rate_hz)
     if law is None:  # at most one stage can block

@@ -383,7 +383,7 @@ def test_car_monotone_decreasing_in_power():
 
 def test_rate_report_rejects_negative_rates():
     with pytest.raises(ValueError):
-        RateReport(r_trig_hz=-1.0, r_coincidence_hz=0.0, r_accidental_hz=0.0, car=None)
+        RateReport(r_trig_hz=-1.0, r_coincidence_hz=0.0, r_accidental_hz=0.0)
 
 
 def test_source_params_validation():

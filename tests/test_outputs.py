@@ -1,5 +1,6 @@
 """The CLI's output files, byte for byte, the shared CSV writer's edge cases,
-the one function that opens them, and the one module that imports csv."""
+the one function that opens them, the one module that imports csv, and the
+one function that calls the deadtime acceptance."""
 
 import ast
 import csv
@@ -315,3 +316,45 @@ def test_only_report_imports_csv():
 )
 def test_csv_import_check_sees_each_kind_of_import(source, imports):
     assert _imports_csv(ast.parse(source)) == imports
+
+
+# --- the one saturation path -----------------------------------------------------
+
+def _acceptance_readers(tree: ast.AST, scope: str = ""):
+    """(enclosing function, line) of every `.acceptance` attribute under
+    tree, called or not."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "acceptance":
+            yield scope, node.lineno
+        yield from _acceptance_readers(node, inner)
+
+
+def test_only_saturated_rates_calls_the_acceptance():
+    found = [
+        (path.name, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope, _ in _acceptance_readers(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == [("mux.py", "saturated_rates")]
+
+
+@pytest.mark.parametrize(
+    "source, reads",
+    [
+        ("chain.acceptance(p, rep)", True),
+        ("self.deadtime_chain.acceptance(0.0, rep)", True),
+        ("accept = chain.acceptance", True),
+        ("rates = map(lambda p: chain.acceptance(p, rep), ps)", True),
+        ("saturated_rates(0.0, 0.0, 0.0, rep, chain)", False),
+        ("chain.acceptances(p)", False),
+        ("acceptance = 1.0", False),
+    ],
+)
+def test_acceptance_check_sees_each_kind_of_read(source, reads):
+    found = list(_acceptance_readers(ast.parse(f"def f():\n    {source}\n")))
+    assert found == ([("f", 2)] if reads else [])
+    found = list(_acceptance_readers(ast.parse(source)))
+    assert found == ([("", 1)] if reads else [])

@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from muxsim import DeadtimeChain, detected_from_true, true_from_detected
+from muxsim import DeadtimeChain, detected_from_true, saturation, true_from_detected
 from muxsim.defaults import FULL_CHAIN, default_topology
 from muxsim.eventsim import _accept_heralds
+from muxsim.fitting import _Tangent
 from muxsim.mux import bin_table, priority_nest
 from muxsim.saturation import MAX_IDLE_BLOCK, SaturationError
 
@@ -270,17 +271,24 @@ def test_longest_window_after_a_one_cycle_stage_stays_finite():
     assert accepted[-1] == pytest.approx(1.0 / (MAX_IDLE_BLOCK + 2), rel=1e-12)
 
 
-# --- the acceptance slope ------------------------------------------------------------
+# --- the acceptance slope, carried by a tangent -------------------------------------
+
+def _with_slope(chain, p, rep):
+    """(A, dA/dp) from acceptance on p with one unit tangent direction."""
+    out = chain.acceptance(_Tangent(p, np.ones((1,) + np.shape(p))), rep)
+    assert type(out) is _Tangent
+    return out.value, out.tangent[0]
+
 
 def test_one_stage_slope_is_the_derivative_of_the_poisson_formula():
     rep = 80e6
     p = np.concatenate([[0.0, 1.0], 10 ** np.random.default_rng(66).uniform(-9, 0, 50)])
     for block in (1, 8, 160, 1000):
         chain = DeadtimeChain((block / rep,))
-        accepted, slope = chain.acceptance_slope(p, rep)
+        accepted, slope = _with_slope(chain, p, rep)
         assert np.array_equal(accepted, chain.acceptance(p, rep))
         np.testing.assert_allclose(slope, -block / (1.0 + block * p) ** 2, rtol=1e-14)
-    accepted, slope = DeadtimeChain(()).acceptance_slope(p, rep)
+    accepted, slope = _with_slope(DeadtimeChain(()), p, rep)
     assert (accepted == 1.0).all() and (slope == 0.0).all()
 
 
@@ -292,7 +300,7 @@ def test_two_stage_slope_matches_central_differences():
         for a in rng.integers(1, 20, 10)
     ]
     for chain, rep in chains:
-        accepted, slope = chain.acceptance_slope(p, rep)
+        accepted, slope = _with_slope(chain, p, rep)
         assert np.array_equal(accepted, chain.acceptance(p, rep))
         h = 1e-7
         central = (chain.acceptance(p + h, rep) - chain.acceptance(p - h, rep)) / (2.0 * h)
@@ -305,7 +313,7 @@ def test_slope_is_finite_at_the_ends():
     for a, idle in ((8, 160), (1, 2), (15, 300), (1, MAX_IDLE_BLOCK)):
         chain = DeadtimeChain((float(a), float(idle)))
         ends = np.array([0.0, 1e-320, 1.0])
-        accepted, slope = chain.acceptance_slope(ends, 1.0)
+        accepted, slope = _with_slope(chain, ends, 1.0)
         assert np.isfinite(slope).all()
         assert slope[0] == slope[1] == -idle
         h = 1e-8
@@ -320,13 +328,53 @@ def test_slope_of_a_point_does_not_depend_on_the_array_it_comes_in():
     pass1 = [k for k, b in enumerate(topo.bins) if b.pass_id == 1]
     mux8, mux4 = priority_nest(table), priority_nest(table.take(pass1))
     p = np.column_stack([mux8.p_trig, mux4.p_trig, table.p_trig])
-    whole = FULL_CHAIN.acceptance_slope(p, 80e6)[1].reshape(-1)
+    whole = _with_slope(FULL_CHAIN, p, 80e6)[1].reshape(-1)
     flat = p.reshape(-1)
-    assert np.array_equal(FULL_CHAIN.acceptance_slope(flat, 80e6)[1], whole)
-    assert np.array_equal(FULL_CHAIN.acceptance_slope(flat[:, None], 80e6)[1][:, 0], whole)
+    assert np.array_equal(_with_slope(FULL_CHAIN, flat, 80e6)[1], whole)
+    assert np.array_equal(_with_slope(FULL_CHAIN, flat[:, None], 80e6)[1][:, 0], whole)
     for k in (1, 2, 17, 85):
-        rows = FULL_CHAIN.acceptance_slope(flat[: 12 * k].reshape(k, 12), 80e6)[1]
+        rows = _with_slope(FULL_CHAIN, flat[: 12 * k].reshape(k, 12), 80e6)[1]
         assert np.array_equal(rows.reshape(-1), whole[: 12 * k])
     for i in np.random.default_rng(68).integers(0, flat.size, 50):
-        assert FULL_CHAIN.acceptance_slope(flat[i], 80e6)[1] == whole[i]
-        assert FULL_CHAIN.acceptance_slope(flat[i : i + 1], 80e6)[1][0] == whole[i]
+        assert _with_slope(FULL_CHAIN, flat[i], 80e6)[1] == whole[i]
+        assert _with_slope(FULL_CHAIN, flat[i : i + 1], 80e6)[1][0] == whole[i]
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [DeadtimeChain(()), DeadtimeChain((1e-7,)), FULL_CHAIN],
+    ids=["empty", "one-stage", "default"],
+)
+def test_each_tangent_direction_is_scaled_by_the_slope(chain):
+    rng = np.random.default_rng(69)
+    p = 10 ** rng.uniform(-6, -0.5, (3, 7))
+    _, slope = _with_slope(chain, p, 80e6)
+    directions = rng.normal(size=(4, 3, 7))
+    # A tangent with fewer axes than its value broadcasts as fitting's
+    # operators lift it: unit axes after the leading one.
+    for tangent, lifted in (
+        (directions, directions),
+        (directions[..., :1], directions[..., :1]),
+        (directions[:, 0], directions[:, :1]),
+    ):
+        out = chain.acceptance(_Tangent(p, tangent), 80e6)
+        assert np.array_equal(out.value, chain.acceptance(p, 80e6))
+        assert out.tangent.shape == (4, 3, 7)
+        assert np.array_equal(out.tangent, lifted * slope)
+
+
+def test_only_a_tangent_takes_the_slope_pass(monkeypatch):
+    passes = []
+    real = saturation._acceptance
+
+    def spy(chain, p, rep_rate_hz, slope):
+        passes.append(slope)
+        return real(chain, p, rep_rate_hz, slope)
+
+    monkeypatch.setattr(saturation, "_acceptance", spy)
+    p = np.array([[1e-3, 2e-3], [3e-3, 4e-3]])
+    FULL_CHAIN.acceptance(p, 80e6)
+    FULL_CHAIN.acceptance(0.01, 80e6)
+    assert passes == [False, False]
+    FULL_CHAIN.acceptance(_Tangent(p, np.ones((1, 2, 2))), 80e6)
+    assert passes == [False, False, True]
