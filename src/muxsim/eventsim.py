@@ -310,7 +310,7 @@ def _non_paralyzable(cycles: np.ndarray, block: int) -> np.ndarray:
     return passed
 
 
-def _bernoulli_cycles(q: float, n: int, rng: np.random.Generator) -> np.ndarray:
+def _bernoulli_cycles(q: float, n: int, rng: "np.random.Generator") -> np.ndarray:
     """Ascending cycles in [0, n) of a Bernoulli(q) process, as cumulative
     sums of geometric gaps.  Each block draws a few standard deviations more
     gaps than the rest of the run is expected to need, up to _GAP_BLOCK."""
@@ -327,7 +327,7 @@ def _bernoulli_cycles(q: float, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _bin_candidates(
-    p: float, f: float, n: int, rng: np.random.Generator
+    p: float, f: float, n: int, rng: "np.random.Generator"
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(cycles, idler clicked) of one bin's herald candidates, where the idler
     clicks with probability p and a back-reflection with f p.

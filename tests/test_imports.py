@@ -1,6 +1,7 @@
 """The numpy-only path: importing muxsim and running any command loads no
-scipy module, and fit and spectra load no numpy.ma (about 1 MB and 10 ms
-that np.median and a bare np.unique would import)."""
+scipy module, fit and spectra load no numpy.ma (about 1 MB and 10 ms that
+np.median and a bare np.unique would import), and the commands that never
+draw load no numpy.random (about 6 MB and 12-15 ms)."""
 
 import json
 import subprocess
@@ -38,8 +39,9 @@ def test_model_car_simulate_load_no_scipy(tmp_path):
         assert _loaded_modules(code) == [], command
 
 
-def _fit_and_spectra(tmp_path) -> str:
-    """Code that runs fit and spectra on small input files."""
+def _fit_and_spectra(tmp_path, run=("fit", "spectra")) -> str:
+    """Code that runs fit and spectra (or those of them named in run) on
+    small input files."""
     powers = np.linspace(2.0, 25.0, 6)
     lines = ["power_mw,r_trig,r_c,r_a"] + [
         f"{p},{1e4 * p},{30.0 * p},{0.2 * p * p}" for p in powers
@@ -58,7 +60,7 @@ def _fit_and_spectra(tmp_path) -> str:
         ["spectra", "--spectra-dir", str(spectra), "--out", str(tmp_path / "spectra-out")],
     )
     return "import muxsim.cli\n" + "".join(
-        f"assert muxsim.cli.main({argv!r}) == 0\n" for argv in commands
+        f"assert muxsim.cli.main({argv!r}) == 0\n" for argv in commands if argv[0] in run
     )
 
 
@@ -73,3 +75,15 @@ def test_fit_and_spectra_load_no_numpy_ma(tmp_path):
     code = _fit_and_spectra(tmp_path)
     assert _loaded_modules(code, "numpy.ma") == []
     assert "numpy.ma" in _loaded_modules(code + "import numpy as np\nnp.median([1.0])", "numpy.ma")
+
+
+def test_commands_that_never_draw_load_no_numpy_random(tmp_path):
+    assert _loaded_modules("import muxsim.cli", "numpy.random") == []
+    for command in (["model"], ["car"]):
+        out = str(tmp_path / command[0])
+        code = f"import muxsim.cli\nassert muxsim.cli.main({command + ['--out', out]!r}) == 0"
+        assert _loaded_modules(code, "numpy.random") == [], command
+    assert _loaded_modules(_fit_and_spectra(tmp_path, run=("spectra",)), "numpy.random") == []
+    # The guard can see numpy.random when a command draws.
+    code = f"import muxsim.cli\nassert muxsim.cli.main(['simulate', '--cycles', '1000', '--out', {str(tmp_path / 'sim')!r}]) == 0"
+    assert "numpy.random" in _loaded_modules(code, "numpy.random")

@@ -1,6 +1,7 @@
 """The CLI's output files, byte for byte, the shared CSV writer's edge cases,
-the one function that opens them, the one module that imports csv, and the
-one function that calls the deadtime acceptance."""
+the one function that opens them, the one module that imports csv and
+holds the float-cell format, and the one function that calls the deadtime
+acceptance."""
 
 import ast
 import csv
@@ -9,6 +10,7 @@ import io
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from hypothesis import given, strategies as st
 from muxsim.cli import main
 from muxsim.defaults import FULL_CHAIN
 from muxsim.fitting import predict_rates
-from muxsim.report import _cells
+from muxsim import report
+from muxsim.report import _float_cells, _rows, _string_cells, write_csv
 from muxsim.spectral import SpectrumModel
 
 # sha256 of each output, recorded from the per-row dict writer that the
@@ -176,8 +179,46 @@ def test_string_cells_are_quoted_as_csv_writer_quotes_them(rows):
     writes a row of one empty cell as '""' so that it is not a blank line."""
     expected = io.StringIO()
     csv.writer(expected, lineterminator="\n").writerows(rows)
-    assert "".join(",".join(_cells(row)) + "\n" for row in rows) == expected.getvalue()
+    written = b"".join(
+        _rows([_string_cells([cell], "utf-8") for cell in row], 0, 1).tobytes() for row in rows
+    )
+    assert written == expected.getvalue().encode("utf-8")
 
+
+def _per_value(v: float) -> str:
+    return "" if math.isnan(v) else "%.10g" % v
+
+
+def _float_texts(values) -> list:
+    """The cell of each value as the float-cell kernel lays it out."""
+    slots = _float_cells(np.array(values, dtype=float))
+    return [bytes(cell[cell != 0]).decode("ascii") for cell in slots.T]
+
+
+def _nudged(x: float):
+    """x and its two neighbouring floats."""
+    return st.sampled_from([x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)])
+
+
+def _power_of_ten(k: int) -> float:
+    return float(10**k) if k >= 0 else float(f"1e{k}")
+
+
+_MANTISSA = st.integers(10**9, 10**10 - 1)
+# Values that sit on %g's roundings and form switches: ties and near ties
+# of the 11th digit, exact decimal ties (round half to even), the carry of
+# 9999999999.5 to 1e+10, powers of ten, the fixed/exponent switch points,
+# subnormals and the values the kernel leaves to "%.10g".
+_HARD_FLOATS = st.one_of(
+    st.builds(lambda m, k: (m + 0.5) * 10.0**k, _MANTISSA, st.integers(-25, 25)).flatmap(_nudged),
+    st.builds(lambda m, k: float((10 * m + 5) * 10**k), _MANTISSA, st.integers(0, 4)),
+    _MANTISSA.map(lambda m: m + 0.5),
+    st.integers(-25, 25).map(lambda k: 9999999999.5 * 10.0**k).flatmap(_nudged),
+    st.integers(-30, 31).map(_power_of_ten).flatmap(_nudged),
+    st.sampled_from([1e-5, 1e-4, 1e10]).flatmap(_nudged),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+).flatmap(lambda x: st.sampled_from([x, -x]))
 
 _EDGE_FLOATS = st.sampled_from(
     [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
@@ -185,10 +226,98 @@ _EDGE_FLOATS = st.sampled_from(
 )
 
 
-@given(values=st.lists(st.floats() | _EDGE_FLOATS, max_size=300))
+@given(values=st.lists(st.floats() | _EDGE_FLOATS | _HARD_FLOATS, max_size=300))
 def test_float_cells_match_per_value_formatting(values):
-    expected = ["" if math.isnan(v) else "%.10g" % v for v in values]
-    assert _cells(np.array(values, dtype=float)) == expected
+    assert _float_texts(values) == [_per_value(v) for v in values]
+
+
+def test_float_cells_match_on_random_bits_and_magnitudes():
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2**64, 20000, dtype=np.uint64, endpoint=False)
+    magnitudes = 10.0 ** rng.uniform(-16.0, 34.0, 20000) * rng.choice([-1.0, 1.0], 20000)
+    values = np.concatenate([bits.view(np.float64), magnitudes]).tolist()
+    assert _float_texts(values) == [_per_value(v) for v in values]
+
+
+def _csv_writer_bytes(path, header, columns) -> bytes:
+    """The bytes csv.writer writes for the table through a text handle,
+    each float cell formatted on its own."""
+    cells = [
+        [_per_value(v) for v in column.tolist()] if isinstance(column, np.ndarray) else column
+        for column in columns
+    ]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
+    return Path(path).read_bytes()
+
+
+def _text_cells(cells):
+    """Strings with commas, quotes, line breaks, NUL and non-ASCII text, and
+    a few repeated labels."""
+    return st.lists(st.text() | st.sampled_from(["MUX8", "a,b", "Ω", "x\x00y", ""]),
+                    min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=cells, max_size=cells)
+    )
+
+
+@st.composite
+def _tables(draw):
+    """(header, columns): two to five columns of strings or floats, of zero,
+    one or a few rows, with a block of a few cells so that rows straddle
+    block boundaries."""
+    n_rows = draw(st.sampled_from([0, 1, 2, 3, 7, 16]))
+    kinds = draw(st.lists(st.booleans(), min_size=2, max_size=5))
+    floats = st.floats() | _EDGE_FLOATS | _HARD_FLOATS
+    columns = [
+        np.array(draw(st.lists(floats, min_size=n_rows, max_size=n_rows)), dtype=float)
+        if is_float else draw(_text_cells(n_rows))
+        for is_float in kinds
+    ]
+    header = draw(st.lists(st.text(), min_size=len(columns), max_size=len(columns)))
+    return header, columns
+
+
+@given(
+    table=_tables(),
+    block_cells=st.sampled_from([1, 5, 8, 12, 4096]),
+    kernel_min_cells=st.sampled_from([0, 2**10]),
+)
+def test_tables_are_written_as_csv_writer_writes_them(
+    tmp_path_factory, table, block_cells, kernel_min_cells
+):
+    """Through the kernel's blocks, and value by value as small tables are."""
+    header, columns = table
+    root = tmp_path_factory.mktemp("tables")
+    with mock.patch.multiple(
+        report, _CSV_BLOCK_CELLS=block_cells, _KERNEL_MIN_CELLS=kernel_min_cells
+    ):
+        write_csv(root / "table.csv", header, columns)
+    assert (root / "table.csv").read_bytes() == _csv_writer_bytes(root / "expected.csv", header, columns)
+
+
+def test_a_table_straddles_the_block_boundary(tmp_path):
+    """Rows on both sides of the first and second block boundaries, with
+    cells that the kernel formats and cells it leaves to "%.10g"."""
+    rows = 2 * (report._CSV_BLOCK_CELLS // 3) + 1
+    assert 3 * rows >= report._KERNEL_MIN_CELLS
+    rng = np.random.default_rng(3)
+    values = 10.0 ** rng.uniform(-8.0, 12.0, rows)
+    values[::97] = np.nan
+    values[::89] = 0.0
+    columns = [["MUX8", "MUX4", "Ω,x"] * (rows // 3) + ["end"], values, -values[::-1]]
+    header = ["source", "value", "negated"]
+    write_csv(tmp_path / "table.csv", header, columns)
+    expected = _csv_writer_bytes(tmp_path / "expected.csv", header, columns)
+    assert (tmp_path / "table.csv").read_bytes() == expected
+
+
+def test_columns_of_unequal_length_are_rejected(tmp_path):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match=r"unequal length: \[3, 2, 3\]"):
+        write_csv(path, ["a", "b", "c"], [np.zeros(3), ["x", "y"], np.ones(3)])
+    assert not path.exists()
 
 
 def test_car_on_a_sweep_without_accidentals_writes_empty_curves(tmp_path):
@@ -316,6 +445,51 @@ def test_only_report_imports_csv():
 )
 def test_csv_import_check_sees_each_kind_of_import(source, imports):
     assert _imports_csv(ast.parse(source)) == imports
+
+
+def _float_formats(tree: ast.AST):
+    """Line of every string or bytes constant under tree that holds the
+    ten-digit %g format, in a % format, a format spec or an f-string;
+    docstrings and other bare string statements are prose, not formats."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            continue
+        for child in ast.iter_child_nodes(node):
+            value = getattr(child, "value", None) if isinstance(child, ast.Constant) else None
+            if isinstance(value, bytes):
+                value = value.decode("latin-1")
+            if isinstance(value, str) and ".10g" in value:
+                yield child.lineno
+
+
+def test_only_report_holds_the_float_cell_format():
+    found = sorted(
+        {
+            path.name
+            for path in PACKAGE.glob("*.py")
+            for _ in _float_formats(ast.parse(path.read_text(), str(path)))
+        }
+    )
+    assert found == ["report.py"]
+
+
+@pytest.mark.parametrize(
+    "source, holds",
+    [
+        ('text = "%.10g" % v', True),
+        ('text = b"%.10g" % v', True),
+        ('text = f"{v:.10g}"', True),
+        ('text = format(v, ".10g")', True),
+        ('text = "{:.10g}".format(v)', True),
+        ('cells = ("%.10g\\n" * n) % values', True),
+        ('text = "%.6g" % v', False),
+        ('text = f"{v:.6g}"', False),
+        ('"""Floats are written as %.10g writes them."""', False),
+    ],
+)
+def test_float_format_check_sees_each_kind_of_format(source, holds):
+    assert bool(list(_float_formats(ast.parse(f"def f(v):\n    {source}\n")))) == holds
+    assert bool(list(_float_formats(ast.parse(source)))) == holds
 
 
 # --- the one saturation path -----------------------------------------------------
