@@ -79,6 +79,8 @@ class Scenario:
     def __post_init__(self):
         if self.cycles < 1:
             raise ScenarioError(f"cycles must be >= 1, got {self.cycles}")
+        if self.seed < 0:
+            raise ScenarioError(f"simulation.seed must be >= 0, got {self.seed}")
         if self.reference_power_mw < 0.0:
             raise ScenarioError(
                 f"reference_power_mw must be >= 0, got {self.reference_power_mw}"
@@ -375,7 +377,8 @@ def cmd_simulate(
         deadtime_chain=scenario.deadtime_chain,
         rng_seed=scenario.seed,
     )
-    trace, report = run_pulse_train(config)
+    # Without --trace no records are kept: memory stays bounded by one chunk.
+    records, report = run_pulse_train(config, trace=export_trace)
     probs = evaluate_mux(scenario.topology, scenario.reference_power_mw)
     analytic = saturated_report(
         probs, scenario.topology.rep_rate_hz, scenario.deadtime_chain
@@ -398,7 +401,7 @@ def cmd_simulate(
     written = [csv_path]
     if export_trace:
         trace_path = out_dir / "trace.csv"
-        trace.to_csv(trace_path)
+        records.to_csv(trace_path)
         written.append(trace_path)
     return written
 

@@ -37,13 +37,26 @@ per-cycle arrays on demand.  Since p_k comes from hsps.p_trig_idler, this
 sampler does not check that closed form; the dense sampler kept with the
 tests and the per-pulse source oracles of the tests do.
 
+A run is drawn in consecutive chunks of CHUNK_CYCLES = 2^20 cycles, each
+through every step above, so its memory is bounded by one chunk's records
+(a peak of about 2.2 MB of arrays at 40 mW on the default apparatus), not by
+its length.  Two pieces of state cross a chunk boundary: each deadtime
+stage's last pass, and the accidental gate of a herald on the chunk's last
+cycle, whose (cycle + 1, bin) is drawn with the next chunk.  The law is the
+same as one draw over the whole run.  The counts of each chunk are kept as
+one row; the records are kept, and joined into one trace, only when a trace
+is asked for.
+
 The generator is counter-based (Philox), so a fixed seed gives a
-bit-identical trace.
+bit-identical trace.  A run of at most one chunk makes the same draws as the
+unchunked sampler did, so its fixed-seed outputs are unchanged; a longer run
+draws a different stream for the same seed.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -76,10 +89,12 @@ class PulseTrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_clock_cycles <= 0:
-            raise ConfigurationError(
-                f"n_clock_cycles must be > 0, got {self.n_clock_cycles}"
-            )
+        for name, least in (("n_clock_cycles", 1), ("rng_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigurationError(f"{name} must be >= {least}, got {value}")
         if not 0.0 <= self.reference_power_mw < math.inf:
             raise ConfigurationError("reference_power_mw must be finite and >= 0")
         topo = self.topology
@@ -93,6 +108,8 @@ class PulseTrainConfig:
             route_bin(bin_.delay_id, slots)  # raises RoutingError if unroutable
 
 
+# Cycles drawn per chunk: a run's working set is one chunk's records.
+CHUNK_CYCLES = 1 << 20
 # Most geometric gaps drawn per block when skipping ahead to candidate cycles.
 _GAP_BLOCK = 1 << 16
 _CSV_HEADER = (
@@ -268,7 +285,11 @@ def route_bin(herald_bin: int, n_output_bins: int) -> Tuple[Tuple[int, ...], int
 
 
 def _accept_heralds(
-    candidate_cycles: np.ndarray, rep_rate_hz: float, chain: DeadtimeChain
+    candidate_cycles: np.ndarray,
+    rep_rate_hz: float,
+    chain: DeadtimeChain,
+    last_passed: Optional[dict] = None,
+    survivors: Optional[list] = None,
 ) -> np.ndarray:
     """Boolean acceptance per candidate after sequential refractory stages.
 
@@ -278,12 +299,27 @@ def _accept_heralds(
     A stage whose block is no longer than an earlier stage's is skipped: the
     survivors it would see are already spaced further apart, so it would
     pass them all.
+
+    `last_passed` continues the cascade from the candidates before these.  It
+    maps each rising stage's block to the last cycle that stage passed, which
+    goes before the stage's input as a sure pass, and is updated in place.
+    `survivors`, if given, gets the number of candidates passing each rising
+    stage appended.
     """
+    if last_passed is None:
+        last_passed = {}
     accepted = np.ones(candidate_cycles.size, dtype=bool)
     longest = -1
     for block in chain.blocks(rep_rate_hz):
         if block > longest:
-            accepted[accepted] = _non_paralyzable(candidate_cycles[accepted], block)
+            # A pass at cycle -(block + 1) blocks no cycle of the run.
+            first = last_passed.get(block, -block - 1)
+            cycles = np.concatenate(([first], candidate_cycles[accepted]))
+            passed = _non_paralyzable(cycles, block)
+            accepted[accepted] = passed[1:]
+            last_passed[block] = int(cycles[passed][-1])
+            if survivors is not None:
+                survivors.append(int(np.count_nonzero(passed)) - 1)
             longest = block
     return accepted
 
@@ -360,105 +396,189 @@ def _idler_clicked(
 ) -> np.ndarray:
     """Whether the idler clicked at each wanted key, given the ascending keys
     of all candidate records and their idler flags."""
+    if not keys.size:  # a chunk without candidates can still hold a carried gate
+        return np.zeros(wanted.size, dtype=bool)
     pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
     return (keys[pos] == wanted) & idler[pos]
 
 
-def run_pulse_train(config: PulseTrainConfig) -> Tuple[EventTrace, RateReport]:
-    """Simulate the full apparatus for config.n_clock_cycles clock cycles."""
-    topo = config.topology
-    bins = topo.bins
-    n = config.n_clock_cycles
-    n_bins = len(bins)
-    slots = max(b.delay_id for b in bins) + 1
-    rng = np.random.Generator(np.random.Philox(config.rng_seed))
+class _Chunk(NamedTuple):
+    """The records of one chunk of cycles, as EventTrace holds them, with
+    the chunk's counters.  The accidental gate of a herald on the chunk's
+    last cycle is drawn with the next chunk and reported there."""
 
-    xi = bin_xi(topo, [config.reference_power_mw])[0]
-    eta_i = np.array([b.source.eta_i for b in bins])
-    p_idler = p_trig_idler(xi, eta_i)
-    f = np.array([b.source.back_reflection_fraction for b in bins])
-    p_back = f * p_idler
-    if np.count_nonzero(p_back > 1.0):
-        raise ConfigurationError(
-            f"f * p_trig reaches {np.max(p_back)} > 1; not a valid probability"
+    cycles: int  # clock cycles in the chunk
+    candidate_cycles: np.ndarray
+    candidate_bin: np.ndarray
+    survivors: Tuple[int, ...]  # candidates passing each rising deadtime stage
+    accepted_index: np.ndarray  # into this chunk's candidates
+    accepted_loop_mask: np.ndarray
+    accepted_photons: np.ndarray
+    accepted_accidental: np.ndarray
+    accepted_back: np.ndarray
+    carried_accidental: bool  # the gate of the previous chunk's last herald clicked
+
+
+class _Sampler:
+    """The set-up of one run, made once, and the state that crosses a chunk
+    boundary: each rising deadtime stage's last pass, and the gate key of a
+    herald on the last chunk's last cycle."""
+
+    def __init__(self, config: PulseTrainConfig):
+        topo = config.topology
+        bins = topo.bins
+        slots = max(b.delay_id for b in bins) + 1
+        self.n = config.n_clock_cycles
+        self.n_bins = len(bins)
+        self.rep_rate_hz = topo.rep_rate_hz
+        self.chain = config.deadtime_chain
+        self.rng = np.random.Generator(np.random.Philox(config.rng_seed))
+
+        xi = bin_xi(topo, [config.reference_power_mw])[0]
+        eta_i = np.array([b.source.eta_i for b in bins])
+        self.p_idler = p_trig_idler(xi, eta_i)
+        self.f = np.array([b.source.back_reflection_fraction for b in bins])
+        p_back = self.f * self.p_idler
+        if np.count_nonzero(p_back > 1.0):
+            raise ConfigurationError(
+                f"f * p_trig reaches {np.max(p_back)} > 1; not a valid probability"
+            )
+        # Success probability of the geometric law of idler photons lost.
+        self.keep = 1.0 - xi * xi * (1.0 - eta_i)
+        self.eta_path = np.array([b.source.eta_s * b.eta_sw for b in bins])
+        self.loop_masks = np.array(
+            [
+                sum(bit << j for j, bit in enumerate(route_bin(b.delay_id, slots)[0]))
+                for b in bins
+            ],
+            dtype=np.int8,
         )
-    # Success probability of the geometric law of idler photons lost.
-    keep = 1.0 - xi * xi * (1.0 - eta_i)
-    eta_path = np.array([b.source.eta_s * b.eta_sw for b in bins])
-    loop_masks = np.array(
-        [
-            sum(bit << j for j, bit in enumerate(route_bin(b.delay_id, slots)[0]))
-            for b in bins
-        ],
-        dtype=np.int8,
+        self.last_passed = {}
+        self.carried = np.zeros(0, dtype=np.int64)
+
+    def draw(self, start: int, stop: int) -> _Chunk:
+        """The records of cycles [start, stop), the chunk after the last one
+        drawn.  Its arrays are freed when it returns, before the next one."""
+        rng, n_bins, p_idler = self.rng, self.n_bins, self.p_idler
+        cyc, own, idl = _merge_bins(
+            [
+                _bin_candidates(p_idler[k], self.f[k], stop - start, rng)
+                for k in range(n_bins)
+            ]
+        )
+        cyc += start
+        heads = np.flatnonzero(np.diff(cyc, prepend=-1))
+        candidate_cycles, candidate_bin = cyc[heads], own[heads]
+        survivors = []
+        accepted = np.flatnonzero(
+            _accept_heralds(
+                candidate_cycles,
+                self.rep_rate_hz,
+                self.chain,
+                self.last_passed,
+                survivors,
+            )
+        )
+        sel = heads[accepted]
+        t_acc, k_acc, back_only = cyc[sel], own[sel], ~idl[sel]
+
+        # Pair numbers of the selected bin, in the herald's cycle and, for the
+        # accidental gate, in the next one: the switch configuration persists
+        # through the idle window, so the next cycle's photons from the same
+        # bin reach the output.  A (cycle, bin) needed twice gets one draw.
+        # The gate of a herald on the chunk's last cycle is drawn with the
+        # next chunk, which holds that cycle's records.
+        in_range = t_acc + 1 < stop
+        carried = self.carried
+        gates = np.concatenate(
+            [(t_acc[in_range] + 1) * n_bins + k_acc[in_range], carried]
+        )
+        wanted, inverse = np.unique(
+            np.concatenate([t_acc * n_bins + k_acc, gates]), return_inverse=True
+        )
+        clicked = _idler_clicked(cyc * n_bins + own, idl, wanted)
+        del cyc, own, idl, heads  # the candidate records are no longer needed
+        k_want = wanted % n_bins
+        # Detected idler photons: >= 1, geometric with ratio p, given a click
+        # and none without one; lost ones given m detected: NegBin(m + 1, keep).
+        detected = np.zeros(wanted.size, dtype=np.int64)
+        detected[clicked] = rng.geometric(1.0 - p_idler[k_want[clicked]])
+        pairs = detected + rng.negative_binomial(detected + 1, self.keep[k_want])
+        photons = rng.binomial(pairs[inverse[: t_acc.size]], self.eta_path[k_acc])
+        clicks = (
+            rng.binomial(pairs[inverse[t_acc.size :]], self.eta_path[gates % n_bins])
+            >= 1
+        )
+        accidental = np.zeros(t_acc.size, dtype=bool)
+        accidental[in_range] = clicks[: clicks.size - carried.size]
+        # On the run's last cycle the gate is out of range and never drawn.
+        pending = ~in_range & (stop < self.n)
+        self.carried = stop * n_bins + k_acc[pending].astype(np.int64)
+        return _Chunk(
+            cycles=stop - start,
+            candidate_cycles=candidate_cycles,
+            candidate_bin=candidate_bin,
+            survivors=tuple(survivors),
+            accepted_index=accepted,
+            accepted_loop_mask=self.loop_masks[k_acc],
+            accepted_photons=photons.astype(np.int32),
+            accepted_accidental=accidental,
+            accepted_back=back_only,
+            carried_accidental=bool(clicks[clicks.size - carried.size :].any()),
+        )
+
+
+@dataclass(frozen=True)
+class ChunkCounts:
+    """Counters of one run, one row per chunk of CHUNK_CYCLES cycles (the
+    last chunk may be shorter).  An accidental is counted in its herald's
+    chunk."""
+
+    cycles: np.ndarray  # clock cycles in each chunk
+    candidates: np.ndarray  # cycles holding a herald candidate
+    survivors: np.ndarray  # (chunks, rising stages): candidates passing each
+    accepted: np.ndarray  # heralds passing the whole chain
+    coincidences: np.ndarray  # accepted heralds with photons at the output
+    accidentals: np.ndarray  # accepted heralds whose shifted gate clicked
+
+
+def run_pulse_train(
+    config: PulseTrainConfig, trace: bool = True
+) -> Tuple[Union[EventTrace, ChunkCounts], RateReport]:
+    """Simulate the full apparatus for config.n_clock_cycles clock cycles.
+
+    Returns the run's EventTrace and its rates.  With trace=False no records
+    are kept: the first element is then the run's ChunkCounts, one row of
+    counters per chunk, and memory stays bounded by one chunk.
+    """
+    sampler = _Sampler(config)
+    n, rep_rate_hz = config.n_clock_cycles, config.topology.rep_rate_hz
+    rows, parts = [], []
+    for start in range(0, n, CHUNK_CYCLES):
+        chunk = sampler.draw(start, min(start + CHUNK_CYCLES, n))
+        if chunk.carried_accidental:
+            rows[-1][-1] += 1
+            if trace:
+                parts[-1].accepted_accidental[-1] = True
+        rows.append(
+            [
+                chunk.cycles,
+                chunk.candidate_cycles.size,
+                *chunk.survivors,
+                chunk.accepted_index.size,
+                np.count_nonzero(chunk.accepted_photons),
+                np.count_nonzero(chunk.accepted_accidental),
+            ]
+        )
+        if trace:
+            parts.append(chunk)
+        del chunk  # without a trace, its records go before the next is drawn
+    table = np.array(rows, dtype=np.int64)
+    totals = table[:, -3:].sum(axis=0).tolist()
+    (r_trig, e_trig), (r_c, e_c), (r_a, e_a) = (
+        _binomial_rate(count, n, rep_rate_hz) for count in totals
     )
-
-    cyc, own, idl = _merge_bins(
-        [_bin_candidates(p_idler[k], f[k], n, rng) for k in range(n_bins)]
-    )
-    heads = np.flatnonzero(np.diff(cyc, prepend=-1))
-    candidate_cycles, candidate_bin = cyc[heads], own[heads]
-    accepted = np.flatnonzero(
-        _accept_heralds(candidate_cycles, topo.rep_rate_hz, config.deadtime_chain)
-    )
-    sel = heads[accepted]
-    t_acc, k_acc, back_only = cyc[sel], own[sel], ~idl[sel]
-
-    # Pair numbers of the selected bin, in the herald's cycle and, for the
-    # accidental gate, in the next one: the switch configuration persists
-    # through the idle window, so the next cycle's photons from the same bin
-    # reach the output.  A (cycle, bin) needed twice gets one draw.
-    in_range = t_acc + 1 < n
-    wanted, inverse = np.unique(
-        np.concatenate(
-            [t_acc * n_bins + k_acc, (t_acc[in_range] + 1) * n_bins + k_acc[in_range]]
-        ),
-        return_inverse=True,
-    )
-    clicked = _idler_clicked(cyc * n_bins + own, idl, wanted)
-    del cyc, own, idl, heads  # the candidate records are no longer needed
-    k_want = wanted % n_bins
-    # Detected idler photons: >= 1, geometric with ratio p, given a click and
-    # none without one; lost ones given m detected: NegBin(m + 1, keep).
-    detected = np.zeros(wanted.size, dtype=np.int64)
-    detected[clicked] = rng.geometric(1.0 - p_idler[k_want[clicked]])
-    pairs = detected + rng.negative_binomial(detected + 1, keep[k_want])
-    photons = rng.binomial(pairs[inverse[: t_acc.size]], eta_path[k_acc])
-    accidental = np.zeros(t_acc.size, dtype=bool)
-    accidental[in_range] = (
-        rng.binomial(pairs[inverse[t_acc.size :]], eta_path[k_acc[in_range]]) >= 1
-    )
-
-    trace = EventTrace(
-        rep_rate_hz=topo.rep_rate_hz,
-        n_cycles=n,
-        candidate_cycles=candidate_cycles,
-        candidate_bin=candidate_bin,
-        accepted_index=accepted,
-        accepted_loop_mask=loop_masks[k_acc],
-        accepted_photons=photons.astype(np.int32),
-        accepted_accidental=accidental,
-        accepted_back=back_only,
-    )
-    return trace, _rates_from_trace(trace)
-
-
-def _binomial_rate(count: int, n: int, rep_rate_hz: float) -> Tuple[float, float]:
-    duration = n / rep_rate_hz
-    p = count / n
-    err = math.sqrt(max(p * (1.0 - p), 0.0) / n) * rep_rate_hz
-    return count / duration, err
-
-
-def _rates_from_trace(trace: EventTrace) -> RateReport:
-    n = trace.n_cycles
-    n_trig = int(trace.accepted_index.size)
-    n_c = int(np.count_nonzero(trace.accepted_photons))
-    n_a = int(np.count_nonzero(trace.accepted_accidental))
-    r_trig, e_trig = _binomial_rate(n_trig, n, trace.rep_rate_hz)
-    r_c, e_c = _binomial_rate(n_c, n, trace.rep_rate_hz)
-    r_a, e_a = _binomial_rate(n_a, n, trace.rep_rate_hz)
-    return RateReport(
+    report = RateReport(
         r_trig_hz=r_trig,
         r_coincidence_hz=r_c,
         r_accidental_hz=r_a,
@@ -466,4 +586,43 @@ def _rates_from_trace(trace: EventTrace) -> RateReport:
         r_coincidence_err_hz=e_c,
         r_accidental_err_hz=e_a,
     )
+    if trace:
+        return _joined_trace(parts, n, rep_rate_hz), report
+    counts = ChunkCounts(
+        cycles=table[:, 0],
+        candidates=table[:, 1],
+        survivors=table[:, 2:-3],
+        accepted=table[:, -3],
+        coincidences=table[:, -2],
+        accidentals=table[:, -1],
+    )
+    return counts, report
 
+
+def _joined_trace(parts, n: int, rep_rate_hz: float) -> EventTrace:
+    """One trace of the records of consecutive chunks."""
+    offsets = np.cumsum([0] + [part.candidate_cycles.size for part in parts[:-1]])
+
+    def joined(field):
+        return np.concatenate([getattr(part, field) for part in parts])
+
+    return EventTrace(
+        rep_rate_hz=rep_rate_hz,
+        n_cycles=n,
+        candidate_cycles=joined("candidate_cycles"),
+        candidate_bin=joined("candidate_bin"),
+        accepted_index=np.concatenate(
+            [part.accepted_index + at for part, at in zip(parts, offsets)]
+        ),
+        accepted_loop_mask=joined("accepted_loop_mask"),
+        accepted_photons=joined("accepted_photons"),
+        accepted_accidental=joined("accepted_accidental"),
+        accepted_back=joined("accepted_back"),
+    )
+
+
+def _binomial_rate(count: int, n: int, rep_rate_hz: float) -> Tuple[float, float]:
+    duration = n / rep_rate_hz
+    p = count / n
+    err = math.sqrt(max(p * (1.0 - p), 0.0) / n) * rep_rate_hz
+    return count / duration, err

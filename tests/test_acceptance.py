@@ -126,7 +126,7 @@ def test_trigger_rate_matches_simulation_across_power_sweep():
     zs = []
     for power in (5.0, 15.0, 25.0, 40.0):
         config = PulseTrainConfig(topology, power, 10**8, FULL_CHAIN, rng_seed=12345)
-        _, report = run_pulse_train(config)
+        _, report = run_pulse_train(config, trace=False)
         p_trig = evaluate_mux(topology, power).p_trig
         analytic = saturated_rates(p_trig, 0.0, 0.0, 80e6, FULL_CHAIN)[0]
         zs.append((report.r_trig_hz - analytic) / report.r_trig_err_hz)
@@ -250,7 +250,7 @@ def test_fit_recovers_simulated_source():
     obs = []
     for i, power in enumerate(np.linspace(2.0, 25.0, 12)):
         config = PulseTrainConfig(topology, power, 10**8, FULL_CHAIN, rng_seed=100 + i)
-        _, report = run_pulse_train(config)
+        _, report = run_pulse_train(config, trace=False)
         obs.append(
             Observation(
                 power, report.r_trig_hz, report.r_coincidence_hz, report.r_accidental_hz

@@ -156,6 +156,37 @@ def test_simulate_zero_cycles_fails(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+@pytest.mark.parametrize("given_by", ["scenario", "flag"])
+def test_negative_seed_rejected(tmp_path, capsys, command, given_by):
+    # Rejected when parsed, before numpy sees it: `fit` used to exit 0 with
+    # numpy's message in every source's error cell.
+    obs = tmp_path / "obs.csv"
+    obs.write_text("source,power_mw,r_trig,r_c,r_a\nA,5.0,1e5,1e3,10\n")
+    if given_by == "scenario":
+        argv = ["--scenario", _scenario(tmp_path, simulation={"seed": -1})]
+    else:
+        argv = ["--scenario", _scenario(tmp_path), "--seed", "-1"]
+    out = tmp_path / "out"
+    argv += ["--observations", str(obs)] if command == "fit" else []
+    assert main([command, *argv, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ScenarioError" and "simulation.seed" in err["detail"]
+    assert not out.exists()
+
+
+def test_simulate_report_is_the_same_with_and_without_trace(tmp_path, monkeypatch):
+    # Without --trace the run keeps only per-chunk counts; across many chunk
+    # boundaries its report matches the traced run's byte for byte.
+    monkeypatch.setattr("muxsim.eventsim.CHUNK_CYCLES", 1009)
+    scenario = _scenario(tmp_path)
+    for name, flags in (("counts", []), ("trace", ["--trace"])):
+        argv = ["simulate", "--scenario", scenario, "--cycles", "50000"]
+        assert main(argv + ["--out", str(tmp_path / name)] + flags) == 0
+    counts = (tmp_path / "counts" / "simulation_report.csv").read_bytes()
+    assert counts == (tmp_path / "trace" / "simulation_report.csv").read_bytes()
+
+
 # --- determinism ------------------------------------------------------------------
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -3,6 +3,7 @@ agreement with the analytic models."""
 
 import csv
 import dataclasses
+import hashlib
 import math
 import os
 import stat
@@ -23,6 +24,7 @@ from muxsim import (
     route_bin,
     run_pulse_train,
 )
+from muxsim import eventsim
 from muxsim.defaults import FULL_CHAIN, IDLE_TIME_S, default_topology
 from muxsim.eventsim import (
     ConfigurationError,
@@ -74,6 +76,31 @@ def test_config_rejects_zero_cycles():
 def test_config_rejects_negative_or_non_finite_power(power):
     with pytest.raises(ConfigurationError, match="reference_power_mw"):
         PulseTrainConfig(_single_bin_topology(0.1, 0.1, 5.0), power, 1000)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_clock_cycles", 1e5),
+        ("n_clock_cycles", True),
+        ("n_clock_cycles", "1000"),
+        ("rng_seed", -1),
+        ("rng_seed", 1.5),
+        ("rng_seed", False),
+    ],
+)
+def test_config_rejects_mistyped_cycles_or_seed(field, value):
+    settings = {"n_clock_cycles": 1000, field: value}
+    with pytest.raises(ConfigurationError, match=field):
+        PulseTrainConfig(_single_bin_topology(0.1, 0.1, 5.0), 5.0, **settings)
+
+
+def test_config_takes_numpy_integers():
+    config = PulseTrainConfig(
+        _single_bin_topology(0.1, 0.1, 5.0), 5.0, np.int64(1000), rng_seed=np.uint32(3)
+    )
+    trace, _ = run_pulse_train(config)
+    assert trace.n_cycles == 1000
 
 
 def test_config_rejects_bins_that_do_not_fit():
@@ -315,8 +342,18 @@ def _pass2_bin_config(n, **settings):
     ids=["default-5mW", "default-40mW", "pass2-bin-no-deadtime", "pass2-bin"],
 )
 def test_sparse_sampler_matches_dense_oracle(make_config):
-    n = 2_000_000
-    config = make_config(n)
+    _assert_matches_dense_oracle(make_config(2_000_000))
+
+
+def test_sparse_sampler_matches_dense_oracle_across_chunks(monkeypatch):
+    # 2000 chunk boundaries; without deadtimes a herald often sits on a
+    # chunk's last cycle, and its accidental gate is drawn with the next chunk.
+    monkeypatch.setattr(eventsim, "CHUNK_CYCLES", 1000)
+    config = _pass2_bin_config(2_000_000, deadtime_chain=NO_DEADTIME)
+    _assert_matches_dense_oracle(config)
+
+
+def _assert_matches_dense_oracle(config):
     sparse, _ = run_pulse_train(dataclasses.replace(config, rng_seed=31))
     dense = dense_eventsim.run_dense_pulse_train(
         dataclasses.replace(config, rng_seed=32)
@@ -369,21 +406,168 @@ def _every_stage(cycles, rep_rate_hz, chain):
     return accepted
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    # Every chain repeats some of its blocks, in any order, so that it holds
-    # repeated stages and, often, stages no longer than an earlier one.
-    blocks=st.lists(st.integers(0, 40), min_size=1, max_size=4).flatmap(
-        lambda blocks: st.permutations(blocks + blocks[: len(blocks) // 2 + 1])
-    ),
-    gaps=st.lists(st.integers(0, 60), max_size=300),
+# Every chain repeats some of its blocks, in any order, so that it holds
+# repeated stages and, often, stages no longer than an earlier one.
+_CHAINS = st.lists(st.integers(0, 40), min_size=1, max_size=4).flatmap(
+    lambda blocks: st.permutations(blocks + blocks[: len(blocks) // 2 + 1])
 )
+_GAPS = st.lists(st.integers(0, 60), max_size=300)  # a zero gap repeats a cycle
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks=_CHAINS, gaps=_GAPS)
 def test_skipping_dominated_stages_accepts_what_every_stage_accepts(blocks, gaps):
-    cycles = np.cumsum(np.array(gaps, dtype=np.int64))  # a zero gap repeats a cycle
+    cycles = np.cumsum(np.array(gaps, dtype=np.int64))
     chain = DeadtimeChain(tuple(float(b) for b in blocks))
     accepted = _accept_heralds(cycles, 1.0, chain)
     assert np.array_equal(accepted, _every_stage(cycles, 1.0, chain))
     assert np.array_equal(accepted, dense_eventsim._accept_heralds(cycles, 1.0, chain))
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks=_CHAINS, gaps=_GAPS, data=st.data())
+def test_chunked_cascade_accepts_what_the_whole_array_accepts(blocks, gaps, data):
+    cycles = np.cumsum(np.array(gaps, dtype=np.int64))
+    chain = DeadtimeChain(tuple(float(b) for b in blocks))
+    span = int(cycles[-1]) + 1 if cycles.size else 1
+    chunk = data.draw(st.integers(1, span), label="chunk_cycles")
+    # Cut every `chunk` cycles, as the sampler does (runs of empty chunks
+    # merged), and at drawn candidates, which can split a repeated cycle or
+    # leave a chunk empty.
+    cuts = data.draw(st.lists(st.integers(0, cycles.size), max_size=5), label="cuts")
+    at_chunks = np.unique(np.searchsorted(cycles, np.arange(0, span + chunk, chunk)))
+    edges = np.sort(np.concatenate([[0, cycles.size], at_chunks, cuts]).astype(int))
+    last_passed, parts, survivors = {}, [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        stages = []
+        parts.append(_accept_heralds(cycles[a:b], 1.0, chain, last_passed, stages))
+        survivors.append(stages)
+    chunked = np.concatenate(parts)
+    assert np.array_equal(chunked, _accept_heralds(cycles, 1.0, chain))
+    assert np.array_equal(chunked, dense_eventsim._accept_heralds(cycles, 1.0, chain))
+    whole = []
+    _accept_heralds(cycles, 1.0, chain, survivors=whole)
+    assert np.sum(survivors, axis=0).tolist() == whole
+    assert whole[-1] == np.count_nonzero(chunked)
+
+
+# --- chunks -------------------------------------------------------------------------
+
+RECORD_FIELDS = (
+    "candidate_cycles",
+    "candidate_bin",
+    "accepted_index",
+    "accepted_loop_mask",
+    "accepted_photons",
+    "accepted_accidental",
+    "accepted_back",
+)
+# sha256 of the record arrays of one-chunk runs, each as int64 in the order
+# of RECORD_FIELDS, recorded from the sampler before it drew in chunks: a
+# run of at most CHUNK_CYCLES cycles makes the same draws in the same order.
+ONE_CHUNK_SHA256 = {
+    "full-chain": "abdbc653cc70c70d4c4893be85f2e2dd176dcd6ed51d3de2cb9ca3ff51d3f83b",
+    "empty-chain": "b26e4bcd0760a804c1db9ccf9539dc79a5676064c335075359ed90774aadf628",
+}
+
+
+@pytest.mark.parametrize("name", ONE_CHUNK_SHA256)
+def test_one_chunk_runs_draw_the_unchunked_stream(name):
+    assert eventsim.CHUNK_CYCLES >= 1_000_000
+    chain = {"full-chain": FULL_CHAIN, "empty-chain": NO_DEADTIME}[name]
+    config = PulseTrainConfig(default_topology(), 40.0, 1_000_000, chain, rng_seed=2024)
+    trace, report = run_pulse_train(config)
+    digest = hashlib.sha256()
+    for field in RECORD_FIELDS:
+        digest.update(np.ascontiguousarray(getattr(trace, field), np.int64).tobytes())
+    assert digest.hexdigest() == ONE_CHUNK_SHA256[name]
+    assert run_pulse_train(config, trace=False)[1] == report
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        PulseTrainConfig(default_topology(), 40.0, 200_000, rng_seed=9),
+        _pass2_bin_config(200_000, deadtime_chain=NO_DEADTIME, rng_seed=9),
+    ],
+    ids=["default-40mW", "pass2-bin-no-deadtime"],
+)
+def test_chunk_counts_add_up_to_the_trace(monkeypatch, config):
+    chunk = 997
+    monkeypatch.setattr(eventsim, "CHUNK_CYCLES", chunk)
+    trace, traced = run_pulse_train(config)
+    counts, report = run_pulse_train(config, trace=False)
+    assert report == traced  # the same draws, whichever records are kept
+    n, rep_rate_hz = config.n_clock_cycles, config.topology.rep_rate_hz
+
+    def per_chunk(cycles):
+        return np.bincount(cycles // chunk, minlength=counts.cycles.size)
+
+    accepted = trace.accepted_cycles
+    assert counts.cycles.sum() == n and set(counts.cycles[:-1].tolist()) == {chunk}
+    assert np.array_equal(counts.candidates, per_chunk(trace.candidate_cycles))
+    assert np.array_equal(counts.accepted, per_chunk(accepted))
+    assert np.array_equal(
+        counts.coincidences, per_chunk(accepted[trace.accepted_photons >= 1])
+    )
+    # An accidental counts in its herald's chunk, also when its gate was drawn
+    # with the next one.
+    assert np.array_equal(
+        counts.accidentals, per_chunk(accepted[trace.accepted_accidental])
+    )
+    # The cascade, carried across chunks, accepts what it accepts in one piece.
+    stages = []
+    whole = _accept_heralds(
+        trace.candidate_cycles, rep_rate_hz, config.deadtime_chain, survivors=stages
+    )
+    assert np.array_equal(trace.accepted_index, np.flatnonzero(whole))
+    assert counts.survivors.sum(axis=0).tolist() == stages
+    # The per-chunk rows add up to the report.
+    for count, rate in (
+        (counts.accepted, report.r_trig_hz),
+        (counts.coincidences, report.r_coincidence_hz),
+        (counts.accidentals, report.r_accidental_hz),
+    ):
+        assert rate == pytest.approx(count.sum() / n * rep_rate_hz, rel=1e-12)
+
+
+# One-cycle chunks put every herald on its chunk's last cycle, and often leave
+# the next chunk without a candidate of its own.
+@pytest.mark.parametrize("chunk, n", [(97, 100_000), (1, 2_000)])
+def test_a_gate_carried_across_a_boundary_shares_the_next_heralds_draw(
+    monkeypatch, chunk, n
+):
+    # On a lossless signal path the photons at the output are the pair
+    # number.  So where one bin heralds on consecutive cycles, the first
+    # herald's accidental gate clicks exactly when the second's signal does:
+    # one draw per (cycle, bin), also when a chunk boundary lies between them.
+    monkeypatch.setattr(eventsim, "CHUNK_CYCLES", chunk)
+    topo = _single_bin_topology(0.6, 1.0, 5.0)
+    config = PulseTrainConfig(topo, 20.0, n, NO_DEADTIME, rng_seed=4)
+    trace, _ = run_pulse_train(config)
+    t = trace.accepted_cycles
+    follows = np.flatnonzero(np.diff(t) == 1)
+    assert np.count_nonzero(t[follows] % chunk == chunk - 1) > 50
+    assert np.array_equal(
+        trace.accepted_accidental[follows], trace.accepted_photons[follows + 1] >= 1
+    )
+
+
+def test_counts_run_holds_one_chunk_at_a_time():
+    def peak(n):
+        config = PulseTrainConfig(default_topology(), 40.0, n, rng_seed=3)
+        tracemalloc.start()
+        try:
+            run_pulse_train(config, trace=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 2^21 and 2^23 cycles: four times the run, the same peak of one chunk's
+    # arrays (about 2.2 MB at 40 mW), where whole-run arrays grow fourfold.
+    small = peak(2 * eventsim.CHUNK_CYCLES)
+    large = peak(8 * eventsim.CHUNK_CYCLES)
+    assert abs(large - small) <= 0.1 * small
 
 
 # --- trace export -------------------------------------------------------------------
