@@ -164,16 +164,19 @@ def _parse_topology(obj: dict) -> MuxTopology:
     _reject_unknown(
         obj, ("eta_sw_mode", "bins", "rep_rate_hz", "bin_spacing_ns"), "topology"
     )
-    if "bins" in obj:
-        if not isinstance(obj["bins"], list):
-            raise ScenarioError(f"topology.bins must be a list, got {obj['bins']!r}")
+    if "bins" not in obj:
+        bins = defaults.default_topology(obj.get("eta_sw_mode", "composed")).bins
+    elif "eta_sw_mode" in obj:
+        raise ScenarioError("topology takes eta_sw_mode or bins, not both")
+    elif not isinstance(obj["bins"], list):
+        raise ScenarioError(f"topology.bins must be a list, got {obj['bins']!r}")
+    else:
         bins = tuple(_parse_bin(b, i) for i, b in enumerate(obj["bins"]))
-        rate_hz = _finite(obj.get("rep_rate_hz", REP_RATE_HZ), "topology.rep_rate_hz")
-        spacing_s = BIN_SPACING_S
-        if "bin_spacing_ns" in obj:
-            spacing_s = _finite(obj["bin_spacing_ns"], "topology.bin_spacing_ns") * 1e-9
-        return MuxTopology(bins, rate_hz, spacing_s)
-    return defaults.default_topology(obj.get("eta_sw_mode", "composed"))
+    rate_hz = _finite(obj.get("rep_rate_hz", REP_RATE_HZ), "topology.rep_rate_hz")
+    spacing_s = BIN_SPACING_S
+    if "bin_spacing_ns" in obj:
+        spacing_s = _finite(obj["bin_spacing_ns"], "topology.bin_spacing_ns") * 1e-9
+    return MuxTopology(bins, rate_hz, spacing_s)
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -453,19 +456,14 @@ def cmd_spectra(spectra_dir: str, out_dir: Path) -> List[Path]:
     files = sorted(Path(spectra_dir).glob("*.csv"))
     if not files:
         raise FileNotFoundError(f"no spectra CSV files in {spectra_dir}")
-    spectra, unreadable = [], None
-    for file in files:
-        try:
-            spectra.append(load_spectrum_csv(file))
-        except (OSError, ValueError) as exc:  # raised once the files before it pass
-            unreadable = exc
-            break
+    # Each file is read just before it is checked, so the first bad file
+    # fails first, whether it cannot be read or cannot be fitted.
     try:
-        fitted = fit_gaussians(spectra)
+        fitted = fit_gaussians(load_spectrum_csv(file) for file in files)
     except SpectrumFitError as exc:
+        if exc.index is None:  # a read error, which names its file
+            raise
         raise SpectrumFitError(f"{files[exc.index]}: {exc}") from exc
-    if unreadable is not None:
-        raise unreadable
     labels = [file.stem for file in files]
     models = [model for model, _ in fitted]
     table = np.ones((1, 1)) if len(models) == 1 else indistinguishability_table(models)

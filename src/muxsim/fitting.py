@@ -3,8 +3,14 @@
 The objective is the mean coefficient of determination across the
 trigger, coincidence and accidental channels, compared in log space when
 all observations are positive so that decades are balanced.  Maximizing it
-is a weighted least-squares problem.  A box-bounded Levenberg-Marquardt
-solver in numpy advances all starts together, one call of the rate model
+is a weighted least-squares problem: the residuals r_k = (g(pred_k) -
+g(obs_k)) / sqrt(3 SS_tot,k), with g = log when every observation is
+positive and the identity otherwise, have 1 - sum r^2 = mean R^2.  They
+are minimized over (log eta_i, log eta_s, log p_seed[, f]) within the
+search bounds from N_STARTS Latin-hypercube starts plus a moment-based
+one, and the best start wins.  `fit_all` is the one entry; `fit_source`
+is `fit_all` of one source.  A box-bounded Levenberg-Marquardt solver in
+numpy advances all starts together, one call of the rate model
 per iteration on the trial points of every start still running; that call
 evaluates each point once and gives its residuals with their exact
 Jacobian: `predict_rates`' composition, `source_probs` then
@@ -491,7 +497,6 @@ def _fit_group(
     deadtime_chain: DeadtimeChain,
     rep_rate_hz: float,
     seed: int,
-    n_starts: int,
 ) -> List[object]:
     """Fit sources that share a model kind, a power column and a residual
     space in one solver run over all their starts; one FitResult or
@@ -501,9 +506,9 @@ def _fit_group(
         bounds = np.column_stack([bounds, F_BOUNDS])
     # Latin-hypercube starts drawn with numpy alone (log-spaced for the scale
     # parameters) plus each source's moment-based start.
-    lhs = _latin_hypercube(n_starts, bounds, seed)
+    lhs = _latin_hypercube(N_STARTS, bounds, seed)
     starts = np.vstack([block for p in problems for block in (lhs, p.start)])
-    per_source = n_starts + 1
+    per_source = N_STARTS + 1
     batch = functools.partial(
         _residual_batch,
         powers=problems[0].powers,
@@ -559,22 +564,13 @@ def fit_source(
     deadtime_chain: DeadtimeChain,
     rep_rate_hz: float = REP_RATE_HZ,
     seed: int = 0,
-    n_starts: int = N_STARTS,
 ) -> FitResult:
-    """Maximize mean R^2 over (eta_i, eta_s, p_seed[, f]).
-
-    The residuals r_k = (g(pred_k) - g(obs_k)) / sqrt(3 SS_tot,k), with g
-    = log when every observation is positive and the identity otherwise,
-    have 1 - sum r^2 = mean R^2.  They are minimized over (log eta_i,
-    log eta_s, log p_seed[, f]) within the search bounds from
-    Latin-hypercube starts plus a moment-based one; the best start wins.
-    This is fit_all's solver run for a group of one source.
-    """
-    problem = _problem(observations, model_kind, deadtime_chain, rep_rate_hz)
-    (result,) = _fit_group(
-        [problem], model_kind == "pass2", deadtime_chain, rep_rate_hz, seed, n_starts
-    )
-    if isinstance(result, FitError):
+    """Fit one source: fit_all of this source alone, its FitResult returned
+    and its exception raised."""
+    (result,) = fit_all(
+        {"source": observations}, {"source": model_kind}, deadtime_chain, rep_rate_hz, seed
+    ).values()
+    if isinstance(result, Exception):
         raise result
     return result
 
@@ -586,11 +582,13 @@ def fit_all(
     rep_rate_hz: float = REP_RATE_HZ,
     seed: int = 0,
 ) -> Dict[str, object]:
-    """Fit every source as fit_source does alone, with the same result or
-    exception, recorded against its source, not raised.  The sources that
-    pass fit_source's checks are grouped by (model kind, power column in
-    file order, log space or not), and each group is solved in one solver
-    run over all its members' starts."""
+    """Fit (eta_i, eta_s, p_seed[, f]) of every source by the objective
+    above, the Latin-hypercube starts drawn with `seed`.  Each source's
+    FitResult, or the exception its checks or its fit raise, is recorded
+    against it, not raised.  The sources that pass the checks are grouped
+    by (model kind, power column in file order, log space or not), and
+    each group is solved in one solver run over all its members' starts;
+    every source gets the result it gets alone."""
     results: Dict[str, object] = {}
     groups: Dict[tuple, List[Tuple[str, _Problem]]] = {}
     for label, obs in observations_by_source.items():
@@ -605,9 +603,7 @@ def fit_all(
         groups.setdefault(key, []).append((label, problem))
     for (kind, _, _), members in groups.items():
         labels, problems = zip(*members)
-        fitted = _fit_each(
-            problems, kind == "pass2", deadtime_chain, rep_rate_hz, seed, N_STARTS
-        )
+        fitted = _fit_each(problems, kind == "pass2", deadtime_chain, rep_rate_hz, seed)
         results.update(zip(labels, fitted))
     return results
 

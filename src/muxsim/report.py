@@ -301,9 +301,11 @@ def read_csv(
     of the required and then the optional columns, as csv.DictReader gives
     them: blank lines are skipped, the last of repeated column names wins,
     a short row's missing cells read None, and so does an absent optional
-    column.  The line number is that of the row's last line.  An empty file
-    or a missing required column raises error naming the file and line 1."""
-    with open(path, newline="") as fh:
+    column.  The line number is that of the row's last line.  The file is
+    read as UTF-8, a leading byte-order mark dropped, as spreadsheets write
+    one.  An empty file or a missing required column raises error naming
+    the file and line 1."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -15,7 +15,7 @@ Spectrum CSVs are read through `report.read_csv`.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,16 +107,18 @@ def _gaussian_batch(
 
 
 def fit_gaussians(
-    spectra: Sequence[Sequence[Tuple[float, float]]]
+    spectra: Iterable[Sequence[Tuple[float, float]]]
 ) -> List[Tuple[SpectrumModel, float]]:
     """Least-squares Gaussian fits of (wavelength_nm, counts) spectra.
 
     Returns the fitted model and the residual norm of each spectrum, in
     order.  Each linearized initial guess is refined by Levenberg-Marquardt
     over (center, log sigma, log amplitude); spectra of one sample count
-    share one solver run, and each gets the fit it gets alone.  Every
-    spectrum is checked before any is solved: the first that fails raises
-    its SpectrumFitError with ``index`` set to its position.
+    share one solver run, and each gets the fit it gets alone.  spectra may
+    be any iterable, taken once: each spectrum is checked as it is drawn,
+    and all before any is solved.  The first that fails its check raises
+    its SpectrumFitError with ``index`` set to its position; an exception
+    the iterable raises passes through unchanged.
     """
     checked = []
     for index, samples in enumerate(spectra):

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from muxsim import calibrate_coupling, evaluate_mux, p_trig_idler
-from muxsim.cli import _model_table, main, parse_scenario
-from muxsim.defaults import MEMS_ASYMMETRY, source_label
+from muxsim.cli import ScenarioError, _model_table, main, parse_scenario
+from muxsim.defaults import MEMS_ASYMMETRY, default_topology, source_label
 from muxsim.hsps import source_probs, xi_from_power
-from muxsim.mux import bin_pump_power_mw
+from muxsim.mux import MuxTopology, bin_pump_power_mw
 from muxsim.spectral import (
     SpectrumModel,
     fit_gaussian,
@@ -443,6 +443,12 @@ def test_spectra_missing_directory_fails(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+def test_spectra_requires_spectra_dir(tmp_path, capsys):
+    assert main(["spectra", "--out", str(tmp_path / "o")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ScenarioError", "detail": "spectra requires --spectra-dir"}
+
+
 # --- scenario validation -----------------------------------------------------------------
 
 def test_unknown_scenario_key_rejected(tmp_path, capsys):
@@ -463,6 +469,8 @@ def test_unknown_scenario_key_rejected(tmp_path, capsys):
         ("model", '{"power_sweep_mw": {"steps": "5"}}'),
         ("model", '{"deadtime_chain_s": 1e-7}'),
         ("simulate", '{"simulation": 5}'),
+        ("model", '{"topology": {"rep_rate_hz": "x"}}'),
+        ("simulate", '{"topology": {"bin_spacing_ns": true}}'),
     ],
 )
 def test_non_finite_or_mistyped_scenario_values_rejected(
@@ -491,6 +499,8 @@ _PASS2_BIN = {
         json.dumps({"topology": {"bins": [_PASS2_BIN]}}),
         json.dumps({"topology": {"bins": [{**_PASS2_BIN, "pass": 1, "eta_i": 1.5}]}}),
         '{"topology": {"bins": 5}}',
+        '{"topology": {"rep_rate_hz": -4e7}}',
+        json.dumps({"topology": {"eta_sw_mode": "flat_4db", "bins": [{**_PASS2_BIN, "pass": 1}]}}),
         # Amplifier blocks of 8 and 40 cycles rising to the 160-cycle window:
         # three stages that can block, beyond the exact acceptance.
         '{"deadtime_chain_s": [1e-7, 5e-7]}',
@@ -559,3 +569,67 @@ def test_explicit_bin_topology_parses(tmp_path):
     rows = _read_rows(out / "rates_vs_power.csv")
     # MUX of one pass-1 bin: labels MUX8, MUX4, P1D3
     assert {r["source"] for r in rows} == {"MUX8", "MUX4", "P1D3"}
+
+
+def _default_bins():
+    """The built-in bins, listed as a scenario lists bins."""
+    return [
+        {
+            "pass": b.pass_id, "delay": b.delay_id, "eta_i": b.source.eta_i,
+            "eta_s": b.source.eta_s, "p_seed_mw": b.source.p_seed_mw,
+            "back_reflection_fraction": b.source.back_reflection_fraction,
+            "pump_fraction": b.pump_fraction, "eta_sw": b.eta_sw,
+        }
+        for b in default_topology().bins
+    ]
+
+
+@pytest.mark.parametrize("mode", ["composed", "flat_4db"])
+def test_clock_keys_apply_to_the_built_in_bins(mode):
+    doc = {"topology": {"eta_sw_mode": mode, "rep_rate_hz": 40e6, "bin_spacing_ns": 2.0}}
+    expected = MuxTopology(default_topology(mode).bins, 40e6, 2.0 * 1e-9)
+    assert parse_scenario(doc).topology == expected
+
+
+def test_model_runs_the_built_in_bins_at_the_given_clock(tmp_path):
+    outputs = {}
+    for name, topology in [
+        ("built_in", {"rep_rate_hz": 40e6}),
+        ("listed", {"bins": _default_bins(), "rep_rate_hz": 40e6}),
+        ("default", {}),
+    ]:
+        out = tmp_path / name
+        assert main(["model", "--scenario", _scenario(tmp_path, topology=topology),
+                     "--out", str(out)]) == 0
+        outputs[name] = (out / "rates_vs_power.csv").read_bytes()
+    assert outputs["built_in"] == outputs["listed"] != outputs["default"]
+
+
+@pytest.mark.parametrize(
+    "topology, message",
+    [
+        ({"rep_rate_hz": "x"}, "topology.rep_rate_hz must be a finite number, got 'x'"),
+        ({"bin_spacing_ns": None}, "topology.bin_spacing_ns must be a finite number, got None"),
+        ({"rep_rate_hz": -4e7}, "rep_rate_hz must be finite and > 0, got -40000000.0"),
+        ({"eta_sw_mode": "composed", "bins": [{**_PASS2_BIN, "pass": 1}]},
+         "topology takes eta_sw_mode or bins, not both"),
+        ({"bins": [{k: v for k, v in _PASS2_BIN.items() if k != "eta_sw"}]},
+         "topology.bins[0]: missing key 'eta_sw'"),
+        ({"bins": [{**_PASS2_BIN, "pass": 1, "eta_s": 1.5}]}, "eta_s must be in [0, 1], got 1.5"),
+        ({"bins": [{**_PASS2_BIN, "pass": 1, "delay": -1}]}, "delay_id must be >= 0"),
+    ],
+    ids=["mistyped-rate", "mistyped-spacing", "negative-rate", "mode-beside-bins",
+         "bin-missing-key", "eta-s-above-one", "negative-delay"],
+)
+def test_topology_values_rejected_with_their_message(topology, message):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario({"topology": topology})
+    assert str(info.value) == message
+
+
+def test_flat_4db_mode_gives_every_path_four_db():
+    bins = parse_scenario({"topology": {"eta_sw_mode": "flat_4db"}}).topology.bins
+    assert len(bins) == 8 and all(b.eta_sw == 10.0 ** -0.4 for b in bins)
+    assert bins == tuple(
+        replace(b, eta_sw=10.0 ** -0.4) for b in parse_scenario({}).topology.bins
+    )

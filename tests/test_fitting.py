@@ -347,15 +347,17 @@ def test_noiseless_round_trip_second_pass_recovers_f():
     assert result.params.back_reflection_fraction == pytest.approx(0.25, rel=0.2)
 
 
-def test_fit_is_deterministic():
+def test_fit_is_deterministic(monkeypatch):
+    monkeypatch.setattr(fitting, "N_STARTS", 4)
     truth = (0.015, 0.0019, 5.2, 0.0)
     obs = _synthetic(truth, np.linspace(2.0, 20.0, 6), NO_CHAIN)
-    a = fit_source(obs, "pass1", NO_CHAIN, seed=3, n_starts=4)
-    b = fit_source(obs, "pass1", NO_CHAIN, seed=3, n_starts=4)
+    a = fit_source(obs, "pass1", NO_CHAIN, seed=3)
+    b = fit_source(obs, "pass1", NO_CHAIN, seed=3)
     assert a == b
 
 
-def test_scale_identity_in_rates_and_rep_rate():
+def test_scale_identity_in_rates_and_rep_rate(monkeypatch):
+    monkeypatch.setattr(fitting, "N_STARTS", 6)
     # scaling every observed rate and the rep rate by one factor preserves
     # the probability structure, so the transmissions come out the same
     truth = (0.02, 0.003, 5.0, 0.0)
@@ -365,17 +367,18 @@ def test_scale_identity_in_rates_and_rep_rate():
         Observation(o.reference_power_mw, 10 * o.r_trig_hz, 10 * o.r_c_hz, 10 * o.r_a_hz)
         for o in obs
     ]
-    a = fit_source(obs, "pass1", NO_CHAIN, rep_rate_hz=80e6, seed=0, n_starts=6)
-    b = fit_source(scaled, "pass1", NO_CHAIN, rep_rate_hz=800e6, seed=0, n_starts=6)
+    a = fit_source(obs, "pass1", NO_CHAIN, rep_rate_hz=80e6, seed=0)
+    b = fit_source(scaled, "pass1", NO_CHAIN, rep_rate_hz=800e6, seed=0)
     assert a.params.eta_i == pytest.approx(b.params.eta_i, rel=1e-4)
     assert a.params.eta_s == pytest.approx(b.params.eta_s, rel=1e-4)
 
 
-def test_reported_objective_dominates_arbitrary_points():
+def test_reported_objective_dominates_arbitrary_points(monkeypatch):
+    monkeypatch.setattr(fitting, "N_STARTS", 6)
     truth = (0.016, 0.0021, 5.6, 0.0)
     powers = np.linspace(2.0, 22.0, 8)
     obs = _synthetic(truth, powers, FULL_CHAIN)
-    result = fit_source(obs, "pass1", FULL_CHAIN, seed=1, n_starts=6)
+    result = fit_source(obs, "pass1", FULL_CHAIN, seed=1)
     r_trig = np.array([o.r_trig_hz for o in obs])
     r_c = np.array([o.r_c_hz for o in obs])
     r_a = np.array([o.r_a_hz for o in obs])
@@ -414,10 +417,11 @@ def _log_channels(params, obs):
     return np.log(np.stack(pred)), np.log(np.array(observed).T)
 
 
-def test_r2_mean_is_one_minus_twice_the_least_squares_cost():
+def test_r2_mean_is_one_minus_twice_the_least_squares_cost(monkeypatch):
+    monkeypatch.setattr(fitting, "N_STARTS", 4)
     truth = _truth(PASS2_SOURCES[1])
     obs = _noisy(truth, np.random.default_rng(11))
-    result = fit_source(obs, "pass2", FULL_CHAIN, seed=0, n_starts=4)
+    result = fit_source(obs, "pass2", FULL_CHAIN, seed=0)
     p = result.params
     pred, observed = _log_channels(
         (p.eta_i, p.eta_s, p.p_seed_mw, p.back_reflection_fraction), obs
@@ -488,8 +492,9 @@ def _solver_calls(monkeypatch):
 @PASSES
 def test_batched_residuals_equal_single_calls(monkeypatch, kind, sources):
     calls = _solver_calls(monkeypatch)
+    monkeypatch.setattr(fitting, "N_STARTS", 1)
     obs = next(_noisy_draws(kind, sources))[1]
-    fit_source(obs, kind, FULL_CHAIN, seed=0, n_starts=1)
+    fit_source(obs, kind, FULL_CHAIN, seed=0)
     batch, lower, upper = calls[0]["batch"], calls[0]["lower"], calls[0]["upper"]
     assert batch.func is fitting._residual_batch
     points = np.random.default_rng(3).uniform(lower, upper, (6, lower.size))
@@ -532,12 +537,13 @@ def test_jacobians_of_a_fused_call_equal_those_taken_alone(monkeypatch, kind, so
     """The points of one fused call, several starts' points together, give
     each start the residuals and Jacobian it gets alone."""
     calls = _solver_calls(monkeypatch)
+    monkeypatch.setattr(fitting, "N_STARTS", 1)
     obs = next(_noisy_draws(kind, sources))[1]
-    fit_source(obs, kind, FULL_CHAIN, seed=0, n_starts=1)
+    fit_source(obs, kind, FULL_CHAIN, seed=0)
     batch, lower, upper = calls[0]["batch"], calls[0]["lower"], calls[0]["upper"]
     points = np.random.default_rng(4).uniform(lower, upper, (6, lower.size))
     points[0] = upper
-    starts = np.arange(6) % 2  # n_starts=1 gives a fit two starts
+    starts = np.arange(6) % 2  # N_STARTS = 1 gives a fit two starts
     fun, jac = batch(points, starts)
     assert jac.shape == (6, fun.shape[1], lower.size)
     for x, start, row, jac_row in zip(points, starts, fun, jac):
@@ -682,10 +688,11 @@ def test_fits_match_scipy_trf_from_the_same_starts(monkeypatch, kind, sources):
         assert np.allclose(fitted[: trf.size], trf, rtol=1e-5, atol=0.0)
 
 
-def test_noiseless_standard_errors_vanish():
+def test_noiseless_standard_errors_vanish(monkeypatch):
+    monkeypatch.setattr(fitting, "N_STARTS", 4)
     for source, kind in ((PASS1_SOURCES[0], "pass1"), (PASS2_SOURCES[0], "pass2")):
         obs = _synthetic(_truth(source), SWEEP_MW, FULL_CHAIN)
-        result = fit_source(obs, kind, FULL_CHAIN, seed=0, n_starts=4)
+        result = fit_source(obs, kind, FULL_CHAIN, seed=0)
         errors = [result.rel_se_eta_i, result.rel_se_eta_s, result.rel_se_p_seed]
         if kind == "pass2":
             errors.append(result.rel_se_f)
@@ -710,6 +717,49 @@ def test_fit_input_validation():
     for rep_rate_hz in (0.0, -80e6, math.inf):
         with pytest.raises(ValueError):
             fit_source(obs, "pass1", NO_CHAIN, rep_rate_hz=rep_rate_hz)
+
+
+def test_saturated_trigger_rates_start_from_the_detected_rates():
+    """A trigger rate at or above the chain's saturation 1/d has no true
+    rate: the moment-based start then takes every detected rate as true,
+    as a chain of no stages does."""
+    powers = np.linspace(2.0, 25.0, 8)
+    r_trig, r_c, r_a = predict_rates(0.015, 0.0019, 5.2, 0.0, powers, 80e6, FULL_CHAIN)
+    r_trig[-1] = 2e7
+    for with_f in (False, True):
+        start = fitting._heuristic_start(powers, r_trig, r_c, r_a, 80e6, FULL_CHAIN, with_f)
+        alone = fitting._heuristic_start(powers, r_trig, r_c, r_a, 80e6, NO_CHAIN, with_f)
+        assert np.array_equal(start, alone)
+
+
+def test_start_without_two_low_accidental_ratios_is_the_fixed_guess():
+    """Fewer than two powers with 0 < r_a / r_c < 0.49 fix no squeezing
+    scale: the start is eta_i = 0.02, eta_s = 0.002, p_seed = 5 mW, f = 0.2."""
+    powers = np.linspace(2.0, 25.0, 8)
+    r_trig, r_c, _ = predict_rates(0.015, 0.0019, 5.2, 0.0, powers, 80e6, FULL_CHAIN)
+    r_a = 0.5 * r_c
+    r_a[0] = 0.1 * r_c[0]  # one low ratio is not enough
+    guess = np.log([0.02, 0.002, 5.0])
+    start = fitting._heuristic_start(powers, r_trig, r_c, r_a, 80e6, FULL_CHAIN, False)
+    assert np.array_equal(start, guess)
+    start = fitting._heuristic_start(powers, r_trig, r_c, r_a, 80e6, FULL_CHAIN, True)
+    assert np.array_equal(start, np.append(guess, 0.2))
+
+
+def test_fit_at_powers_the_model_cannot_follow_diverges():
+    """Near 1e6 mW every start's residuals stay at FAILED_RESIDUAL: the fit
+    raises FitError alone and fit_all records it."""
+    scale = np.arange(1.0, 7.0)
+    obs = [
+        Observation(p, 1e5 * k, 1e3 * k, 10.0 * k)
+        for p, k in zip(np.linspace(1e6, 1.2e6, 6), scale)
+    ]
+    message = "all starts diverged; no finite objective found"
+    with pytest.raises(FitError) as raised:
+        fit_source(obs, "pass1", FULL_CHAIN)
+    assert str(raised.value) == message
+    (recorded,) = fit_all({"S": obs}, {"S": "pass1"}, FULL_CHAIN).values()
+    assert type(recorded) is FitError and str(recorded) == message
 
 
 # --- batch driver ------------------------------------------------------------------
@@ -829,6 +879,15 @@ def test_load_observations_reports_line_number(tmp_path):
     )
     with pytest.raises(ObservationsParseError, match="line 3"):
         load_observations_csv(path)
+
+
+def test_load_observations_with_a_byte_order_mark(tmp_path):
+    text = "source,power_mw,r_trig,r_c,r_a\na,2.0,100.0,5.0,1.0\nb,4.0,180.0,8.0,3.0\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_observations_csv(marked) == load_observations_csv(plain)
 
 
 def test_load_observations_empty_file(tmp_path):

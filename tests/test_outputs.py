@@ -1,7 +1,7 @@
 """The CLI's output files, byte for byte, the shared CSV writer's edge cases,
 the one function that opens them, the one module that imports csv and
-holds the float-cell format, and the one function that calls the deadtime
-acceptance."""
+holds the float-cell format, the one function that calls the deadtime
+acceptance, and the one way into each fitter."""
 
 import ast
 import csv
@@ -532,3 +532,56 @@ def test_acceptance_check_sees_each_kind_of_read(source, reads):
     assert found == ([("f", 2)] if reads else [])
     found = list(_acceptance_readers(ast.parse(source)))
     assert found == ([("", 1)] if reads else [])
+
+
+# --- one way into each fitter ------------------------------------------------------
+
+def _references(tree: ast.AST, names, scope: str = ""):
+    """(name, enclosing function) of every reference under tree to one of
+    names, as a bare name or an attribute, called or not; the function a
+    def or lambda is in is its scope, and a def of the name is no reference."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = node.name
+        if isinstance(node, ast.Name) and node.id in names:
+            yield node.id, scope
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            yield node.attr, scope
+        yield from _references(node, names, inner)
+
+
+def test_each_fitter_has_one_entry():
+    """The rate fitter's solver run is reached through fit_all alone, and
+    the one-item fits are the batch fits of one item."""
+    names = ("_fit_group", "_fit_each", "fit_all", "fit_gaussians")
+    found = {name: set() for name in names}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, scope in _references(ast.parse(path.read_text(), str(path)), names):
+            found[name].add((path.name, scope))
+    assert found["_fit_group"] == {("fitting.py", "_fit_each")}
+    assert found["_fit_each"] == {("fitting.py", "fit_all"), ("fitting.py", "_fit_each")}
+    assert ("fitting.py", "fit_source") in found["fit_all"]
+    assert ("spectral.py", "fit_gaussian") in found["fit_gaussians"]
+
+
+@pytest.mark.parametrize(
+    "source, refers",
+    [
+        ("_fit_group(problems, *args)", True),
+        ("fitting._fit_group(problems)", True),
+        ("run = functools.partial(_fit_group, seed=0)", True),
+        ("fits = map(lambda p: _fit_group([p]), problems)", True),
+        ("return [r for p in problems for r in _fit_group([p])]", True),
+        ("_fit_groups(problems)", False),
+        ("name = '_fit_group'", False),
+        ("fit_group(problems)", False),
+        ("def _fit_group(): pass", False),
+    ],
+)
+def test_reference_check_sees_each_kind_of_reference(source, refers):
+    found = list(_references(ast.parse(f"def f():\n    {source}\n"), ("_fit_group",)))
+    assert found == ([("_fit_group", "f")] if refers else [])
+    if not source.startswith("return"):
+        found = list(_references(ast.parse(source), ("_fit_group",)))
+        assert found == ([("_fit_group", "")] if refers else [])

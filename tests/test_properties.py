@@ -102,6 +102,8 @@ _BIN = st.fixed_dictionaries(
     },
     optional={"back_reflection_fraction": _input(-0.1, 3.0)},
 )
+# The clock keys, which apply to the built-in bins and to listed ones alike.
+_CLOCK = {"rep_rate_hz": _input(-1e6, 1e9), "bin_spacing_ns": _input(-1.0, 10.0)}
 _SCENARIO = st.fixed_dictionaries(
     {},
     optional={
@@ -119,7 +121,8 @@ _SCENARIO = st.fixed_dictionaries(
             st.fixed_dictionaries(
                 {},
                 optional={
-                    "eta_sw_mode": st.sampled_from(["composed", "flat_4db", "x"])
+                    "eta_sw_mode": st.sampled_from(["composed", "flat_4db", "x"]),
+                    **_CLOCK,
                 },
             ),
             st.fixed_dictionaries(
@@ -128,10 +131,7 @@ _SCENARIO = st.fixed_dictionaries(
                         st.lists(_BIN, max_size=4), st.integers(), st.none(), _BIN
                     )
                 },
-                optional={
-                    "rep_rate_hz": _input(-1e6, 1e9),
-                    "bin_spacing_ns": _input(-1.0, 10.0),
-                },
+                optional=_CLOCK,
             ),
         ),
         "simulation": st.fixed_dictionaries(

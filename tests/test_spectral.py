@@ -16,7 +16,13 @@ from muxsim import (
     overlap_gamma,
 )
 from muxsim import spectral
-from muxsim.spectral import FWHM_TO_SIGMA, SpectrumFitError, _initial_guess, fit_gaussians
+from muxsim.spectral import (
+    FWHM_TO_SIGMA,
+    SpectrumFitError,
+    _initial_guess,
+    fit_gaussians,
+    load_spectrum_csv,
+)
 from test_fitting import _central_differences
 
 
@@ -97,6 +103,57 @@ def test_degenerate_inputs_rejected():
         fit_gaussian([(1550.0 + i, math.nan if i == 5 else 1.0 + i) for i in range(10)])
     with pytest.raises(ValueError):
         SpectrumModel(center_nm=1550.0, fwhm_nm=0.0, amplitude=1.0)
+
+
+def test_spectra_without_a_gaussian_start_rejected():
+    # Counts that rise away from the middle: the log-parabola opens upward.
+    convex = [(1550.0 + i, 1.0 + (i - 4.5) ** 2) for i in range(10)]
+    with pytest.raises(SpectrumFitError, match="^data has no concave peak; cannot fit a Gaussian$"):
+        fit_gaussian(convex)
+    for samples in ([(1550.0 + i, 1.0, 2.0) for i in range(5)], [1550.0 + i for i in range(6)]):
+        with pytest.raises(SpectrumFitError, match=r"^samples must be \(wavelength_nm, counts\) pairs$"):
+            fit_gaussian(samples)
+
+
+def test_a_lone_spike_starts_from_every_positive_count():
+    """With fewer than 3 counts above a fifth of the peak, the log-parabola
+    start is fitted to every positive count."""
+    wl = np.linspace(1548.0, 1552.0, 9)
+    counts = np.array([0.0, 1.0, 3.0, 8.0, 100.0, 6.0, 2.0, 0.0, 0.0])
+    a, b, c = np.polyfit(wl[1:7], np.log(counts[1:7]), 2)
+    expected = (-b / (2.0 * a), math.sqrt(-1.0 / (2.0 * a)), math.exp(c - b**2 / (4.0 * a)))
+    assert _initial_guess(wl, counts) == expected
+    model, _ = fit_gaussian(list(zip(wl, counts)))
+    assert model.center_nm == pytest.approx(1550.0, abs=0.05)
+
+
+def test_fit_gaussians_checks_each_spectrum_as_it_is_drawn():
+    """Any iterable, drawn once: the first spectrum that fails its check
+    stops the drawing, and an exception the iterable raises passes through
+    unchanged, with no index."""
+    good = _poisson_spectrum(np.random.default_rng(4), 61)
+    constant = [(1550.0 + i, 5.0) for i in range(10)]
+    drawn = []
+
+    def spectra(*items):
+        for item in items:
+            drawn.append(item)
+            yield item
+
+    assert fit_gaussians(spectra(good, good)) == fit_gaussians([good, good])
+    drawn.clear()
+    with pytest.raises(SpectrumFitError, match="constant counts") as raised:
+        fit_gaussians(spectra(good, constant, good))
+    assert raised.value.index == 1 and len(drawn) == 2
+    unreadable = SpectrumFitError("unreadable")
+
+    def failing():
+        yield good
+        raise unreadable
+
+    with pytest.raises(SpectrumFitError) as raised:
+        fit_gaussians(failing())
+    assert raised.value is unreadable and unreadable.index is None
 
 
 def _poisson_spectrum(rng, n):
@@ -209,6 +266,16 @@ def test_first_bad_spectrum_raises_with_its_index():
         fit_gaussian(constant)
     assert str(alone.value) == str(raised.value) and alone.value.index == 0
     assert fit_gaussians([]) == []
+
+
+def test_load_spectrum_with_a_byte_order_mark(tmp_path):
+    samples = [(1549.0 + 0.5 * i, float(c)) for i, c in enumerate([1, 4, 9, 4, 1])]
+    text = "wavelength_nm,counts\n" + "".join(f"{x},{y}\n" for x, y in samples)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_spectrum_csv(marked) == load_spectrum_csv(plain) == samples
 
 
 # --- overlap --------------------------------------------------------------------
