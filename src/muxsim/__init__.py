@@ -18,6 +18,7 @@ from .mux import (
 from .eventsim import (
     EventTrace,
     PulseTrainConfig,
+    event_trace,
     route_bin,
     run_pulse_train,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "calibrate_coupling",
     "detected_from_true",
     "evaluate_mux",
+    "event_trace",
     "fit_all",
     "fit_gaussian",
     "fit_gaussians",

@@ -226,7 +226,8 @@ def parse_scenario(doc: dict) -> Scenario:
 def load_scenario(path: Optional[str]) -> Scenario:
     if path is None:
         return parse_scenario({})
-    with open(path) as fh:
+    # utf-8-sig: a leading byte-order mark, as some editors write, is dropped.
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_scenario(json.load(fh, parse_constant=_reject_constant))
 
 
@@ -380,8 +381,8 @@ def cmd_simulate(
         deadtime_chain=scenario.deadtime_chain,
         rng_seed=scenario.seed,
     )
-    # Without --trace no records are kept: memory stays bounded by one chunk.
-    records, report = run_pulse_train(config, trace=export_trace)
+    trace_path = out_dir / "trace.csv" if export_trace else None
+    _, report = run_pulse_train(config, trace_path)
     probs = evaluate_mux(scenario.topology, scenario.reference_power_mw)
     analytic = saturated_report(
         probs, scenario.topology.rep_rate_hz, scenario.deadtime_chain
@@ -401,12 +402,7 @@ def cmd_simulate(
         ["quantity", "simulated", "std_error", "analytic", "z_score"],
         [names, *np.array(values, dtype=float).T],
     )
-    written = [csv_path]
-    if export_trace:
-        trace_path = out_dir / "trace.csv"
-        records.to_csv(trace_path)
-        written.append(trace_path)
-    return written
+    return [csv_path, trace_path] if export_trace else [csv_path]
 
 
 def cmd_fit(

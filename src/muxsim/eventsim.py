@@ -43,9 +43,10 @@ through every step above, so its memory is bounded by one chunk's records
 its length.  Two pieces of state cross a chunk boundary: each deadtime
 stage's last pass, and the accidental gate of a herald on the chunk's last
 cycle, whose (cycle + 1, bin) is drawn with the next chunk.  The law is the
-same as one draw over the whole run.  The counts of each chunk are kept as
-one row; the records are kept, and joined into one trace, only when a trace
-is asked for.
+same as one draw over the whole run.  Every run goes through one loop,
+which keeps the counts of each chunk as one row and hands the chunk's
+records to a sink: `run_pulse_train` drops them or streams them to a trace
+CSV, and `event_trace` keeps and joins them into one EventTrace.
 
 The generator is counter-based (Philox), so a fixed seed gives a
 bit-identical trace.  A run of at most one chunk makes the same draws as the
@@ -56,7 +57,7 @@ draws a different stream for the same seed.
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -188,41 +189,80 @@ class EventTrace:
         return self._per_cycle(self.accepted_accidental, False, bool)
 
     def to_csv(self, path) -> None:
-        """One row per clock cycle, written one block of cycles at a time.
-
-        A block holds the cycles 10^m j to 10^m j + 10^m - 1, whose numbers
-        have the same digit count d, with m = min(d - 1, 4).  Its quiet rows
-        differ only in the d - m leading digits, so one uint8 matrix per
-        digit count, built with numpy digit arithmetic, holds the m trailing
-        digits and the quiet columns of all 10^m rows, and each block fills
-        in its leading digits.  The block's candidate rows are formatted one
-        by one, and the block goes out in one write: the join of the slices
-        of the matrix between them.  At most one block (~250 KB) is held,
-        never the whole file.
-        """
-        # One row per candidate cycle: every column of its CSV row.
-        cols = np.zeros((8, self.candidate_cycles.size), dtype=np.int64)
-        cols[0] = self.candidate_cycles
-        cols[1] = self.candidate_bin
-        cols[4] = -1
-        acc = self.accepted_index
-        cols[2, acc] = 1
-        cols[3, acc] = self.accepted_back
-        cols[4, acc] = self.accepted_loop_mask
-        cols[5, acc] = self.accepted_photons
-        cols[6, acc] = self.accepted_photons >= 1
-        cols[7, acc] = self.accepted_accidental
+        """One row per clock cycle, through the writer that `run_pulse_train`
+        streams a trace with."""
         with open_output(path, "wb") as fh:
-            fh.write(_CSV_HEADER)
-            for digits in range(1, len(str(self.n_cycles - 1)) + 1):
-                lo = 10 ** (digits - 1) if digits > 1 else 0
-                hi = min(10 ** digits, self.n_cycles)
-                _write_rows(fh, cols, lo, hi, digits)
+            _TraceWriter(fh, self.n_cycles).write(self, self.n_cycles)
+
+
+def _csv_columns(head: np.ndarray, records) -> np.ndarray:
+    """The columns `head`, then the CSV row of each candidate of `records`
+    (an EventTrace or a chunk) as one column each, all in one new array."""
+    at = head.shape[1]
+    out = np.zeros((8, at + records.candidate_cycles.size), dtype=np.int64)
+    out[:, :at] = head
+    cols = out[:, at:]
+    cols[0] = records.candidate_cycles
+    cols[1] = records.candidate_bin
+    cols[4] = -1
+    acc = records.accepted_index
+    cols[2, acc] = 1
+    cols[3, acc] = records.accepted_back
+    cols[4, acc] = records.accepted_loop_mask
+    cols[5, acc] = records.accepted_photons
+    cols[6, acc] = records.accepted_photons >= 1
+    cols[7, acc] = records.accepted_accidental
+    return out
+
+
+class _TraceWriter:
+    """Writes the trace CSV of an n-cycle run to `fh` as the records of its
+    consecutive parts arrive: a whole trace, or one chunk at a time.
+
+    Rows go out one block of cycles at a time.  A block holds the cycles
+    10^m j to 10^m j + 10^m - 1, whose numbers have the same digit count d,
+    with m = min(d - 1, 4).  Its quiet rows differ only in the d - m leading
+    digits, so one uint8 matrix per digit count, built with numpy digit
+    arithmetic, holds the m trailing digits and the quiet columns of all
+    10^m rows, and each block fills in its leading digits.  The block's
+    candidate rows are formatted one by one, and the block goes out in one
+    write: the join of the slices of the matrix between them.
+
+    Before the run's end, a part is written up to the last multiple of 10^4
+    at or before its last cycle, and the rest is held until the next part
+    arrives: a herald on that last cycle has its accidental gate drawn with
+    the next part.  So at most one part's candidates and one block (~250 KB)
+    of rows are held, never the whole file.
+    """
+
+    def __init__(self, fh, n_cycles: int):
+        fh.write(_CSV_HEADER)
+        self.fh, self.n = fh, n_cycles
+        self.stop = self.done = 0  # cycles received, cycles written
+        self.held = np.zeros((8, 0), dtype=np.int64)
+
+    def write(self, records, cycles: int, carried: bool = False) -> None:
+        """Rows of the next `cycles` cycles, whose candidates `records` holds;
+        `carried` sets the accidental flag of a herald on the last cycle
+        before them."""
+        if carried:  # that herald is the last candidate held
+            self.held[7, -1] = 1
+        cols = _csv_columns(self.held, records)
+        self.stop += cycles
+        block = 10**_BLOCK_DIGITS
+        end = self.n if self.stop == self.n else (self.stop - 1) // block * block
+        while self.done < end:
+            digits = len(str(self.done))
+            hi = min(end, 10**digits)
+            _write_rows(self.fh, cols, self.done, hi, digits)
+            self.done = hi
+        self.held = cols[:, np.searchsorted(cols[0], end) :].copy()
 
 
 def _write_rows(fh, cols: np.ndarray, lo: int, hi: int, digits: int) -> None:
     """Rows of the cycles in [lo, hi), whose numbers have `digits` digits,
-    given every candidate's row in the columns of `cols`."""
+    given every candidate's row in the columns of `cols`; lo starts a
+    block."""
     lead = digits - min(digits - 1, _BLOCK_DIGITS)
     rows = _quiet_rows(digits, lead)
     width = rows.shape[1]
@@ -543,23 +583,69 @@ class ChunkCounts:
 
 
 def run_pulse_train(
-    config: PulseTrainConfig, trace: bool = True
-) -> Tuple[Union[EventTrace, ChunkCounts], RateReport]:
+    config: PulseTrainConfig, trace_csv=None
+) -> Tuple[ChunkCounts, RateReport]:
     """Simulate the full apparatus for config.n_clock_cycles clock cycles.
 
-    Returns the run's EventTrace and its rates.  With trace=False no records
-    are kept: the first element is then the run's ChunkCounts, one row of
-    counters per chunk, and memory stays bounded by one chunk.
+    Returns the run's ChunkCounts, one row of counters per chunk, and its
+    rates.  Given a path, the trace CSV is streamed to it chunk by chunk, so
+    memory stays bounded by one chunk either way.
     """
-    sampler = _Sampler(config)
-    n, rep_rate_hz = config.n_clock_cycles, config.topology.rep_rate_hz
-    rows, parts = [], []
+    sampler = _Sampler(config)  # a bad configuration raises before any file opens
+    if trace_csv is None:
+        return _run(sampler, lambda chunk: None)
+    with open_output(trace_csv, "wb") as fh:
+        writer = _TraceWriter(fh, config.n_clock_cycles)
+        return _run(
+            sampler,
+            lambda chunk: writer.write(chunk, chunk.cycles, chunk.carried_accidental),
+        )
+
+
+def event_trace(config: PulseTrainConfig) -> Tuple[EventTrace, RateReport]:
+    """The run of `run_pulse_train`, with its records kept in memory and
+    joined into one EventTrace."""
+    parts = []
+
+    def keep(chunk: _Chunk) -> None:
+        if chunk.carried_accidental:
+            parts[-1].accepted_accidental[-1] = True
+        parts.append(chunk)
+
+    _, report = _run(_Sampler(config), keep)
+    offsets = np.cumsum([0] + [part.candidate_cycles.size for part in parts[:-1]])
+
+    def joined(field):
+        return np.concatenate([getattr(part, field) for part in parts])
+
+    trace = EventTrace(
+        rep_rate_hz=config.topology.rep_rate_hz,
+        n_cycles=config.n_clock_cycles,
+        candidate_cycles=joined("candidate_cycles"),
+        candidate_bin=joined("candidate_bin"),
+        accepted_index=np.concatenate(
+            [part.accepted_index + at for part, at in zip(parts, offsets)]
+        ),
+        accepted_loop_mask=joined("accepted_loop_mask"),
+        accepted_photons=joined("accepted_photons"),
+        accepted_accidental=joined("accepted_accidental"),
+        accepted_back=joined("accepted_back"),
+    )
+    return trace, report
+
+
+def _run(
+    sampler: _Sampler, sink: Callable[[_Chunk], None]
+) -> Tuple[ChunkCounts, RateReport]:
+    """Draws the run chunk by chunk, counting each chunk and handing it to
+    `sink`.  A chunk's carried accidental belongs to the previous chunk's
+    last herald: it is counted there, and the sink sets its flag."""
+    n, rep_rate_hz = sampler.n, sampler.rep_rate_hz
+    rows = []
     for start in range(0, n, CHUNK_CYCLES):
         chunk = sampler.draw(start, min(start + CHUNK_CYCLES, n))
         if chunk.carried_accidental:
             rows[-1][-1] += 1
-            if trace:
-                parts[-1].accepted_accidental[-1] = True
         rows.append(
             [
                 chunk.cycles,
@@ -570,9 +656,8 @@ def run_pulse_train(
                 np.count_nonzero(chunk.accepted_accidental),
             ]
         )
-        if trace:
-            parts.append(chunk)
-        del chunk  # without a trace, its records go before the next is drawn
+        sink(chunk)
+        del chunk  # unless the sink keeps them, its records go before the next draw
     table = np.array(rows, dtype=np.int64)
     totals = table[:, -3:].sum(axis=0).tolist()
     (r_trig, e_trig), (r_c, e_c), (r_a, e_a) = (
@@ -586,8 +671,6 @@ def run_pulse_train(
         r_coincidence_err_hz=e_c,
         r_accidental_err_hz=e_a,
     )
-    if trace:
-        return _joined_trace(parts, n, rep_rate_hz), report
     counts = ChunkCounts(
         cycles=table[:, 0],
         candidates=table[:, 1],
@@ -597,28 +680,6 @@ def run_pulse_train(
         accidentals=table[:, -1],
     )
     return counts, report
-
-
-def _joined_trace(parts, n: int, rep_rate_hz: float) -> EventTrace:
-    """One trace of the records of consecutive chunks."""
-    offsets = np.cumsum([0] + [part.candidate_cycles.size for part in parts[:-1]])
-
-    def joined(field):
-        return np.concatenate([getattr(part, field) for part in parts])
-
-    return EventTrace(
-        rep_rate_hz=rep_rate_hz,
-        n_cycles=n,
-        candidate_cycles=joined("candidate_cycles"),
-        candidate_bin=joined("candidate_bin"),
-        accepted_index=np.concatenate(
-            [part.accepted_index + at for part, at in zip(parts, offsets)]
-        ),
-        accepted_loop_mask=joined("accepted_loop_mask"),
-        accepted_photons=joined("accepted_photons"),
-        accepted_accidental=joined("accepted_accidental"),
-        accepted_back=joined("accepted_back"),
-    )
 
 
 def _binomial_rate(count: int, n: int, rep_rate_hz: float) -> Tuple[float, float]:

@@ -21,6 +21,7 @@ from muxsim import (
     SpectrumModel,
     detected_from_true,
     evaluate_mux,
+    event_trace,
     fit_source,
     overlap_gamma,
     run_pulse_train,
@@ -99,7 +100,7 @@ def test_criterion_02_full_mux_simulation_matches_hybrid_model():
     topology = default_topology()
     n = 1_000_000
     config = PulseTrainConfig(topology, 5.0, n, FULL_CHAIN, rng_seed=12345)
-    trace, _ = run_pulse_train(config)
+    trace, _ = event_trace(config)
     analytic = saturated_report(evaluate_mux(topology, 5.0), 80e6, FULL_CHAIN)
     zs = []
     for count, rate_hz in (
@@ -126,7 +127,7 @@ def test_trigger_rate_matches_simulation_across_power_sweep():
     zs = []
     for power in (5.0, 15.0, 25.0, 40.0):
         config = PulseTrainConfig(topology, power, 10**8, FULL_CHAIN, rng_seed=12345)
-        _, report = run_pulse_train(config, trace=False)
+        _, report = run_pulse_train(config)
         p_trig = evaluate_mux(topology, power).p_trig
         analytic = saturated_rates(p_trig, 0.0, 0.0, 80e6, FULL_CHAIN)[0]
         zs.append((report.r_trig_hz - analytic) / report.r_trig_err_hz)
@@ -250,7 +251,7 @@ def test_fit_recovers_simulated_source():
     obs = []
     for i, power in enumerate(np.linspace(2.0, 25.0, 12)):
         config = PulseTrainConfig(topology, power, 10**8, FULL_CHAIN, rng_seed=100 + i)
-        _, report = run_pulse_train(config, trace=False)
+        _, report = run_pulse_train(config)
         obs.append(
             Observation(
                 power, report.r_trig_hz, report.r_coincidence_hz, report.r_accidental_hz

@@ -93,3 +93,28 @@ def test_fit_draws_one_model_call_per_solver_batch(tmp_path, monkeypatch):
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert calls["batch"] > 3
     assert calls["model"] == calls["batch"]
+
+
+def test_simulate_makes_one_run_pulse_train_call(tmp_path, monkeypatch):
+    # The benchmark's span around cli.run_pulse_train reads the config from
+    # the call's first positional argument, and its memory run reads the
+    # first record of that span, with and without --trace.
+    import muxsim.cli as cli
+    from muxsim import PulseTrainConfig
+
+    calls = []
+    original = cli.run_pulse_train
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_pulse_train", recording)
+    for extra in ([], ["--trace"]):
+        calls.clear()
+        argv = ["simulate", "--cycles", "20000", "--out", str(tmp_path)] + extra
+        assert cli.main(argv) == 0
+        assert len(calls) == 1
+        assert isinstance(calls[0][0], PulseTrainConfig)
+        assert calls[0][0].n_clock_cycles == 20_000
+    assert (tmp_path / "trace.csv").is_file()

@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,8 +177,8 @@ def test_negative_seed_rejected(tmp_path, capsys, command, given_by):
 
 
 def test_simulate_report_is_the_same_with_and_without_trace(tmp_path, monkeypatch):
-    # Without --trace the run keeps only per-chunk counts; across many chunk
-    # boundaries its report matches the traced run's byte for byte.
+    # With --trace the same run also streams its rows; across many chunk
+    # boundaries its report matches the untraced run's byte for byte.
     monkeypatch.setattr("muxsim.eventsim.CHUNK_CYCLES", 1009)
     scenario = _scenario(tmp_path)
     for name, flags in (("counts", []), ("trace", ["--trace"])):
@@ -603,6 +604,20 @@ def test_model_runs_the_built_in_bins_at_the_given_clock(tmp_path):
                      "--out", str(out)]) == 0
         outputs[name] = (out / "rates_vs_power.csv").read_bytes()
     assert outputs["built_in"] == outputs["listed"] != outputs["default"]
+
+
+def test_scenario_with_a_byte_order_mark(tmp_path):
+    # Some editors save JSON with a UTF-8 byte-order mark; the scenario
+    # parses as it does without one.
+    plain = _scenario(tmp_path, topology={"rep_rate_hz": 40e6})
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+    outputs = {}
+    for name, argv in (("plain", ["--scenario", plain]),
+                       ("marked", ["--scenario", str(marked)]), ("default", [])):
+        assert main(["model", *argv, "--out", str(tmp_path / name)]) == 0
+        outputs[name] = (tmp_path / name / "rates_vs_power.csv").read_bytes()
+    assert outputs["marked"] == outputs["plain"] != outputs["default"]
 
 
 @pytest.mark.parametrize(

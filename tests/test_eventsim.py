@@ -21,6 +21,7 @@ from muxsim import (
     SourceParams,
     calibrate_coupling,
     evaluate_mux,
+    event_trace,
     route_bin,
     run_pulse_train,
 )
@@ -99,7 +100,7 @@ def test_config_takes_numpy_integers():
     config = PulseTrainConfig(
         _single_bin_topology(0.1, 0.1, 5.0), 5.0, np.int64(1000), rng_seed=np.uint32(3)
     )
-    trace, _ = run_pulse_train(config)
+    trace, _ = event_trace(config)
     assert trace.n_cycles == 1000
 
 
@@ -142,8 +143,8 @@ def test_back_reflection_beyond_a_probability_rejected():
 
 def test_reproducibility_bit_identical():
     config = PulseTrainConfig(default_topology(), 8.0, 50_000, rng_seed=99)
-    trace_a, report_a = run_pulse_train(config)
-    trace_b, report_b = run_pulse_train(config)
+    trace_a, report_a = event_trace(config)
+    trace_b, report_b = event_trace(config)
     for field in (
         "herald_bin",
         "accepted",
@@ -159,14 +160,14 @@ def test_reproducibility_bit_identical():
 
 def test_different_seeds_differ():
     base = dict(topology=default_topology(), reference_power_mw=8.0, n_clock_cycles=50_000)
-    trace_a, _ = run_pulse_train(PulseTrainConfig(rng_seed=1, **base))
-    trace_b, _ = run_pulse_train(PulseTrainConfig(rng_seed=2, **base))
+    trace_a, _ = event_trace(PulseTrainConfig(rng_seed=1, **base))
+    trace_b, _ = event_trace(PulseTrainConfig(rng_seed=2, **base))
     assert not np.array_equal(trace_a.herald_bin, trace_b.herald_bin)
 
 
 def test_zero_power_produces_nothing():
     config = PulseTrainConfig(default_topology(), 0.0, 10_000)
-    trace, report = run_pulse_train(config)
+    trace, report = event_trace(config)
     assert report.r_trig_hz == 0.0
     assert report.r_coincidence_hz == 0.0
     assert trace.photons_out.sum() == 0
@@ -174,7 +175,7 @@ def test_zero_power_produces_nothing():
 
 def test_output_confined_to_accepted_cycles():
     config = PulseTrainConfig(default_topology(), 15.0, 100_000, rng_seed=5)
-    trace, _ = run_pulse_train(config)
+    trace, _ = event_trace(config)
     unaccepted = ~trace.accepted
     assert trace.photons_out[unaccepted].sum() == 0
     assert not trace.signal_click[unaccepted].any()
@@ -196,7 +197,7 @@ def test_idle_window_blocks_following_heralds():
         deadtime_chain=FULL_CHAIN,
         rng_seed=6,
     )
-    trace, report = run_pulse_train(config)
+    trace, report = event_trace(config)
     cycles = np.flatnonzero(trace.accepted)
     idle_cycles = int(round(IDLE_TIME_S * 80e6))
     assert np.all(np.diff(cycles) > idle_cycles)
@@ -211,7 +212,7 @@ def test_single_bin_matches_closed_forms():
     config = PulseTrainConfig(
         topo, 8.0, 1_000_000, deadtime_chain=NO_DEADTIME, rng_seed=42
     )
-    trace, _ = run_pulse_train(config)
+    trace, _ = event_trace(config)
     xi = xi_from_power(calibrate_coupling(p_seed), 8.0 * 0.9)
     probs = source_probs(xi, eta_i, eta_s, 0.0)
     n = config.n_clock_cycles
@@ -229,7 +230,7 @@ def test_pass2_bin_matches_closed_forms():
     config = PulseTrainConfig(
         topo, 10.0, 1_000_000, deadtime_chain=NO_DEADTIME, rng_seed=43
     )
-    trace, _ = run_pulse_train(config)
+    trace, _ = event_trace(config)
     probs = evaluate_mux(topo, 10.0)
     n = config.n_clock_cycles
     assert abs(_z(trace.accepted.sum(), probs.p_trig * n)) < 3.0
@@ -265,7 +266,7 @@ def test_randomized_topologies_match_analytic_model():
             topo, power, n, deadtime_chain=NO_DEADTIME,
             rng_seed=1000 + case,
         )
-        trace, _ = run_pulse_train(config)
+        trace, _ = event_trace(config)
         probs = evaluate_mux(topo, power)
         for count, p in (
             (trace.accepted.sum(), probs.p_trig),
@@ -281,10 +282,10 @@ def test_loss_splitting_is_distribution_identical():
     n = 800_000
     a = _single_bin_topology(0.2, 0.3, 5.0, eta_sw=1.0)
     b = _single_bin_topology(0.2, 0.6, 5.0, eta_sw=0.5)
-    run_a, _ = run_pulse_train(
+    run_a, _ = event_trace(
         PulseTrainConfig(a, 8.0, n, deadtime_chain=NO_DEADTIME, rng_seed=7)
     )
-    run_b, _ = run_pulse_train(
+    run_b, _ = event_trace(
         PulseTrainConfig(b, 8.0, n, deadtime_chain=NO_DEADTIME, rng_seed=8)
     )
     for field in ("signal_click", "accidental_click"):
@@ -304,7 +305,7 @@ def test_accidental_estimator_product_rule():
     config = PulseTrainConfig(
         topo, 8.0, n, deadtime_chain=NO_DEADTIME, rng_seed=21
     )
-    trace, report = run_pulse_train(config)
+    trace, report = event_trace(config)
     probs = evaluate_mux(topo, 8.0)
     expected = probs.p_trig * (probs.p_a / probs.p_trig)  # product form
     assert report.r_accidental_hz * n / 80e6 == pytest.approx(
@@ -354,7 +355,7 @@ def test_sparse_sampler_matches_dense_oracle_across_chunks(monkeypatch):
 
 
 def _assert_matches_dense_oracle(config):
-    sparse, _ = run_pulse_train(dataclasses.replace(config, rng_seed=31))
+    sparse, _ = event_trace(dataclasses.replace(config, rng_seed=31))
     dense = dense_eventsim.run_dense_pulse_train(
         dataclasses.replace(config, rng_seed=32)
     )
@@ -476,12 +477,12 @@ def test_one_chunk_runs_draw_the_unchunked_stream(name):
     assert eventsim.CHUNK_CYCLES >= 1_000_000
     chain = {"full-chain": FULL_CHAIN, "empty-chain": NO_DEADTIME}[name]
     config = PulseTrainConfig(default_topology(), 40.0, 1_000_000, chain, rng_seed=2024)
-    trace, report = run_pulse_train(config)
+    trace, report = event_trace(config)
     digest = hashlib.sha256()
     for field in RECORD_FIELDS:
         digest.update(np.ascontiguousarray(getattr(trace, field), np.int64).tobytes())
     assert digest.hexdigest() == ONE_CHUNK_SHA256[name]
-    assert run_pulse_train(config, trace=False)[1] == report
+    assert run_pulse_train(config)[1] == report
 
 
 @pytest.mark.parametrize(
@@ -495,8 +496,8 @@ def test_one_chunk_runs_draw_the_unchunked_stream(name):
 def test_chunk_counts_add_up_to_the_trace(monkeypatch, config):
     chunk = 997
     monkeypatch.setattr(eventsim, "CHUNK_CYCLES", chunk)
-    trace, traced = run_pulse_train(config)
-    counts, report = run_pulse_train(config, trace=False)
+    trace, traced = event_trace(config)
+    counts, report = run_pulse_train(config)
     assert report == traced  # the same draws, whichever records are kept
     n, rep_rate_hz = config.n_clock_cycles, config.topology.rep_rate_hz
 
@@ -544,7 +545,7 @@ def test_a_gate_carried_across_a_boundary_shares_the_next_heralds_draw(
     monkeypatch.setattr(eventsim, "CHUNK_CYCLES", chunk)
     topo = _single_bin_topology(0.6, 1.0, 5.0)
     config = PulseTrainConfig(topo, 20.0, n, NO_DEADTIME, rng_seed=4)
-    trace, _ = run_pulse_train(config)
+    trace, _ = event_trace(config)
     t = trace.accepted_cycles
     follows = np.flatnonzero(np.diff(t) == 1)
     assert np.count_nonzero(t[follows] % chunk == chunk - 1) > 50
@@ -553,18 +554,56 @@ def test_a_gate_carried_across_a_boundary_shares_the_next_heralds_draw(
     )
 
 
-def test_counts_run_holds_one_chunk_at_a_time():
+@pytest.mark.parametrize(
+    "chunk, n",
+    [
+        (1, 2_000),
+        (97, 45_000),
+        (997, 400_000),
+        (9_999, 1_000_500),
+        (10_000, 1_000_500),
+        (10_001, 1_000_500),
+    ],
+)
+def test_streamed_trace_equals_the_joined_trace(monkeypatch, tmp_path, chunk, n):
+    # Chunks shorter than, equal to and longer than the writer's 10^4-cycle
+    # blocks, across the cycle numbers' digit steps, on the lossless one-bin
+    # topology: a quarter of its cycles herald, so heralds fall on many
+    # chunks' last cycles and have their accidental gate drawn with the next.
+    monkeypatch.setattr(eventsim, "CHUNK_CYCLES", chunk)
+    topo = _single_bin_topology(0.6, 1.0, 5.0)
+    config = PulseTrainConfig(topo, 20.0, n, NO_DEADTIME, rng_seed=4)
+    trace, joined = event_trace(config)
+    t = trace.accepted_cycles
+    carried = (t % chunk == chunk - 1) & (t < n - 1)
+    assert np.count_nonzero(trace.accepted_accidental[carried]) >= 1
+    trace.to_csv(tmp_path / "joined.csv")
+    counts, report = run_pulse_train(config)
+    streamed_counts, streamed = run_pulse_train(config, tmp_path / "streamed.csv")
+    assert (tmp_path / "streamed.csv").read_bytes() == (
+        tmp_path / "joined.csv"
+    ).read_bytes()
+    assert streamed == report == joined
+    for field in dataclasses.fields(counts):
+        assert np.array_equal(
+            getattr(streamed_counts, field.name), getattr(counts, field.name)
+        )
+
+
+@pytest.mark.parametrize("trace_csv", [None, os.devnull], ids=["counts", "streamed"])
+def test_counts_run_holds_one_chunk_at_a_time(trace_csv):
     def peak(n):
         config = PulseTrainConfig(default_topology(), 40.0, n, rng_seed=3)
         tracemalloc.start()
         try:
-            run_pulse_train(config, trace=False)
+            run_pulse_train(config, trace_csv)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     # 2^21 and 2^23 cycles: four times the run, the same peak of one chunk's
-    # arrays (about 2.2 MB at 40 mW), where whole-run arrays grow fourfold.
+    # arrays (about 2.2 MB at 40 mW, 2.5 MB with the trace streamed), where
+    # whole-run arrays grow fourfold.
     small = peak(2 * eventsim.CHUNK_CYCLES)
     large = peak(8 * eventsim.CHUNK_CYCLES)
     assert abs(large - small) <= 0.1 * small
@@ -574,7 +613,7 @@ def test_counts_run_holds_one_chunk_at_a_time():
 
 def test_trace_csv_round_trip(tmp_path):
     config = PulseTrainConfig(default_topology(), 8.0, 2_000, rng_seed=12)
-    trace, _ = run_pulse_train(config)
+    trace, _ = event_trace(config)
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     with open(path, newline="") as fh:
@@ -594,7 +633,7 @@ def test_trace_csv_round_trip(tmp_path):
     ids=["default-40mW", "pass2-bin-no-deadtime"],
 )
 def test_trace_csv_matches_row_by_row_writer(tmp_path, config):
-    trace, _ = run_pulse_train(config)
+    trace, _ = event_trace(config)
     assert trace.accepted.sum() > 10 and trace.back_reflection.any()
     fields = (
         "herald_bin",
@@ -717,7 +756,7 @@ def test_trace_csv_across_row_blocks_matches_plain_writer(
 
 def test_trace_csv_holds_one_block_of_rows_at_a_time():
     config = PulseTrainConfig(default_topology(), 5.0, 1_000_000, rng_seed=5)
-    trace, _ = run_pulse_train(config)
+    trace, _ = event_trace(config)
     tracemalloc.start()
     try:
         trace.to_csv(os.devnull)
@@ -731,7 +770,7 @@ def test_trace_csv_holds_one_block_of_rows_at_a_time():
 
 
 def test_trace_csv_replaces_only_a_lone_regular_file(tmp_path):
-    trace, _ = run_pulse_train(
+    trace, _ = event_trace(
         PulseTrainConfig(default_topology(), 5.0, 2_000, rng_seed=5)
     )
     trace.to_csv(tmp_path / "fresh.csv")
