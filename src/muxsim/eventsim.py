@@ -38,15 +38,16 @@ sampler does not check that closed form; the dense sampler kept with the
 tests and the per-pulse source oracles of the tests do.
 
 A run is drawn in consecutive chunks of CHUNK_CYCLES = 2^20 cycles, each
-through every step above, so its memory is bounded by one chunk's records
-(a peak of about 2.2 MB of arrays at 40 mW on the default apparatus), not by
+through every step above, so its memory is bounded by two chunks' records
+(a peak of about 2.6 MB of arrays at 40 mW on the default apparatus), not by
 its length.  Two pieces of state cross a chunk boundary: each deadtime
 stage's last pass, and the accidental gate of a herald on the chunk's last
-cycle, whose (cycle + 1, bin) is drawn with the next chunk.  The law is the
-same as one draw over the whole run.  Every run goes through one loop,
-which keeps the counts of each chunk as one row and hands the chunk's
-records to a sink: `run_pulse_train` drops them or streams them to a trace
-CSV, and `event_trace` keeps and joins them into one EventTrace.
+cycle, whose (cycle + 1, bin) is drawn with the next chunk; so a chunk is
+handed on, final, only once the next one is drawn.  The law is the same as
+one draw over the whole run.  Every run goes through one loop, which keeps
+the counts of each chunk as one row and hands its records to a sink:
+`run_pulse_train` drops them or streams them to a trace CSV, and
+`event_trace` keeps and joins them into one EventTrace.
 
 The generator is counter-based (Philox), so a fixed seed gives a
 bit-identical trace.  A run of at most one chunk makes the same draws as the
@@ -57,7 +58,7 @@ draws a different stream for the same seed.
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -192,16 +193,14 @@ class EventTrace:
         """One row per clock cycle, through the writer that `run_pulse_train`
         streams a trace with."""
         with open_output(path, "wb") as fh:
-            _TraceWriter(fh, self.n_cycles).write(self, self.n_cycles)
+            fh.write(_CSV_HEADER)
+            _write_part(fh, self, 0, self.n_cycles)
 
 
-def _csv_columns(head: np.ndarray, records) -> np.ndarray:
-    """The columns `head`, then the CSV row of each candidate of `records`
-    (an EventTrace or a chunk) as one column each, all in one new array."""
-    at = head.shape[1]
-    out = np.zeros((8, at + records.candidate_cycles.size), dtype=np.int64)
-    out[:, :at] = head
-    cols = out[:, at:]
+def _csv_columns(records) -> np.ndarray:
+    """The CSV row of each candidate of `records` (an EventTrace or a chunk)
+    as one column each."""
+    cols = np.zeros((8, records.candidate_cycles.size), dtype=np.int64)
     cols[0] = records.candidate_cycles
     cols[1] = records.candidate_bin
     cols[4] = -1
@@ -212,12 +211,12 @@ def _csv_columns(head: np.ndarray, records) -> np.ndarray:
     cols[5, acc] = records.accepted_photons
     cols[6, acc] = records.accepted_photons >= 1
     cols[7, acc] = records.accepted_accidental
-    return out
+    return cols
 
 
-class _TraceWriter:
-    """Writes the trace CSV of an n-cycle run to `fh` as the records of its
-    consecutive parts arrive: a whole trace, or one chunk at a time.
+def _write_part(fh, records, lo: int, hi: int) -> None:
+    """Writes to `fh` the trace CSV rows of the cycles [lo, hi), whose
+    candidates `records` holds: a whole trace, or one chunk.
 
     Rows go out one block of cycles at a time.  A block holds the cycles
     10^m j to 10^m j + 10^m - 1, whose numbers have the same digit count d,
@@ -227,60 +226,37 @@ class _TraceWriter:
     10^m rows, and each block fills in its leading digits.  The block's
     candidate rows are formatted one by one, and the block goes out in one
     write: the join of the slices of the matrix between them.
-
-    Before the run's end, a part is written up to the last multiple of 10^4
-    at or before its last cycle, and the rest is held until the next part
-    arrives: a herald on that last cycle has its accidental gate drawn with
-    the next part.  So at most one part's candidates and one block (~250 KB)
-    of rows are held, never the whole file.
     """
-
-    def __init__(self, fh, n_cycles: int):
-        fh.write(_CSV_HEADER)
-        self.fh, self.n = fh, n_cycles
-        self.stop = self.done = 0  # cycles received, cycles written
-        self.held = np.zeros((8, 0), dtype=np.int64)
-
-    def write(self, records, cycles: int, carried: bool = False) -> None:
-        """Rows of the next `cycles` cycles, whose candidates `records` holds;
-        `carried` sets the accidental flag of a herald on the last cycle
-        before them."""
-        if carried:  # that herald is the last candidate held
-            self.held[7, -1] = 1
-        cols = _csv_columns(self.held, records)
-        self.stop += cycles
-        block = 10**_BLOCK_DIGITS
-        end = self.n if self.stop == self.n else (self.stop - 1) // block * block
-        while self.done < end:
-            digits = len(str(self.done))
-            hi = min(end, 10**digits)
-            _write_rows(self.fh, cols, self.done, hi, digits)
-            self.done = hi
-        self.held = cols[:, np.searchsorted(cols[0], end) :].copy()
+    cols = _csv_columns(records)
+    while lo < hi:
+        digits = len(str(lo))
+        stop = min(hi, 10**digits)
+        _write_rows(fh, cols, lo, stop, digits)
+        lo = stop
 
 
 def _write_rows(fh, cols: np.ndarray, lo: int, hi: int, digits: int) -> None:
     """Rows of the cycles in [lo, hi), whose numbers have `digits` digits,
-    given every candidate's row in the columns of `cols`; lo starts a
-    block."""
+    given every candidate's row in the columns of `cols`."""
     lead = digits - min(digits - 1, _BLOCK_DIGITS)
     rows = _quiet_rows(digits, lead)
     width = rows.shape[1]
     text = memoryview(rows.reshape(-1))
     size = rows.shape[0]
     first = int(np.searchsorted(cols[0], lo))
-    for start in range(lo, hi, size):
+    at = lo % size  # the first block's rows start at lo
+    for start in range(lo - at, hi, size):
         for col, digit in enumerate(b"%d" % (start // size)):
             rows[:, col] = digit  # a scalar per column beats a (size, lead) broadcast
         stop = min(start + size, hi)
         last = int(np.searchsorted(cols[0], stop))
-        pieces, at = [], 0
+        pieces = []
         for row in zip(*cols[:, first:last].tolist()):
             pieces += (text[at * width : (row[0] - start) * width], _CANDIDATE_ROW % row)
             at = row[0] - start + 1
         pieces.append(text[at * width : (stop - start) * width])
         fh.write(b"".join(pieces))
-        first = last
+        first, at = last, 0
 
 
 def _quiet_rows(digits: int, lead: int) -> np.ndarray:
@@ -443,11 +419,12 @@ def _idler_clicked(
 
 
 class _Chunk(NamedTuple):
-    """The records of one chunk of cycles, as EventTrace holds them, with
-    the chunk's counters.  The accidental gate of a herald on the chunk's
-    last cycle is drawn with the next chunk and reported there."""
+    """The records of the cycles [start, stop), as EventTrace holds them,
+    with the chunk's counters.  The accidental flag of a herald on the
+    chunk's last cycle is set when the next chunk is drawn."""
 
-    cycles: int  # clock cycles in the chunk
+    start: int
+    stop: int
     candidate_cycles: np.ndarray
     candidate_bin: np.ndarray
     survivors: Tuple[int, ...]  # candidates passing each rising deadtime stage
@@ -456,7 +433,6 @@ class _Chunk(NamedTuple):
     accepted_photons: np.ndarray
     accepted_accidental: np.ndarray
     accepted_back: np.ndarray
-    carried_accidental: bool  # the gate of the previous chunk's last herald clicked
 
 
 class _Sampler:
@@ -496,9 +472,22 @@ class _Sampler:
         self.last_passed = {}
         self.carried = np.zeros(0, dtype=np.int64)
 
-    def draw(self, start: int, stop: int) -> _Chunk:
+    def chunks(self) -> Iterator[_Chunk]:
+        """The run's chunks in order, each final: it is handed on only after
+        the next one is drawn, which settles its last herald's gate."""
+        held, _ = self.draw(0, min(CHUNK_CYCLES, self.n))
+        for start in range(CHUNK_CYCLES, self.n, CHUNK_CYCLES):
+            chunk, carried = self.draw(start, min(start + CHUNK_CYCLES, self.n))
+            if carried:  # a chunk without an accepted herald carries no gate
+                held.accepted_accidental[-1] = True
+            yield held
+            held = chunk
+        yield held
+
+    def draw(self, start: int, stop: int) -> Tuple[_Chunk, bool]:
         """The records of cycles [start, stop), the chunk after the last one
-        drawn.  Its arrays are freed when it returns, before the next one."""
+        drawn, and whether the gate carried from that last one's final
+        herald clicked.  The working arrays are freed when it returns."""
         rng, n_bins, p_idler = self.rng, self.n_bins, self.p_idler
         cyc, own, idl = _merge_bins(
             [
@@ -555,7 +544,8 @@ class _Sampler:
         pending = ~in_range & (stop < self.n)
         self.carried = stop * n_bins + k_acc[pending].astype(np.int64)
         return _Chunk(
-            cycles=stop - start,
+            start=start,
+            stop=stop,
             candidate_cycles=candidate_cycles,
             candidate_bin=candidate_bin,
             survivors=tuple(survivors),
@@ -564,8 +554,7 @@ class _Sampler:
             accepted_photons=photons.astype(np.int32),
             accepted_accidental=accidental,
             accepted_back=back_only,
-            carried_accidental=bool(clicks[clicks.size - carried.size :].any()),
-        )
+        ), bool(clicks[clicks.size - carried.size :].any())
 
 
 @dataclass(frozen=True)
@@ -595,10 +584,9 @@ def run_pulse_train(
     if trace_csv is None:
         return _run(sampler, lambda chunk: None)
     with open_output(trace_csv, "wb") as fh:
-        writer = _TraceWriter(fh, config.n_clock_cycles)
+        fh.write(_CSV_HEADER)
         return _run(
-            sampler,
-            lambda chunk: writer.write(chunk, chunk.cycles, chunk.carried_accidental),
+            sampler, lambda chunk: _write_part(fh, chunk, chunk.start, chunk.stop)
         )
 
 
@@ -606,13 +594,7 @@ def event_trace(config: PulseTrainConfig) -> Tuple[EventTrace, RateReport]:
     """The run of `run_pulse_train`, with its records kept in memory and
     joined into one EventTrace."""
     parts = []
-
-    def keep(chunk: _Chunk) -> None:
-        if chunk.carried_accidental:
-            parts[-1].accepted_accidental[-1] = True
-        parts.append(chunk)
-
-    _, report = _run(_Sampler(config), keep)
+    _, report = _run(_Sampler(config), parts.append)
     offsets = np.cumsum([0] + [part.candidate_cycles.size for part in parts[:-1]])
 
     def joined(field):
@@ -637,31 +619,27 @@ def event_trace(config: PulseTrainConfig) -> Tuple[EventTrace, RateReport]:
 def _run(
     sampler: _Sampler, sink: Callable[[_Chunk], None]
 ) -> Tuple[ChunkCounts, RateReport]:
-    """Draws the run chunk by chunk, counting each chunk and handing it to
-    `sink`.  A chunk's carried accidental belongs to the previous chunk's
-    last herald: it is counted there, and the sink sets its flag."""
+    """Draws the run chunk by chunk, counting each final chunk and handing
+    it to `sink`."""
     n, rep_rate_hz = sampler.n, sampler.rep_rate_hz
     rows = []
-    for start in range(0, n, CHUNK_CYCLES):
-        chunk = sampler.draw(start, min(start + CHUNK_CYCLES, n))
-        if chunk.carried_accidental:
-            rows[-1][-1] += 1
+    for chunk in sampler.chunks():
         rows.append(
-            [
-                chunk.cycles,
+            (
+                chunk.stop - chunk.start,
                 chunk.candidate_cycles.size,
-                *chunk.survivors,
+                chunk.survivors,
                 chunk.accepted_index.size,
                 np.count_nonzero(chunk.accepted_photons),
                 np.count_nonzero(chunk.accepted_accidental),
-            ]
+            )
         )
         sink(chunk)
         del chunk  # unless the sink keeps them, its records go before the next draw
-    table = np.array(rows, dtype=np.int64)
-    totals = table[:, -3:].sum(axis=0).tolist()
+    counts = ChunkCounts(*(np.array(c, dtype=np.int64) for c in zip(*rows)))
     (r_trig, e_trig), (r_c, e_c), (r_a, e_a) = (
-        _binomial_rate(count, n, rep_rate_hz) for count in totals
+        _binomial_rate(int(count.sum()), n, rep_rate_hz)
+        for count in (counts.accepted, counts.coincidences, counts.accidentals)
     )
     report = RateReport(
         r_trig_hz=r_trig,
@@ -670,14 +648,6 @@ def _run(
         r_trig_err_hz=e_trig,
         r_coincidence_err_hz=e_c,
         r_accidental_err_hz=e_a,
-    )
-    counts = ChunkCounts(
-        cycles=table[:, 0],
-        candidates=table[:, 1],
-        survivors=table[:, 2:-3],
-        accepted=table[:, -3],
-        coincidences=table[:, -2],
-        accidentals=table[:, -1],
     )
     return counts, report
 

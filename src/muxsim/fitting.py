@@ -15,8 +15,10 @@ per iteration on the trial points of every start still running; that call
 evaluates each point once and gives its residuals with their exact
 Jacobian: `predict_rates`' composition, `source_probs` then
 `mux.saturated_rates`, runs on forward-mode tangent arrays (`_Tangent`, which
-the spectral fit shares), and the one derivative rule written by hand, the
-deadtime acceptance slope, comes in through `saturated_rates`.  Sources
+the spectral fit shares).  Two derivative rules are written by hand: the
+deadtime acceptance slope, which comes in through `saturated_rates`, and
+d xi / d log p_seed in `_rates_and_slopes`, since `hsps.xi_from_power`
+applies `math.tanh` element by element and cannot carry a tangent.  Sources
 that share a model kind, a power column and a residual space are solved
 together, their starts in one solver run, each start on its own source's
 residuals; every source still gets the fit it gets alone.  The Jacobian at

@@ -14,8 +14,11 @@ coincidences into one and several signal photons delivered; no rate needs
 that split.  Both weigh the same two herald branches (``_herald_split``).
 No derivative is written here: the fitter runs ``source_probs`` on
 tangent arrays (`fitting._Tangent`) and passes them on to
-`mux.saturated_rates`, whose deadtime acceptance slope is the one
-derivative rule written by hand (`saturation.DeadtimeChain.acceptance`).
+`mux.saturated_rates`, whose deadtime acceptance slope is a derivative
+rule written by hand (`saturation.DeadtimeChain.acceptance`).  The other
+is d xi / d log p_seed, which the fitter writes itself
+(`fitting._rates_and_slopes`), since ``xi_from_power`` applies
+``math.tanh`` element by element and so cannot carry a tangent.
 """
 
 import math

@@ -75,11 +75,11 @@ class DeadtimeChain:
 
         A p with a ``value`` and a forward-mode ``tangent`` (a
         `fitting._Tangent`) gets its own type back: A, with a plain call's
-        bits, and the tangent times dA/dp, the one derivative rule written
-        by hand: -c A^2 for one stage that can block,
-        -A^2 (I + E[r] + p dE[r]/dp) for two, finite on all of [0, 1].  The
-        fitter reaches it through `mux.saturated_rates`; a plain p takes the
-        value-only pass.
+        bits, and the tangent times dA/dp, a derivative rule written by
+        hand (the fitter's d xi / d log p_seed is the other): -c A^2 for
+        one stage that can block, -A^2 (I + E[r] + p dE[r]/dp) for two,
+        finite on all of [0, 1].  The fitter reaches it through
+        `mux.saturated_rates`; a plain p takes the value-only pass.
         """
         if not (hasattr(p, "value") and hasattr(p, "tangent")):
             return _acceptance(self, p, rep_rate_hz, slope=False)[0]

@@ -552,6 +552,14 @@ def test_a_gate_carried_across_a_boundary_shares_the_next_heralds_draw(
     assert np.array_equal(
         trace.accepted_accidental[follows], trace.accepted_photons[follows + 1] >= 1
     )
+    # A sink gets each chunk final: a flag it copies on receipt is the flag
+    # the joined trace holds.
+    received = []
+    eventsim._run(
+        eventsim._Sampler(config),
+        lambda part: received.append(part.accepted_accidental.copy()),
+    )
+    assert np.array_equal(np.concatenate(received), trace.accepted_accidental)
 
 
 @pytest.mark.parametrize(
@@ -601,9 +609,11 @@ def test_counts_run_holds_one_chunk_at_a_time(trace_csv):
         finally:
             tracemalloc.stop()
 
-    # 2^21 and 2^23 cycles: four times the run, the same peak of one chunk's
-    # arrays (about 2.2 MB at 40 mW, 2.5 MB with the trace streamed), where
-    # whole-run arrays grow fourfold.
+    # 2^21 and 2^23 cycles: four times the run, the same peak of two chunks'
+    # arrays (about 1.8 MB at 40 mW, 2.8 MB with the trace streamed), where
+    # whole-run arrays grow fourfold.  The first run in a process imports
+    # numpy.random, 0.75 MB that tracemalloc counts, so one goes before both.
+    peak(1)
     small = peak(2 * eventsim.CHUNK_CYCLES)
     large = peak(8 * eventsim.CHUNK_CYCLES)
     assert abs(large - small) <= 0.1 * small
