@@ -463,6 +463,15 @@ RECORD_FIELDS = (
     "accepted_accidental",
     "accepted_back",
 )
+
+
+def _record_sha256(trace) -> str:
+    digest = hashlib.sha256()
+    for field in RECORD_FIELDS:
+        digest.update(np.ascontiguousarray(getattr(trace, field), np.int64).tobytes())
+    return digest.hexdigest()
+
+
 # sha256 of the record arrays of one-chunk runs, each as int64 in the order
 # of RECORD_FIELDS, recorded from the sampler before it drew in chunks: a
 # run of at most CHUNK_CYCLES cycles makes the same draws in the same order.
@@ -478,10 +487,33 @@ def test_one_chunk_runs_draw_the_unchunked_stream(name):
     chain = {"full-chain": FULL_CHAIN, "empty-chain": NO_DEADTIME}[name]
     config = PulseTrainConfig(default_topology(), 40.0, 1_000_000, chain, rng_seed=2024)
     trace, report = event_trace(config)
-    digest = hashlib.sha256()
-    for field in RECORD_FIELDS:
-        digest.update(np.ascontiguousarray(getattr(trace, field), np.int64).tobytes())
-    assert digest.hexdigest() == ONE_CHUNK_SHA256[name]
+    assert _record_sha256(trace) == ONE_CHUNK_SHA256[name]
+    assert run_pulse_train(config)[1] == report
+
+
+# sha256 of the record arrays of runs that cross chunk boundaries, hashed as
+# ONE_CHUNK_SHA256 is, recorded before the sampler drew on packed keys: the
+# deadtime stages' last passes and the carried accidental gates cross those
+# boundaries, and the draws must stay the same.  The 997-cycle chunks without
+# deadtimes carry 330 gates across boundaries, 75 of which click.
+MULTI_CHUNK_SHA256 = {
+    "full-chain": "44bfc0f5eff99f5f3d29d5fa0279f2a71df22cd7f74297d322fb9ff1e1883aca",
+    "empty-chain": "83f24218fb3460dc670de6455259fa58ea48bcd3fff28745d73d1521163e8c55",
+    "pass2-bin-997": "5178377c899ad4c54191805a4d39e5a9c521e3bb0c17a19f34a829c0d3503a2e",
+}
+
+
+@pytest.mark.parametrize("name", MULTI_CHUNK_SHA256)
+def test_multi_chunk_runs_keep_their_stream(monkeypatch, name):
+    if name == "pass2-bin-997":
+        monkeypatch.setattr(eventsim, "CHUNK_CYCLES", 997)
+        config = _pass2_bin_config(1_000_000, deadtime_chain=NO_DEADTIME, rng_seed=2024)
+    else:
+        assert 1 << 20 == eventsim.CHUNK_CYCLES  # 2.5e6 cycles are three chunks
+        chain = {"full-chain": FULL_CHAIN, "empty-chain": NO_DEADTIME}[name]
+        config = PulseTrainConfig(default_topology(), 40.0, 2_500_000, chain, rng_seed=2024)
+    trace, report = event_trace(config)
+    assert _record_sha256(trace) == MULTI_CHUNK_SHA256[name]
     assert run_pulse_train(config)[1] == report
 
 
