@@ -31,15 +31,18 @@ independently with f_k p_k.  Hence:
   (conditioned on whether that bin's idler clicked there) for the
   accidental gate.  The signal photons are n thinned by eta_s eta_sw.
 
-The bins are merged in priority order, and the deadtime rule runs on the
-merged candidates.  The trace keeps only these sparse records and builds
-per-cycle arrays on demand.  Since p_k comes from hsps.p_trig_idler, this
-sampler does not check that closed form; the dense sampler kept with the
-tests and the per-pulse source oracles of the tests do.
+Each candidate is one int64 key, ((cycle << b | bin) << 1) | idler
+clicked, b the bit width of a bin index, so one sort orders the records by
+cycle and then bin, and a cycle's first record is the bin that heralds it.
+The deadtime rule narrows an index array of these heads, and a gate's idler
+click is looked up among the keys.  The trace keeps only these sparse
+records and builds per-cycle arrays on demand.  Since p_k and q_k come from
+hsps._herald_split, this sampler does not check those closed forms; the
+dense sampler kept with the tests and the per-pulse source oracles do.
 
 A run is drawn in consecutive chunks of CHUNK_CYCLES = 2^20 cycles, each
 through every step above, so its memory is bounded by two chunks' records
-(a peak of about 2.6 MB of arrays at 40 mW on the default apparatus), not by
+(a peak of about 2.5 MB of arrays at 40 mW on the default apparatus), not by
 its length.  Two pieces of state cross a chunk boundary: each deadtime
 stage's last pass, and the accidental gate of a herald on the chunk's last
 cycle, whose (cycle + 1, bin) is drawn with the next chunk; so a chunk is
@@ -62,7 +65,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .hsps import p_trig_idler
+from .hsps import _herald_split
 from .mux import MuxTopology, bin_xi
 from .report import RateReport, open_output
 from .saturation import FULL_CHAIN, DeadtimeChain
@@ -307,7 +310,7 @@ def _accept_heralds(
     last_passed: Optional[dict] = None,
     survivors: Optional[list] = None,
 ) -> np.ndarray:
-    """Boolean acceptance per candidate after sequential refractory stages.
+    """Indices of the candidates accepted by sequential refractory stages.
 
     A candidate blocked at one stage never reaches the later ones and does
     not re-arm the stage that blocked it, so the chain is a cascade of
@@ -317,49 +320,54 @@ def _accept_heralds(
     pass them all.
 
     `last_passed` continues the cascade from the candidates before these.  It
-    maps each rising stage's block to the last cycle that stage passed, which
-    goes before the stage's input as a sure pass, and is updated in place.
-    `survivors`, if given, gets the number of candidates passing each rising
-    stage appended.
+    maps each rising stage's block to the last cycle that stage passed, and
+    is updated in place.  `survivors`, if given, gets the number of
+    candidates passing each rising stage appended.
     """
     if last_passed is None:
         last_passed = {}
-    accepted = np.ones(candidate_cycles.size, dtype=bool)
+    accepted, cycles = np.arange(candidate_cycles.size), candidate_cycles
     longest = -1
     for block in chain.blocks(rep_rate_hz):
         if block > longest:
             # A pass at cycle -(block + 1) blocks no cycle of the run.
-            first = last_passed.get(block, -block - 1)
-            cycles = np.concatenate(([first], candidate_cycles[accepted]))
-            passed = _non_paralyzable(cycles, block)
-            accepted[accepted] = passed[1:]
-            last_passed[block] = int(cycles[passed][-1])
+            passed = _non_paralyzable(cycles, block, last_passed.get(block, -block - 1))
+            accepted, cycles = accepted[passed], cycles[passed]
+            if cycles.size:
+                last_passed[block] = int(cycles[-1])
             if survivors is not None:
-                survivors.append(int(np.count_nonzero(passed)) - 1)
+                survivors.append(cycles.size)
             longest = block
     return accepted
 
 
-def _non_paralyzable(cycles: np.ndarray, block: int) -> np.ndarray:
-    """Which ascending event cycles pass a stage that, after each event it
-    passes, blocks the next `block` cycles.
+def _non_paralyzable(cycles: np.ndarray, block: int, last: int) -> np.ndarray:
+    """Indices of the ascending event cycles that pass a stage which, after
+    each event it passes, blocks the next `block` cycles, given the cycle
+    `last` of the stage's last pass before them.
 
-    An event more than `block` cycles after its predecessor always passes,
-    and after a passed event the next to pass is the first one at least
-    block + 1 cycles later.  So the passed events are found by following
-    those jumps, for all clusters at once, from each sure pass that the
-    next event follows within `block` cycles, until the chain reaches the
-    next sure pass.
+    An event more than `block` cycles after its predecessor (or after
+    `last`) always passes, and after a passed event the next to pass is the
+    first one at least block + 1 cycles later.  So the passed events are
+    found by following those jumps, for all clusters at once, from `last`
+    and from each sure pass that the next event follows within `block`
+    cycles, until the chain reaches the next sure pass.
     """
-    passed = np.ones(cycles.size, dtype=bool)
-    passed[1:] = np.diff(cycles) > block
-    front = np.flatnonzero(passed[:-1] & ~passed[1:])
+    blocked = np.zeros(cycles.size + 1, dtype=bool)  # no chain goes on past the end
+    blocked[0] = cycles.size and cycles[0] - last <= block
+    np.less_equal(cycles[1:] - cycles[:-1], block, out=blocked[1:-1])
+    reach = cycles + (block + 1)
+    sure = np.flatnonzero(~blocked[:-1] & blocked[1:])  # a blocked event follows
+    front = sure + 2  # most often the first jump ends just after the blocked event
+    far = cycles.take(front, mode="clip") < reach[sure]
+    front[far] = cycles.searchsorted(reach[sure[far]])
+    if blocked[0]:
+        front = np.append(front, cycles.searchsorted(last + block + 1))
     while front.size:
-        front = np.searchsorted(cycles, cycles[front] + (block + 1))
-        front = front[front < cycles.size]
-        front = front[~passed[front]]
-        passed[front] = True
-    return passed
+        front = front[blocked[front]]
+        blocked[front] = False
+        front = cycles.searchsorted(reach[front])
+    return np.flatnonzero(~blocked[:-1])
 
 
 def _bernoulli_cycles(q: float, n: int, rng: "np.random.Generator") -> np.ndarray:
@@ -372,50 +380,11 @@ def _bernoulli_cycles(q: float, n: int, rng: "np.random.Generator") -> np.ndarra
         size = min(_GAP_BLOCK, int(expected + 4.0 * math.sqrt(expected)) + 16)
         gaps = rng.geometric(q, size)
         np.minimum(gaps, n + 1, out=gaps)  # a gap past the end ends the run
-        blocks.append(last + np.cumsum(gaps))
-        last = int(blocks[-1][-1])
-    cycles = np.concatenate(blocks)
+        gaps[0] += last
+        blocks.append(np.cumsum(gaps, out=gaps))
+        last = int(gaps[-1])
+    cycles = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     return cycles[: np.searchsorted(cycles, n)]
-
-
-def _bin_candidates(
-    p: float, f: float, n: int, rng: "np.random.Generator"
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(cycles, idler clicked) of one bin's herald candidates, where the idler
-    clicks with probability p and a back-reflection with f p.
-
-    A candidate without an idler click is a back-reflection only.  Whether an
-    idler click came with a back-reflection changes no output, so those two
-    cases are drawn as one, with probability p / q.
-    """
-    q = p + f * p * (1.0 - p)
-    if q == 0.0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
-    cycles = _bernoulli_cycles(q, n, rng)
-    return cycles, rng.random(cycles.size) < p / q
-
-
-def _merge_bins(per_bin):
-    """(cycle, bin, idler clicked) of every bin's candidates, sorted by cycle
-    and then bin, so that the first record of a cycle is the bin that
-    heralds it."""
-    cyc, idl = (np.concatenate(x) for x in zip(*per_bin))
-    own = np.repeat(
-        np.arange(len(per_bin), dtype=np.int16), [c.size for c, _ in per_bin]
-    )
-    order = np.lexsort((own, cyc))
-    return cyc[order], own[order], idl[order]
-
-
-def _idler_clicked(
-    keys: np.ndarray, idler: np.ndarray, wanted: np.ndarray
-) -> np.ndarray:
-    """Whether the idler clicked at each wanted key, given the ascending keys
-    of all candidate records and their idler flags."""
-    if not keys.size:  # a chunk without candidates can still hold a carried gate
-        return np.zeros(wanted.size, dtype=bool)
-    pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
-    return (keys[pos] == wanted) & idler[pos]
 
 
 class _Chunk(NamedTuple):
@@ -437,8 +406,8 @@ class _Chunk(NamedTuple):
 
 class _Sampler:
     """The set-up of one run, made once, and the state that crosses a chunk
-    boundary: each rising deadtime stage's last pass, and the gate key of a
-    herald on the last chunk's last cycle."""
+    boundary: each rising deadtime stage's last pass, and the bin of a herald
+    on the last chunk's last cycle, whose gate the next chunk draws."""
 
     def __init__(self, config: PulseTrainConfig):
         topo = config.topology
@@ -446,22 +415,24 @@ class _Sampler:
         slots = max(b.delay_id for b in bins) + 1
         self.n = config.n_clock_cycles
         self.n_bins = len(bins)
+        self.bits = (self.n_bins - 1).bit_length()  # of a bin index in a key
         self.rep_rate_hz = topo.rep_rate_hz
         self.chain = config.deadtime_chain
         self.rng = np.random.Generator(np.random.Philox(config.rng_seed))
 
         xi = bin_xi(topo, [config.reference_power_mw])[0]
         eta_i = np.array([b.source.eta_i for b in bins])
-        self.p_idler = p_trig_idler(xi, eta_i)
-        self.f = np.array([b.source.back_reflection_fraction for b in bins])
-        p_back = self.f * self.p_idler
-        if np.count_nonzero(p_back > 1.0):
-            raise ConfigurationError(
-                f"f * p_trig reaches {np.max(p_back)} > 1; not a valid probability"
-            )
+        eta_s = np.array([b.source.eta_s for b in bins])
+        f = np.array([b.source.back_reflection_fraction for b in bins])
+        try:
+            _, self.p_idler, p_back_only = _herald_split(xi, eta_i, eta_s, f)
+        except ValueError as error:
+            raise ConfigurationError(str(error)) from error
+        # A candidate is an idler click or a back-reflection only.
+        self.q = self.p_idler + p_back_only
         # Success probability of the geometric law of idler photons lost.
         self.keep = 1.0 - xi * xi * (1.0 - eta_i)
-        self.eta_path = np.array([b.source.eta_s * b.eta_sw for b in bins])
+        self.eta_path = eta_s * np.array([b.eta_sw for b in bins])
         self.loop_masks = np.array(
             [
                 sum(bit << j for j, bit in enumerate(route_bin(b.delay_id, slots)[0]))
@@ -484,65 +455,93 @@ class _Sampler:
             held = chunk
         yield held
 
+    def bin_keys(self, k: int, n: int) -> np.ndarray:
+        """The keys ((cycle << bits | k) << 1) | idler clicked of bin k's
+        herald candidates in [0, n).
+
+        A candidate without an idler click is a back-reflection only.
+        Whether an idler click came with a back-reflection changes no output,
+        so those two cases are drawn as one, with probability p / q.
+        """
+        p, q = self.p_idler[k], self.q[k]
+        if q == 0.0:
+            return np.zeros(0, dtype=np.int64)
+        keys = _bernoulli_cycles(q, n, self.rng)
+        keys <<= self.bits + 1
+        keys |= self.rng.random(keys.size) < p / q
+        keys |= k << 1
+        return keys
+
     def draw(self, start: int, stop: int) -> Tuple[_Chunk, bool]:
         """The records of cycles [start, stop), the chunk after the last one
         drawn, and whether the gate carried from that last one's final
         herald clicked.  The working arrays are freed when it returns."""
-        rng, n_bins, p_idler = self.rng, self.n_bins, self.p_idler
-        cyc, own, idl = _merge_bins(
-            [
-                _bin_candidates(p_idler[k], self.f[k], stop - start, rng)
-                for k in range(n_bins)
-            ]
-        )
-        cyc += start
-        heads = np.flatnonzero(np.diff(cyc, prepend=-1))
-        candidate_cycles, candidate_bin = cyc[heads], own[heads]
+        rng, bits, n = self.rng, self.bits, stop - start
+        bin_of = (1 << bits) - 1
+        keys = np.concatenate([self.bin_keys(k, n) for k in range(self.n_bins)])
+        keys.sort()  # by cycle, then bin: a cycle's first record is its herald
+        cycle = keys >> (bits + 1)
+        head = np.empty(keys.size, dtype=bool)
+        head[:1] = True
+        np.not_equal(cycle[1:], cycle[:-1], out=head[1:])
+        heads = keys[head]
+        candidate_cycles = cycle[head] + start
+        candidate_bin = (heads >> 1 & bin_of).astype(np.int16)
+        del cycle, head
         survivors = []
-        accepted = np.flatnonzero(
-            _accept_heralds(
-                candidate_cycles,
-                self.rep_rate_hz,
-                self.chain,
-                self.last_passed,
-                survivors,
-            )
+        accepted = _accept_heralds(
+            candidate_cycles, self.rep_rate_hz, self.chain, self.last_passed, survivors
         )
-        sel = heads[accepted]
-        t_acc, k_acc, back_only = cyc[sel], own[sel], ~idl[sel]
+        # The cells (cycle << bits | bin) of the accepted heralds; the low bit
+        # of a herald's key tells whether its idler clicked.
+        acc = heads[accepted]
+        idler = (acc & 1).astype(bool)
+        acc >>= 1
+        k_acc = acc & bin_of
 
         # Pair numbers of the selected bin, in the herald's cycle and, for the
         # accidental gate, in the next one: the switch configuration persists
         # through the idle window, so the next cycle's photons from the same
-        # bin reach the output.  A (cycle, bin) needed twice gets one draw.
-        # The gate of a herald on the chunk's last cycle is drawn with the
-        # next chunk, which holds that cycle's records.
-        in_range = t_acc + 1 < stop
-        carried = self.carried
-        gates = np.concatenate(
-            [(t_acc[in_range] + 1) * n_bins + k_acc[in_range], carried]
-        )
-        wanted, inverse = np.unique(
-            np.concatenate([t_acc * n_bins + k_acc, gates]), return_inverse=True
-        )
-        clicked = _idler_clicked(cyc * n_bins + own, idl, wanted)
-        del cyc, own, idl, heads  # the candidate records are no longer needed
-        k_want = wanted % n_bins
+        # bin reach the output.  The gate of a herald on the chunk's last
+        # cycle is drawn with the next chunk, which holds that cycle's records
+        # (its cell there is the bin alone).  A gate's idler clicked if the
+        # key of a click in its cell is among the records, which only a cycle
+        # holding candidates has: the candidate after the herald's, or the
+        # chunk's first for a carried gate.
+        n_in = int(acc.searchsorted((n - 1) << bits))
+        gates = np.concatenate([acc[:n_in] + (1 << bits), self.carried])
+        probe = gates << 1 | 1
+        after = np.concatenate([accepted[:n_in] + 1, np.zeros_like(self.carried)])
+        gate_idler = np.zeros(gates.size, dtype=bool)
+        if candidate_cycles.size:
+            busy = candidate_cycles.take(after, mode="clip") == (gates >> bits) + start
+            probe = probe[busy]
+            gate_idler[busy] = keys.take(keys.searchsorted(probe), mode="clip") == probe
+        del keys, heads, probe  # the candidate records are no longer needed
+        # A cell needed twice gets one draw, in (cycle, bin) order.  The cells
+        # are three ascending runs, which a stable sort merges.
+        cells = np.concatenate([acc, gates])
+        order = np.argsort(cells, kind="stable")
+        ordered = cells[order]
+        new = np.empty(cells.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        inverse = np.empty(cells.size, dtype=np.intp)
+        inverse[order] = np.cumsum(new) - 1
+        k_want = ordered[new] & bin_of
+        clicked = np.concatenate([idler, gate_idler])[order][new]
         # Detected idler photons: >= 1, geometric with ratio p, given a click
         # and none without one; lost ones given m detected: NegBin(m + 1, keep).
-        detected = np.zeros(wanted.size, dtype=np.int64)
-        detected[clicked] = rng.geometric(1.0 - p_idler[k_want[clicked]])
+        detected = np.zeros(k_want.size, dtype=np.int64)
+        detected[clicked] = rng.geometric(1.0 - self.p_idler[k_want[clicked]])
         pairs = detected + rng.negative_binomial(detected + 1, self.keep[k_want])
-        photons = rng.binomial(pairs[inverse[: t_acc.size]], self.eta_path[k_acc])
-        clicks = (
-            rng.binomial(pairs[inverse[t_acc.size :]], self.eta_path[gates % n_bins])
-            >= 1
-        )
-        accidental = np.zeros(t_acc.size, dtype=bool)
-        accidental[in_range] = clicks[: clicks.size - carried.size]
+        photons = rng.binomial(pairs[inverse[: acc.size]], self.eta_path[k_acc])
+        gate_pairs = pairs[inverse[acc.size :]]
+        clicks = rng.binomial(gate_pairs, self.eta_path[gates & bin_of]) >= 1
+        accidental = np.zeros(acc.size, dtype=bool)
+        accidental[:n_in] = clicks[:n_in]
         # On the run's last cycle the gate is out of range and never drawn.
-        pending = ~in_range & (stop < self.n)
-        self.carried = stop * n_bins + k_acc[pending].astype(np.int64)
+        self.carried = acc[n_in:] & bin_of if stop < self.n else self.carried[:0]
         return _Chunk(
             start=start,
             stop=stop,
@@ -553,8 +552,8 @@ class _Sampler:
             accepted_loop_mask=self.loop_masks[k_acc],
             accepted_photons=photons.astype(np.int32),
             accepted_accidental=accidental,
-            accepted_back=back_only,
-        ), bool(clicks[clicks.size - carried.size :].any())
+            accepted_back=~idler,
+        ), bool(clicks[n_in:].any())
 
 
 @dataclass(frozen=True)

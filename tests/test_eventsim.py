@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from muxsim import (
     DeadtimeChain,
@@ -395,15 +395,15 @@ def test_acceptance_equals_sequential_rule():
         chain = DeadtimeChain(tuple(float(d) for d in stages) + (float(idle),))
         assert np.array_equal(
             _accept_heralds(cycles, 1.0, chain),
-            dense_eventsim._accept_heralds(cycles, 1.0, chain),
+            np.flatnonzero(dense_eventsim._accept_heralds(cycles, 1.0, chain)),
         )
 
 
 def _every_stage(cycles, rep_rate_hz, chain):
     """The cascade with every stage applied, dominated or not."""
-    accepted = np.ones(cycles.size, dtype=bool)
+    accepted = np.arange(cycles.size)
     for block in chain.blocks(rep_rate_hz):
-        accepted[accepted] = _non_paralyzable(cycles[accepted], block)
+        accepted = accepted[_non_paralyzable(cycles[accepted], block, -block - 1)]
     return accepted
 
 
@@ -415,6 +415,26 @@ _CHAINS = st.lists(st.integers(0, 40), min_size=1, max_size=4).flatmap(
 _GAPS = st.lists(st.integers(0, 60), max_size=300)  # a zero gap repeats a cycle
 
 
+@settings(max_examples=300, deadline=None)
+@given(block=st.integers(0, 40), after=st.integers(0, 100), gaps=_GAPS)
+@example(block=5, after=0, gaps=[]).via("empty input, no pass before")
+@example(block=10, after=14, gaps=[0, 4, 6, 7, 0, 0, 30, 0]).via("blocked start")
+def test_non_paralyzable_continues_from_the_last_pass(block, after, gaps):
+    # The last pass sits `after` cycles past -(block + 1), where it blocks
+    # nothing; a later one blocks the events up to `block` cycles after it, a
+    # first gap of 0 repeating its cycle.
+    last = after - block - 1
+    cycles = last + np.cumsum(np.array(gaps, dtype=np.int64))
+    passed = _non_paralyzable(cycles, block, last)
+    # The sequential rule, with the last pass as the first event, everything
+    # shifted so that it sits at a cycle >= 0, where nothing blocks it.
+    chain = DeadtimeChain((float(block),))
+    shifted = np.concatenate([[last], cycles]) + (block + 1)
+    sequential = dense_eventsim._accept_heralds(shifted, 1.0, chain)
+    assert sequential[0]
+    assert np.array_equal(passed, np.flatnonzero(sequential[1:]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(blocks=_CHAINS, gaps=_GAPS)
 def test_skipping_dominated_stages_accepts_what_every_stage_accepts(blocks, gaps):
@@ -422,7 +442,8 @@ def test_skipping_dominated_stages_accepts_what_every_stage_accepts(blocks, gaps
     chain = DeadtimeChain(tuple(float(b) for b in blocks))
     accepted = _accept_heralds(cycles, 1.0, chain)
     assert np.array_equal(accepted, _every_stage(cycles, 1.0, chain))
-    assert np.array_equal(accepted, dense_eventsim._accept_heralds(cycles, 1.0, chain))
+    dense = dense_eventsim._accept_heralds(cycles, 1.0, chain)
+    assert np.array_equal(accepted, np.flatnonzero(dense))
 
 
 @settings(max_examples=200, deadline=None)
@@ -441,15 +462,16 @@ def test_chunked_cascade_accepts_what_the_whole_array_accepts(blocks, gaps, data
     last_passed, parts, survivors = {}, [], []
     for a, b in zip(edges[:-1], edges[1:]):
         stages = []
-        parts.append(_accept_heralds(cycles[a:b], 1.0, chain, last_passed, stages))
+        parts.append(a + _accept_heralds(cycles[a:b], 1.0, chain, last_passed, stages))
         survivors.append(stages)
     chunked = np.concatenate(parts)
     assert np.array_equal(chunked, _accept_heralds(cycles, 1.0, chain))
-    assert np.array_equal(chunked, dense_eventsim._accept_heralds(cycles, 1.0, chain))
+    dense = dense_eventsim._accept_heralds(cycles, 1.0, chain)
+    assert np.array_equal(chunked, np.flatnonzero(dense))
     whole = []
     _accept_heralds(cycles, 1.0, chain, survivors=whole)
     assert np.sum(survivors, axis=0).tolist() == whole
-    assert whole[-1] == np.count_nonzero(chunked)
+    assert whole[-1] == chunked.size
 
 
 # --- chunks -------------------------------------------------------------------------
@@ -553,7 +575,7 @@ def test_chunk_counts_add_up_to_the_trace(monkeypatch, config):
     whole = _accept_heralds(
         trace.candidate_cycles, rep_rate_hz, config.deadtime_chain, survivors=stages
     )
-    assert np.array_equal(trace.accepted_index, np.flatnonzero(whole))
+    assert np.array_equal(trace.accepted_index, whole)
     assert counts.survivors.sum(axis=0).tolist() == stages
     # The per-chunk rows add up to the report.
     for count, rate in (

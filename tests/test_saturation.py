@@ -183,7 +183,7 @@ def test_acceptance_matches_the_simulators_rule():
     for p, n in ((2.7e-3, 20_000_000), (2.3e-2, 5_000_000), (0.3, 2_000_000)):
         cycles = np.cumsum(rng.geometric(p, int(1.1 * n * p) + 100)) - 1
         cycles = cycles[cycles < n]
-        accepted = int(_accept_heralds(cycles, 80e6, chain).sum())
+        accepted = _accept_heralds(cycles, 80e6, chain).size
         expected = n * p * float(chain.acceptance(p, 80e6))
         assert abs(accepted - expected) < 4.0 * math.sqrt(expected)
 
