@@ -47,10 +47,12 @@ its length.  Two pieces of state cross a chunk boundary: each deadtime
 stage's last pass, and the accidental gate of a herald on the chunk's last
 cycle, whose (cycle + 1, bin) is drawn with the next chunk; so a chunk is
 handed on, final, only once the next one is drawn.  The law is the same as
-one draw over the whole run.  Every run goes through one loop, which keeps
-the counts of each chunk as one row and hands its records to a sink:
-`run_pulse_train` drops them or streams them to a trace CSV, and
-`event_trace` keeps and joins them into one EventTrace.
+one draw over the whole run.  A chunk is an EventTrace of its own cycles,
+with the candidates passing each deadtime stage in `survivors`.  Every run
+goes through one loop, which keeps the counts of each chunk as one row and
+hands the chunk to a sink: `run_pulse_train` drops it or streams it to a
+trace CSV, and `event_trace` keeps the chunks and joins them into one
+EventTrace of the run, which carries the run's `survivors`.
 
 The generator is counter-based (Philox), so a fixed seed gives a
 bit-identical trace.  A run of at most one chunk makes the same draws as the
@@ -61,7 +63,7 @@ draws a different stream for the same seed.
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -100,7 +102,10 @@ class PulseTrainConfig:
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ConfigurationError(f"{name} must be >= {least}, got {value}")
-        if not 0.0 <= self.reference_power_mw < math.inf:
+        power = self.reference_power_mw
+        if isinstance(power, bool) or not isinstance(power, numbers.Real):
+            raise ConfigurationError(f"reference_power_mw must be real, got {power!r}")
+        if not 0.0 <= power < math.inf:
             raise ConfigurationError("reference_power_mw must be finite and >= 0")
         topo = self.topology
         slots = max(b.delay_id for b in topo.bins) + 1
@@ -121,19 +126,45 @@ _CSV_HEADER = (
     b"cycle,herald_bin,accepted,back_reflection,loop_mask,"
     b"photons_out,signal_click,accidental_click\n"
 )
-_QUIET_TAIL = b",-1,0,0,-1,0,0,0\n"  # every column after the cycle number
+_QUIET = (-1, 0, 0, -1, 0, 0, 0)  # every column after the cycle number
+_QUIET_TAIL = b"".join(b",%d" % value for value in _QUIET) + b"\n"
 _CANDIDATE_ROW = b"%d,%d,%d,%d,%d,%d,%d,%d\n"
 # Most trailing digits a block of trace rows spans: 10^4 rows, ~250 KB.
 _BLOCK_DIGITS = 4
+# The record arrays of an EventTrace, which a run's chunks join along.
+_RECORDS = (
+    "candidate_cycles",
+    "candidate_bin",
+    "accepted_index",
+    "accepted_loop_mask",
+    "accepted_photons",
+    "accepted_accidental",
+    "accepted_back",
+)
+
+
+def _per_cycle(column: int, dtype, doc: str) -> property:
+    """A per-cycle view: the trace CSV's column `column` as a `dtype` array,
+    the cycles without a candidate quiet."""
+
+    def view(trace: "EventTrace") -> np.ndarray:
+        cols = _csv_columns(trace)
+        out = np.full(trace.n_cycles, _QUIET[column - 1], dtype=dtype)
+        out[cols[0] - trace.start] = cols[column]
+        return out
+
+    return property(view, doc=doc)
 
 
 @dataclass(frozen=True)
 class EventTrace:
-    """Sparse records of one simulated pulse train.
+    """Sparse records of the cycles [start, start + n_cycles) of a simulated
+    pulse train: a whole run, or one chunk of it.
 
     Only the cycles holding a herald candidate are stored, plus the outcome
     of each accepted herald.  The per-cycle arrays (``herald_bin``,
-    ``accepted``, ...) are read-only properties built on demand.
+    ``accepted``, ...) are read-only properties built on demand, each from
+    its column of the trace CSV.
     """
 
     rep_rate_hz: float
@@ -145,81 +176,48 @@ class EventTrace:
     accepted_photons: np.ndarray  # signal photons surviving to the output slot
     accepted_accidental: np.ndarray  # click against the herald shifted one cycle
     accepted_back: np.ndarray  # the herald was a back-reflection only
+    start: int = 0  # the first cycle
+    survivors: Tuple[int, ...] = ()  # candidates passing each rising deadtime stage
 
     @property
     def accepted_cycles(self) -> np.ndarray:
         return self.candidate_cycles[self.accepted_index]
 
-    def _per_cycle(self, values, fill, dtype) -> np.ndarray:
-        out = np.full(self.n_cycles, fill, dtype=dtype)
-        out[self.accepted_cycles] = values
-        return out
-
-    @property
-    def herald_bin(self) -> np.ndarray:
-        """Candidate bin index per cycle, -1 if none."""
-        out = np.full(self.n_cycles, -1, dtype=np.int16)
-        out[self.candidate_cycles] = self.candidate_bin
-        return out
-
-    @property
-    def accepted(self) -> np.ndarray:
-        """Herald survived deadtimes and idle window."""
-        return self._per_cycle(True, False, bool)
-
-    @property
-    def back_reflection(self) -> np.ndarray:
-        """Selected herald was a back-reflection only."""
-        return self._per_cycle(self.accepted_back, False, bool)
-
-    @property
-    def loop_mask(self) -> np.ndarray:
-        """Bit mask of loops used, -1 when not accepted."""
-        return self._per_cycle(self.accepted_loop_mask, -1, np.int8)
-
-    @property
-    def photons_out(self) -> np.ndarray:
-        """Signal photons surviving to the output slot."""
-        return self._per_cycle(self.accepted_photons, 0, np.int32)
-
-    @property
-    def signal_click(self) -> np.ndarray:
-        """Coincidence click in the gated output slot."""
-        return self._per_cycle(self.accepted_photons >= 1, False, bool)
-
-    @property
-    def accidental_click(self) -> np.ndarray:
-        """Click against the herald shifted one cycle."""
-        return self._per_cycle(self.accepted_accidental, False, bool)
+    herald_bin = _per_cycle(1, np.int16, "Candidate bin index per cycle, -1 if none.")
+    accepted = _per_cycle(2, bool, "Herald survived deadtimes and idle window.")
+    back_reflection = _per_cycle(3, bool, "Selected herald was a back-reflection only.")
+    loop_mask = _per_cycle(4, np.int8, "Bit mask of loops used, -1 when not accepted.")
+    photons_out = _per_cycle(5, np.int32, "Signal photons surviving to the output slot.")
+    signal_click = _per_cycle(6, bool, "Coincidence click in the gated output slot.")
+    accidental_click = _per_cycle(7, bool, "Click against the herald shifted one cycle.")
 
     def to_csv(self, path) -> None:
         """One row per clock cycle, through the writer that `run_pulse_train`
         streams a trace with."""
         with open_output(path, "wb") as fh:
             fh.write(_CSV_HEADER)
-            _write_part(fh, self, 0, self.n_cycles)
+            _write_part(fh, self)
 
 
-def _csv_columns(records) -> np.ndarray:
-    """The CSV row of each candidate of `records` (an EventTrace or a chunk)
-    as one column each."""
-    cols = np.zeros((8, records.candidate_cycles.size), dtype=np.int64)
-    cols[0] = records.candidate_cycles
-    cols[1] = records.candidate_bin
-    cols[4] = -1
-    acc = records.accepted_index
+def _csv_columns(trace: EventTrace) -> np.ndarray:
+    """The CSV row of each candidate of `trace` as one column each."""
+    cols = np.empty((8, trace.candidate_cycles.size), dtype=np.int64)
+    cols[1:] = np.array(_QUIET)[:, None]
+    cols[0] = trace.candidate_cycles
+    cols[1] = trace.candidate_bin
+    acc = trace.accepted_index
     cols[2, acc] = 1
-    cols[3, acc] = records.accepted_back
-    cols[4, acc] = records.accepted_loop_mask
-    cols[5, acc] = records.accepted_photons
-    cols[6, acc] = records.accepted_photons >= 1
-    cols[7, acc] = records.accepted_accidental
+    cols[3, acc] = trace.accepted_back
+    cols[4, acc] = trace.accepted_loop_mask
+    cols[5, acc] = trace.accepted_photons
+    cols[6, acc] = trace.accepted_photons >= 1
+    cols[7, acc] = trace.accepted_accidental
     return cols
 
 
-def _write_part(fh, records, lo: int, hi: int) -> None:
-    """Writes to `fh` the trace CSV rows of the cycles [lo, hi), whose
-    candidates `records` holds: a whole trace, or one chunk.
+def _write_part(fh, trace: EventTrace) -> None:
+    """Writes to `fh` the trace CSV rows of the cycles of `trace`: a whole
+    run, or one chunk.
 
     Rows go out one block of cycles at a time.  A block holds the cycles
     10^m j to 10^m j + 10^m - 1, whose numbers have the same digit count d,
@@ -230,7 +228,8 @@ def _write_part(fh, records, lo: int, hi: int) -> None:
     candidate rows are formatted one by one, and the block goes out in one
     write: the join of the slices of the matrix between them.
     """
-    cols = _csv_columns(records)
+    cols = _csv_columns(trace)
+    lo, hi = trace.start, trace.start + trace.n_cycles
     while lo < hi:
         digits = len(str(lo))
         stop = min(hi, 10**digits)
@@ -387,23 +386,6 @@ def _bernoulli_cycles(q: float, n: int, rng: "np.random.Generator") -> np.ndarra
     return cycles[: np.searchsorted(cycles, n)]
 
 
-class _Chunk(NamedTuple):
-    """The records of the cycles [start, stop), as EventTrace holds them,
-    with the chunk's counters.  The accidental flag of a herald on the
-    chunk's last cycle is set when the next chunk is drawn."""
-
-    start: int
-    stop: int
-    candidate_cycles: np.ndarray
-    candidate_bin: np.ndarray
-    survivors: Tuple[int, ...]  # candidates passing each rising deadtime stage
-    accepted_index: np.ndarray  # into this chunk's candidates
-    accepted_loop_mask: np.ndarray
-    accepted_photons: np.ndarray
-    accepted_accidental: np.ndarray
-    accepted_back: np.ndarray
-
-
 class _Sampler:
     """The set-up of one run, made once, and the state that crosses a chunk
     boundary: each rising deadtime stage's last pass, and the bin of a herald
@@ -443,7 +425,7 @@ class _Sampler:
         self.last_passed = {}
         self.carried = np.zeros(0, dtype=np.int64)
 
-    def chunks(self) -> Iterator[_Chunk]:
+    def chunks(self) -> Iterator[EventTrace]:
         """The run's chunks in order, each final: it is handed on only after
         the next one is drawn, which settles its last herald's gate."""
         held, _ = self.draw(0, min(CHUNK_CYCLES, self.n))
@@ -472,9 +454,9 @@ class _Sampler:
         keys |= k << 1
         return keys
 
-    def draw(self, start: int, stop: int) -> Tuple[_Chunk, bool]:
-        """The records of cycles [start, stop), the chunk after the last one
-        drawn, and whether the gate carried from that last one's final
+    def draw(self, start: int, stop: int) -> Tuple[EventTrace, bool]:
+        """The EventTrace of cycles [start, stop), the chunk after the last
+        one drawn, and whether the gate carried from that last one's final
         herald clicked.  The working arrays are freed when it returns."""
         rng, bits, n = self.rng, self.bits, stop - start
         bin_of = (1 << bits) - 1
@@ -542,17 +524,18 @@ class _Sampler:
         accidental[:n_in] = clicks[:n_in]
         # On the run's last cycle the gate is out of range and never drawn.
         self.carried = acc[n_in:] & bin_of if stop < self.n else self.carried[:0]
-        return _Chunk(
-            start=start,
-            stop=stop,
+        return EventTrace(
+            rep_rate_hz=self.rep_rate_hz,
+            n_cycles=n,
             candidate_cycles=candidate_cycles,
             candidate_bin=candidate_bin,
-            survivors=tuple(survivors),
-            accepted_index=accepted,
+            accepted_index=accepted,  # into this chunk's candidates
             accepted_loop_mask=self.loop_masks[k_acc],
             accepted_photons=photons.astype(np.int32),
             accepted_accidental=accidental,
             accepted_back=~idler,
+            start=start,
+            survivors=tuple(survivors),
         ), bool(clicks[n_in:].any())
 
 
@@ -584,9 +567,7 @@ def run_pulse_train(
         return _run(sampler, lambda chunk: None)
     with open_output(trace_csv, "wb") as fh:
         fh.write(_CSV_HEADER)
-        return _run(
-            sampler, lambda chunk: _write_part(fh, chunk, chunk.start, chunk.stop)
-        )
+        return _run(sampler, lambda chunk: _write_part(fh, chunk))
 
 
 def event_trace(config: PulseTrainConfig) -> Tuple[EventTrace, RateReport]:
@@ -594,29 +575,22 @@ def event_trace(config: PulseTrainConfig) -> Tuple[EventTrace, RateReport]:
     joined into one EventTrace."""
     parts = []
     _, report = _run(_Sampler(config), parts.append)
+    records = {name: [getattr(part, name) for part in parts] for name in _RECORDS}
     offsets = np.cumsum([0] + [part.candidate_cycles.size for part in parts[:-1]])
-
-    def joined(field):
-        return np.concatenate([getattr(part, field) for part in parts])
-
+    records["accepted_index"] = [
+        index + at for index, at in zip(records["accepted_index"], offsets)
+    ]
     trace = EventTrace(
         rep_rate_hz=config.topology.rep_rate_hz,
         n_cycles=config.n_clock_cycles,
-        candidate_cycles=joined("candidate_cycles"),
-        candidate_bin=joined("candidate_bin"),
-        accepted_index=np.concatenate(
-            [part.accepted_index + at for part, at in zip(parts, offsets)]
-        ),
-        accepted_loop_mask=joined("accepted_loop_mask"),
-        accepted_photons=joined("accepted_photons"),
-        accepted_accidental=joined("accepted_accidental"),
-        accepted_back=joined("accepted_back"),
+        survivors=tuple(map(sum, zip(*(part.survivors for part in parts)))),
+        **{name: np.concatenate(arrays) for name, arrays in records.items()},
     )
     return trace, report
 
 
 def _run(
-    sampler: _Sampler, sink: Callable[[_Chunk], None]
+    sampler: _Sampler, sink: Callable[[EventTrace], None]
 ) -> Tuple[ChunkCounts, RateReport]:
     """Draws the run chunk by chunk, counting each final chunk and handing
     it to `sink`."""
@@ -625,7 +599,7 @@ def _run(
     for chunk in sampler.chunks():
         rows.append(
             (
-                chunk.stop - chunk.start,
+                chunk.n_cycles,
                 chunk.candidate_cycles.size,
                 chunk.survivors,
                 chunk.accepted_index.size,

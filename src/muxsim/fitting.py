@@ -281,6 +281,11 @@ class _Tangent:
     def __init__(self, value, tangent):
         self.value, self.tangent = value, tangent
 
+    def chain_rule(self, value, slope):
+        """`value` = g(self.value), with its tangent from the slope dg/dx
+        written by hand."""
+        return _Tangent(value, _lift(self.tangent, slope.ndim) * slope)
+
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method != "__call__" or kwargs or ufunc not in _TANGENT_RULES:
             return NotImplemented
@@ -308,14 +313,16 @@ def _binary(ufunc, rule, x, y):
     value = ufunc(x, y)
     if rule is None:
         return value
-    # A tangent whose value has fewer axes than the result gets unit axes
-    # after its leading one, so that it broadcasts as its value does.
     ndim = value.ndim
-    if dx is not None and dx.ndim <= ndim:
-        dx = np.expand_dims(dx, tuple(range(1, ndim + 2 - dx.ndim)))
-    if dy is not None and dy.ndim <= ndim:
-        dy = np.expand_dims(dy, tuple(range(1, ndim + 2 - dy.ndim)))
-    return _Tangent(value, rule(value, x, y, dx, dy))
+    return _Tangent(value, rule(value, x, y, _lift(dx, ndim), _lift(dy, ndim)))
+
+
+def _lift(tangent, ndim: int):
+    """A tangent whose value has fewer than `ndim` axes, with unit axes after
+    its leading one, so that it broadcasts as its value does."""
+    if tangent is not None and tangent.ndim <= ndim:
+        tangent = np.expand_dims(tangent, tuple(range(1, ndim + 2 - tangent.ndim)))
+    return tangent
 
 
 def _lockstep_lm(
@@ -423,7 +430,7 @@ def _heuristic_start(
     """Moment-based initial guess in fit coordinates: CAR fixes the
     squeezing scale, levels fix the transmissions."""
     try:
-        t_true = np.array([true_from_detected(r, chain) for r in r_trig])
+        t_true = true_from_detected(r_trig, chain)
     except SaturationError:
         t_true = r_trig.copy()
     with np.errstate(divide="ignore", invalid="ignore"):

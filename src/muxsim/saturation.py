@@ -73,23 +73,17 @@ class DeadtimeChain:
         evaluated alone, so its acceptance does not depend on the shape of
         the array it comes in.
 
-        A p with a ``value`` and a forward-mode ``tangent`` (a
-        `fitting._Tangent`) gets its own type back: A, with a plain call's
-        bits, and the tangent times dA/dp, a derivative rule written by
-        hand (the fitter's d xi / d log p_seed is the other): -c A^2 for
-        one stage that can block, -A^2 (I + E[r] + p dE[r]/dp) for two,
-        finite on all of [0, 1].  The fitter reaches it through
-        `mux.saturated_rates`; a plain p takes the value-only pass.
+        A forward-mode tangent p (a `fitting._Tangent`) gets back
+        ``p.chain_rule(A, dA/dp)``: A, with a plain call's bits, and the
+        tangent times dA/dp, a derivative rule written by hand (the fitter's
+        d xi / d log p_seed is the other): -c A^2 for one stage that can
+        block, -A^2 (I + E[r] + p dE[r]/dp) for two, finite on all of
+        [0, 1].  The fitter reaches it through `mux.saturated_rates`; a
+        plain p takes the value-only pass.
         """
-        if not (hasattr(p, "value") and hasattr(p, "tangent")):
+        if not hasattr(p, "chain_rule"):
             return _acceptance(self, p, rep_rate_hz, slope=False)[0]
-        accepted, slope = _acceptance(self, p.value, rep_rate_hz, slope=True)
-        # Unit axes after the leading one lift a tangent with fewer axes than
-        # its value, as fitting's operators lift one.
-        tangent, ndim = p.tangent, slope.ndim
-        if tangent.ndim <= ndim:
-            tangent = np.expand_dims(tangent, tuple(range(1, ndim + 2 - tangent.ndim)))
-        return type(p)(accepted, tangent * slope)
+        return p.chain_rule(*_acceptance(self, p.value, rep_rate_hz, slope=True))
 
 
 def _acceptance(chain: DeadtimeChain, p: ArrayLike, rep_rate_hz: float, slope: bool):
@@ -246,13 +240,15 @@ def detected_from_true(true_rate_hz: ArrayLike, chain: DeadtimeChain) -> ArrayLi
     return rate
 
 
-def true_from_detected(detected_rate_hz: float, chain: DeadtimeChain) -> float:
-    """Exact inverse of detected_from_true (stages unwound in reverse)."""
-    if detected_rate_hz < 0.0:
+def true_from_detected(detected_rate_hz: ArrayLike, chain: DeadtimeChain) -> ArrayLike:
+    """Exact inverse of detected_from_true (stages unwound in reverse);
+    broadcasts over an array of detected rates, any of which at or above a
+    stage's saturation raises SaturationError."""
+    if np.count_nonzero(detected_rate_hz < 0.0):
         raise ValueError(f"detected rate must be >= 0, got {detected_rate_hz}")
     rate = detected_rate_hz
     for d in reversed(chain.stages):
-        if d > 0.0 and rate * d >= 1.0:
+        if d > 0.0 and np.count_nonzero(rate * d >= 1.0):
             raise SaturationError(
                 f"detected rate {rate} Hz at or above saturation 1/d = {1.0 / d} Hz"
             )

@@ -39,6 +39,16 @@ from muxsim.hsps import source_probs, xi_from_power
 import dense_eventsim
 
 NO_DEADTIME = DeadtimeChain(())
+# The per-cycle arrays of an EventTrace, in the order of the trace CSV.
+PER_CYCLE_VIEWS = (
+    "herald_bin",
+    "accepted",
+    "back_reflection",
+    "loop_mask",
+    "photons_out",
+    "signal_click",
+    "accidental_click",
+)
 
 
 def _single_bin_topology(eta_i, eta_s, p_seed, eta_sw=1.0, fraction=1.0, f=0.0):
@@ -88,12 +98,15 @@ def test_config_rejects_negative_or_non_finite_power(power):
         ("rng_seed", -1),
         ("rng_seed", 1.5),
         ("rng_seed", False),
+        ("reference_power_mw", True),
+        ("reference_power_mw", "5"),
+        ("reference_power_mw", None),
     ],
 )
 def test_config_rejects_mistyped_cycles_or_seed(field, value):
-    settings = {"n_clock_cycles": 1000, field: value}
+    settings = {"reference_power_mw": 5.0, "n_clock_cycles": 1000, field: value}
     with pytest.raises(ConfigurationError, match=field):
-        PulseTrainConfig(_single_bin_topology(0.1, 0.1, 5.0), 5.0, **settings)
+        PulseTrainConfig(_single_bin_topology(0.1, 0.1, 5.0), **settings)
 
 
 def test_config_takes_numpy_integers():
@@ -145,15 +158,7 @@ def test_reproducibility_bit_identical():
     config = PulseTrainConfig(default_topology(), 8.0, 50_000, rng_seed=99)
     trace_a, report_a = event_trace(config)
     trace_b, report_b = event_trace(config)
-    for field in (
-        "herald_bin",
-        "accepted",
-        "back_reflection",
-        "loop_mask",
-        "photons_out",
-        "signal_click",
-        "accidental_click",
-    ):
+    for field in PER_CYCLE_VIEWS:
         assert np.array_equal(getattr(trace_a, field), getattr(trace_b, field))
     assert report_a == report_b
 
@@ -652,6 +657,36 @@ def test_streamed_trace_equals_the_joined_trace(monkeypatch, tmp_path, chunk, n)
         )
 
 
+@pytest.mark.parametrize("chain", [NO_DEADTIME, FULL_CHAIN], ids=["no-deadtime", "full"])
+@pytest.mark.parametrize("chunk, n", [(1, 500), (97, 45_000), (10_000, 100_500)])
+def test_a_chunk_is_the_event_trace_of_its_cycles(monkeypatch, tmp_path, chain, chunk, n):
+    # Each chunk a sink receives is an EventTrace of the cycles
+    # [start, start + n_cycles): its per-cycle views and its own CSV are the
+    # joined trace's slice, and the joined trace sums the chunks' survivors.
+    monkeypatch.setattr(eventsim, "CHUNK_CYCLES", chunk)
+    topo = _single_bin_topology(0.6, 1.0, 5.0)
+    config = PulseTrainConfig(topo, 20.0, n, chain, rng_seed=4)
+    trace, _ = event_trace(config)
+    views = {name: getattr(trace, name) for name in PER_CYCLE_VIEWS}
+    trace.to_csv(tmp_path / "joined.csv")
+    header, *rows = (tmp_path / "joined.csv").read_bytes().splitlines(keepends=True)
+    starts = []
+
+    def check(part):
+        lo, hi = part.start, part.start + part.n_cycles
+        starts.append(lo)
+        for name, whole in views.items():
+            view = getattr(part, name)
+            assert view.dtype == whole.dtype and np.array_equal(view, whole[lo:hi])
+        part.to_csv(tmp_path / "chunk.csv")
+        assert (tmp_path / "chunk.csv").read_bytes() == header + b"".join(rows[lo:hi])
+
+    counts, _ = eventsim._run(eventsim._Sampler(config), check)
+    assert starts == list(range(0, n, chunk))
+    assert trace.survivors == tuple(counts.survivors.sum(axis=0))
+    assert len(trace.survivors) == (2 if chain is FULL_CHAIN else 0)
+
+
 @pytest.mark.parametrize("trace_csv", [None, os.devnull], ids=["counts", "streamed"])
 def test_counts_run_holds_one_chunk_at_a_time(trace_csv):
     def peak(n):
@@ -699,17 +734,8 @@ def test_trace_csv_round_trip(tmp_path):
 def test_trace_csv_matches_row_by_row_writer(tmp_path, config):
     trace, _ = event_trace(config)
     assert trace.accepted.sum() > 10 and trace.back_reflection.any()
-    fields = (
-        "herald_bin",
-        "accepted",
-        "back_reflection",
-        "loop_mask",
-        "photons_out",
-        "signal_click",
-        "accidental_click",
-    )
     dense = dense_eventsim.DenseTrace(
-        trace.rep_rate_hz, trace.n_cycles, *(getattr(trace, f) for f in fields)
+        trace.rep_rate_hz, trace.n_cycles, *(getattr(trace, f) for f in PER_CYCLE_VIEWS)
     )
     trace.to_csv(tmp_path / "sparse.csv")
     dense.to_csv(tmp_path / "dense.csv")

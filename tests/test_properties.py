@@ -79,13 +79,18 @@ def test_trigger_probability_rises_with_idler_transmission(xi, etas, eta_s, f):
 # --- saturation --------------------------------------------------------------------
 
 @given(
-    rate=_number(0.0, 1e7),
+    rates=st.lists(_number(0.0, 1e7), min_size=1, max_size=5),
     stages=st.lists(_number(0.0, 3e-6), min_size=0, max_size=4),
 )
-def test_saturation_round_trip(rate, stages):
+def test_saturation_round_trip(rates, stages):
     chain = DeadtimeChain(tuple(stages))
-    recovered = true_from_detected(detected_from_true(rate, chain), chain)
-    assert recovered == pytest.approx(rate, rel=1e-9, abs=1e-9)
+    recovered = [true_from_detected(detected_from_true(r, chain), chain) for r in rates]
+    for rate, back in zip(rates, recovered):
+        assert type(back) is float
+        assert back == pytest.approx(rate, rel=1e-9, abs=1e-9)
+    # An array goes through as its elements do one by one, bit for bit.
+    detected = detected_from_true(np.array(rates), chain)
+    assert true_from_detected(detected, chain).tolist() == recovered
 
 
 # --- scenario parser ---------------------------------------------------------------

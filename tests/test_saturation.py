@@ -95,6 +95,11 @@ def test_saturation_error_at_and_above_limit():
     with pytest.raises(SaturationError):
         true_from_detected(6e5, chain)
     assert true_from_detected(0.0, chain) == 0.0
+    # An array raises if any of its rates saturates, at any stage.
+    with pytest.raises(SaturationError):
+        true_from_detected(np.array([0.0, 1e5, 5e5]), chain)
+    with pytest.raises(SaturationError):
+        true_from_detected(np.array([1e5, 4.9e5]), DeadtimeChain((2e-6, 1e-7)))
 
 
 def test_negative_rates_rejected():
@@ -103,6 +108,8 @@ def test_negative_rates_rejected():
         detected_from_true(-1.0, chain)
     with pytest.raises(ValueError):
         true_from_detected(-1.0, chain)
+    with pytest.raises(ValueError):
+        true_from_detected(np.array([1.0, -1.0]), chain)
     with pytest.raises(ValueError):
         DeadtimeChain((-1e-9,))
 
